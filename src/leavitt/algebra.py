@@ -17,30 +17,19 @@ what makes structural equality sound.
 
 from __future__ import annotations
 
-import functools
 from collections import deque
 
 from .fields import Field, FieldMismatchError, FieldValue
-from .graphs import (
-    Graph,
-    GraphError,
-    Path,
-    edge_by_id,
-    is_path,
-    path_range,
-    vertex_set,
-    _out_edges,
-)
+from .graphs import Graph, GraphError, Path, is_path, path_range
 
 
 class AlgebraError(ValueError):
     """Monomial/graph mismatch or incompatible operands."""
 
 
-@functools.lru_cache(maxsize=None)
 def special_edges(g: Graph) -> dict:
     """The designated outgoing edge at each non-sink vertex."""
-    return {v: max(e.id for e in es) for v, es in _out_edges(g).items() if es}
+    return g.index.special
 
 
 def _path_key(p: Path):
@@ -58,9 +47,8 @@ def _normalize_terms(g: Graph, field: Field, raw, schedule: str = "lifo") -> dic
     ``schedule`` picks the worklist order (lifo or fifo); both reach the same
     normal form, which the test suite checks as a confluence surrogate.
     """
-    spec = special_edges(g)
-    emap = edge_by_id(g)
-    outs = _out_edges(g)
+    index = g.index
+    spec, emap, outs = index.special, index.edge_by_id, index.out_edges
     acc: dict = {}
     work = deque()
     for c, p, q in raw:
@@ -142,14 +130,14 @@ class Element:
 
     @staticmethod
     def vertex(graph, field, v: str) -> "Element":
-        if v not in vertex_set(graph):
+        if v not in graph.index.vertices:
             raise GraphError(f"unknown vertex {v}")
         t = Path(v, ())
         return Element(graph, field, {(t, t): field.one}, _trusted=True)
 
     @staticmethod
     def edge(graph, field, eid: str) -> "Element":
-        e = edge_by_id(graph).get(eid)
+        e = graph.index.edge_by_id.get(eid)
         if e is None:
             raise GraphError(f"unknown edge {eid}")
         p = Path(e.src, (eid,))
@@ -157,7 +145,7 @@ class Element:
 
     @staticmethod
     def ghost(graph, field, eid: str) -> "Element":
-        e = edge_by_id(graph).get(eid)
+        e = graph.index.edge_by_id.get(eid)
         if e is None:
             raise GraphError(f"unknown edge {eid}")
         q = Path(e.src, (eid,))

@@ -1,15 +1,18 @@
 """Finite directed multigraphs with named vertices and edges.
 
 Everything downstream (path algebra elements, the matrix picture, the
-decision procedures) works over these graphs. Graphs are immutable values;
-all functions here are pure and derived tables are memoized on the graph
-itself, so sharing across threads is safe.
+decision procedures) works over these graphs. Graphs are immutable values
+and all functions here are pure. Every derived table of a graph (vertex
+set, edge lookup, incidence lists, special edges, path counts, the sink
+basis) lives in one ``GraphIndex``, reached as ``g.index``: it is built the
+first time it is asked for, memoized on that graph object, and freed with
+it. Sharing a graph across threads is safe; ``cached_property`` may build a
+table twice under a race, and both results are equal.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -60,49 +63,82 @@ class Graph:
     def __repr__(self):
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
+    @functools.cached_property
+    def index(self) -> "GraphIndex":
+        return GraphIndex(self)
+
 
 # ---------------------------------------------------------------------------
 # derived tables
 
 
-@functools.lru_cache(maxsize=None)
+class GraphIndex:
+    """The derived tables of one graph. Build it through ``g.index``.
+
+    Incidence lists are sorted by edge id; the special edge of a non-sink
+    vertex is its greatest outgoing edge id. ``mu`` and ``sink_basis`` are
+    computed on first use.
+    """
+
+    def __init__(self, g: Graph):
+        self.graph = g
+        self.vertices = frozenset(g.vertices)
+        self.edge_by_id = {e.id: e for e in g.edges}
+        outs = {v: [] for v in g.vertices}
+        ins = {v: [] for v in g.vertices}
+        for e in sorted(g.edges, key=lambda e: e.id):
+            outs[e.src].append(e)
+            ins[e.dst].append(e)
+        self.out_edges = {v: tuple(es) for v, es in outs.items()}
+        self.in_edges = {v: tuple(es) for v, es in ins.items()}
+        self.special = {v: es[-1].id for v, es in self.out_edges.items() if es}
+
+    @functools.cached_property
+    def mu(self) -> dict:
+        """Number of paths ending at each vertex, the trivial path included.
+
+        One pass of Kahn's topological sort: a vertex is popped once all its
+        in-edges come from popped vertices, and then its count is one plus
+        theirs. The vertices never popped are exactly those a cycle reaches,
+        and they get OMEGA.
+        """
+        pending = {v: len(es) for v, es in self.in_edges.items()}
+        ready = [v for v in self.graph.vertices if not pending[v]]
+        counts = {}
+        while ready:
+            v = ready.pop()
+            counts[v] = 1 + sum(counts[e.src] for e in self.in_edges[v])
+            for e in self.out_edges[v]:
+                pending[e.dst] -= 1
+                if not pending[e.dst]:
+                    ready.append(e.dst)
+        return {v: counts.get(v, OMEGA) for v in self.graph.vertices}
+
+    @functools.cached_property
+    def sink_basis(self) -> "SinkBasis":
+        return SinkBasis(self.graph)
+
+
 def vertex_set(g: Graph) -> frozenset:
-    return frozenset(g.vertices)
+    return g.index.vertices
 
 
-@functools.lru_cache(maxsize=None)
 def edge_by_id(g: Graph):
-    return {e.id: e for e in g.edges}
-
-
-@functools.lru_cache(maxsize=None)
-def _out_edges(g: Graph):
-    table = {v: [] for v in g.vertices}
-    for e in g.edges:
-        table[e.src].append(e)
-    return {v: tuple(sorted(es, key=lambda e: e.id)) for v, es in table.items()}
-
-
-@functools.lru_cache(maxsize=None)
-def _in_edges(g: Graph):
-    table = {v: [] for v in g.vertices}
-    for e in g.edges:
-        table[e.dst].append(e)
-    return {v: tuple(sorted(es, key=lambda e: e.id)) for v, es in table.items()}
+    return g.index.edge_by_id
 
 
 def out_edges(g: Graph, v: str) -> tuple[Edge, ...]:
     _require_vertex(g, v)
-    return _out_edges(g)[v]
+    return g.index.out_edges[v]
 
 
 def in_edges(g: Graph, v: str) -> tuple[Edge, ...]:
     _require_vertex(g, v)
-    return _in_edges(g)[v]
+    return g.index.in_edges[v]
 
 
 def _require_vertex(g: Graph, v: str):
-    if v not in vertex_set(g):
+    if v not in g.index.vertices:
         raise GraphError(f"unknown vertex {v}")
 
 
@@ -129,13 +165,6 @@ def validate(g: Graph) -> list:
     return errors
 
 
-def check_valid(g: Graph) -> Graph:
-    errors = validate(g)
-    if errors:
-        raise GraphError("; ".join(errors))
-    return g
-
-
 class VertexInfo(NamedTuple):
     sink: bool
     source: bool
@@ -148,37 +177,12 @@ def classify_vertex(g: Graph, v: str) -> VertexInfo:
 
 
 def sinks(g: Graph) -> tuple[str, ...]:
-    return tuple(v for v in g.vertices if not _out_edges(g)[v])
-
-
-@functools.lru_cache(maxsize=None)
-def _reachable(g: Graph):
-    """For each vertex, the set of vertices reachable by a path (length >= 0)."""
-    table = {}
-    outs = _out_edges(g)
-    for start in g.vertices:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for e in outs[v]:
-                if e.dst not in seen:
-                    seen.add(e.dst)
-                    queue.append(e.dst)
-        table[start] = frozenset(seen)
-    return table
-
-
-@functools.lru_cache(maxsize=None)
-def _cycle_vertices(g: Graph) -> frozenset:
-    """Vertices lying on a closed nontrivial path."""
-    reach = _reachable(g)
-    outs = _out_edges(g)
-    return frozenset(v for v in g.vertices if any(v in reach[e.dst] for e in outs[v]))
+    outs = g.index.out_edges
+    return tuple(v for v in g.vertices if not outs[v])
 
 
 def is_acyclic(g: Graph) -> bool:
-    return not _cycle_vertices(g)
+    return all(is_finite(m) for m in g.index.mu.values())
 
 
 def check_acyclic(g: Graph) -> Graph:
@@ -191,107 +195,80 @@ def check_acyclic(g: Graph) -> Graph:
 # path counting
 
 
-@functools.lru_cache(maxsize=None)
-def mu_table(g: Graph):
-    """Number of paths ending at each vertex, the trivial path included.
-
-    OMEGA for vertices reachable from a cycle; otherwise computed by dynamic
-    programming over the (necessarily acyclic) portion feeding the vertex.
-    """
-    reach = _reachable(g)
-    bad = _cycle_vertices(g)
-    infinite = {v for v in g.vertices if any(v in reach[w] for w in bad)}
-    ins = _in_edges(g)
-    table = {}
-
-    def count(v):
-        if v in table:
-            return table[v]
-        table[v] = total = 1 + sum(count(e.src) for e in ins[v])
-        return total
-
-    for v in g.vertices:
-        if v in infinite:
-            table[v] = OMEGA
-    for v in g.vertices:
-        if v not in infinite:
-            count(v)
-    return dict(table)
+def mu_table(g: Graph) -> dict:
+    """Number of paths ending at each vertex, OMEGA where a cycle reaches."""
+    return g.index.mu
 
 
 def mu(g: Graph, v: str):
     _require_vertex(g, v)
-    return mu_table(g)[v]
+    return g.index.mu[v]
 
 
 def sigma(g: Graph):
     """Supremum of mu over all vertices; 0 for the empty graph."""
-    table = mu_table(g)
+    table = g.index.mu
     if not table:
         return 0
     return max(table.values())
 
 
-def path_source(p: Path) -> str:
-    return p.base
-
-
 def path_range(g: Graph, p: Path) -> str:
     if not p.edges:
         return p.base
-    return edge_by_id(g)[p.edges[-1]].dst
+    return g.index.edge_by_id[p.edges[-1]].dst
 
 
 def is_path(g: Graph, p: Path) -> bool:
-    if p.base not in vertex_set(g):
+    index = g.index
+    if p.base not in index.vertices:
         return False
-    emap = edge_by_id(g)
     at = p.base
     for eid in p.edges:
-        e = emap.get(eid)
+        e = index.edge_by_id.get(eid)
         if e is None or e.src != at:
             return False
         at = e.dst
     return True
 
 
-def path_concat(g: Graph, p: Path, q: Path) -> Path:
-    if path_range(g, p) != q.base:
-        raise GraphError("paths do not chain")
-    return Path(p.base, p.edges + q.edges)
-
-
-def _path_sort_key(p: Path):
-    return (len(p.edges), p.edges)
-
-
-@functools.lru_cache(maxsize=None)
-def _paths_to(g: Graph, v: str) -> tuple[Path, ...]:
-    ins = _in_edges(g)
-    memo = {}
-
-    def rec(w):
-        if w in memo:
-            return memo[w]
-        found = [Path(w, ())]
-        for e in ins[w]:
-            for a in rec(e.src):
-                found.append(Path(a.base, a.edges + (e.id,)))
-        memo[w] = found
-        return found
-
-    return tuple(sorted(rec(v), key=_path_sort_key))
-
-
-def enumerate_paths_to(g: Graph, v: str) -> list:
+def enumerate_paths_to(g: Graph, v: str, limit: int | None = None) -> list:
     """All paths ending at v, shortest first, ties broken by edge ids.
 
     The list always starts with the trivial path and has exactly mu(g, v)
-    entries; when that count is infinite the enumeration is refused.
+    entries; when that count is infinite the enumeration is refused. With
+    ``limit``, only the first ``limit`` paths of that order are built and
+    returned.
     """
     if not is_finite(mu(g, v)):
         raise InfinitePathSetError(f"infinitely many paths end at {v}")
-    return list(_paths_to(g, v))
+    ins = g.index.in_edges
+    found = []
+    level = [Path(v, ())]
+    while level and (limit is None or len(found) < limit):
+        found.extend(level)
+        level = sorted((Path(e.src, (e.id,) + p.edges) for p in level for e in ins[p.base]),
+                       key=lambda p: p.edges)
+    return found if limit is None else found[:limit]
+
+
+class SinkBasis:
+    """Ordered sinks with, for each, the ordered list of paths into it."""
+
+    def __init__(self, graph: Graph):
+        check_acyclic(graph)
+        self.graph = graph
+        self.sinks = sinks(graph)
+        self.paths = {v: tuple(enumerate_paths_to(graph, v)) for v in self.sinks}
+        self.index = {}
+        for v in self.sinks:
+            for i, a in enumerate(self.paths[v]):
+                self.index[a] = (v, i)
+        for v in self.sinks:
+            assert len(self.paths[v]) == mu(graph, v)
+
+    def size(self, v: str) -> int:
+        return len(self.paths[v])
 
 
 # ---------------------------------------------------------------------------

@@ -53,16 +53,6 @@ def mat_eq(a, b) -> bool:
     )
 
 
-def mat_add(a, b):
-    if mat_shape(a) != mat_shape(b):
-        raise ShapeError("shape mismatch")
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
-
-
 def mat_mul(a, b):
     m, k = mat_shape(a)
     k2, n = mat_shape(b)

@@ -35,9 +35,6 @@ class Omega:
 
 OMEGA = Omega()
 
-# An extended natural is either an int >= 0 or OMEGA.
-ExtNat = "int | Omega"
-
 
 def is_finite(value) -> bool:
     return not isinstance(value, Omega)
@@ -47,10 +44,3 @@ def extnat_to_json(value):
     """JSON form: plain int, or the string "omega"."""
     return "omega" if isinstance(value, Omega) else value
 
-
-def extnat_from_json(value):
-    if value == "omega":
-        return OMEGA
-    if isinstance(value, int) and value >= 0:
-        return value
-    raise ValueError(f"not an extended natural: {value!r}")

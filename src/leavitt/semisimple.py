@@ -9,52 +9,22 @@ matrix entries back to path monomials and renormalizes.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .algebra import Element
 from .fields import Field
-from .graphs import (
-    Graph,
-    Path,
-    check_acyclic,
-    enumerate_paths_to,
-    mu,
-    path_range,
-    sinks,
-    _out_edges,
-)
+from .graphs import Graph, Path, SinkBasis, check_acyclic, mu, path_range, sinks
 from .linalg import ShapeError, conj_transpose, mat_eq, mat_mul, mat_shape, zeros
 
 
-class SinkBasis:
-    """Ordered sinks with, for each, the ordered list of paths into it."""
-
-    def __init__(self, graph: Graph):
-        check_acyclic(graph)
-        self.graph = graph
-        self.sinks = sinks(graph)
-        self.paths = {v: tuple(enumerate_paths_to(graph, v)) for v in self.sinks}
-        self.index = {}
-        for v in self.sinks:
-            for i, a in enumerate(self.paths[v]):
-                self.index[a] = (v, i)
-        for v in self.sinks:
-            assert len(self.paths[v]) == mu(graph, v)
-
-    def size(self, v: str) -> int:
-        return len(self.paths[v])
-
-
-@functools.lru_cache(maxsize=None)
 def sink_basis(g: Graph) -> SinkBasis:
-    return SinkBasis(g)
+    return g.index.sink_basis
 
 
 def _sink_expand(g: Graph, terms: dict) -> dict:
     """Push every monomial to the sinks: p q* = sum over e leaving r(p) of
     (pe)(qe)*. Terminates because the graph is acyclic."""
-    outs = _out_edges(g)
+    outs = g.index.out_edges
     out: dict = {}
     work = [(c, p, q) for (p, q), c in terms.items()]
     while work:

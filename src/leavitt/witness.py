@@ -108,7 +108,7 @@ def improper_element(g: Graph, k: Field) -> Element | None:
         return None
     v = min(v for v in g.vertices if table[v] > level)
     n = level + 1
-    paths = enumerate_paths_to(g, v)[:n]
+    paths = enumerate_paths_to(g, v, limit=n)
     tup = k.improper_tuple(n)
     assert tup is not None
     raw = [(x, alpha, paths[0]) for x, alpha in zip(tup, paths)]

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from leavitt import parse_graph, standard_graph
+from leavitt import Graph, parse_graph, standard_graph
 from leavitt.cli import main
 from leavitt.io import format_graph
 
@@ -84,6 +84,17 @@ class TestDecide:
                 expect_unknown = (not is_acyclic(g)
                                   and k.properness_level() is not OMEGA)
                 assert code == (2 if expect_unknown else 0)
+
+    def test_long_sink_first_line(self, capsys, tmp_path):
+        n = 1500
+        line = standard_graph("line", n)
+        path = tmp_path / "sink_first.txt"
+        path.write_text(format_graph(Graph(line.vertices[::-1], line.edges[::-1])))
+        code, out, _ = run(capsys, "decide", str(path), "--field", "GF(5)", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["sigma"] == n and data["proper_algebra"] == "improper"
+        assert data["improper_certificate"] is not None
 
 
 class TestExpressions:

@@ -139,6 +139,9 @@ class TestSigma:
                 assert g.edges == ()
         assert sigma(Graph.build(["a", "b"], [])) == 1
 
+    def test_long_line(self):
+        assert sigma(standard_graph("line", 5000)) == 5000
+
 
 class TestEnumeratePaths:
     def test_isolated(self):
@@ -166,6 +169,13 @@ class TestEnumeratePaths:
                 assert keys == sorted(keys)
                 assert len(first) == mu(g, v)
                 assert len(set(first)) == len(first)
+                for n in range(len(first) + 2):
+                    assert enumerate_paths_to(g, v, limit=n) == first[:n]
+
+    def test_long_line(self):
+        paths = enumerate_paths_to(standard_graph("line", 2000), "v2000")
+        assert len(paths) == 2000
+        assert paths[-1] == Path("v1", tuple(f"e{i}" for i in range(1, 2000)))
 
 
 class TestMnGraph:
@@ -316,3 +326,49 @@ class TestConcurrentReads:
             assert table == expected
             assert paths == enumerate_paths_to(g, "n1")
             assert s == 7
+
+
+class TestGraphIndex:
+    def test_built_once_per_graph(self):
+        g = binary_in_tree()
+        assert g.index is g.index
+        assert mu_table(g) is g.index.mu
+
+    def test_graphs_are_freed_after_use(self):
+        # no table keyed on a graph may outlive the graph
+        import gc
+        import weakref
+
+        from leavitt import (
+            Element,
+            NotStarRegularError,
+            PrimeField,
+            Rationals,
+            full_report,
+            improper_element,
+            phi,
+            projection_generator,
+            regular_witness,
+            unit_regular_witness,
+        )
+
+        def use(g):
+            q, gf3 = Rationals(), PrimeField(3)
+            a = Element.vertex(g, q, "v3") + Element.edge(g, q, "e2")
+            full_report(g, gf3)
+            phi(a)
+            regular_witness(g, q, a)
+            unit_regular_witness(g, q, a)
+            projection_generator(g, q, a)
+            improper_element(g, gf3)
+            try:
+                projection_generator(g, gf3, Element.edge(g, gf3, "e2"))
+            except NotStarRegularError:
+                pass
+
+        g = standard_graph("line", 3)
+        use(g)
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None

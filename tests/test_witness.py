@@ -4,6 +4,7 @@ from leavitt import (
     CyclicGraphError,
     Element,
     GaussianRationals,
+    Graph,
     NotStarRegularError,
     PrimeField,
     Rationals,
@@ -25,6 +26,7 @@ from conftest import acyclic_corpus, random_element
 Q = Rationals()
 QI_ID = GaussianRationals(conjugation=False)
 GF2 = PrimeField(2)
+GF3 = PrimeField(3)
 GF5 = PrimeField(5)
 LINE2 = standard_graph("line", 2)
 
@@ -122,6 +124,18 @@ class TestImproperElement:
     def test_cyclic_rejected(self):
         with pytest.raises(CyclicGraphError):
             improper_element(standard_graph("rose", 1), GF2)
+
+    def test_builds_only_the_paths_it_uses(self):
+        # rung j feeds both vertices of rung j-1, so a01, the least vertex
+        # id, ends about 2^40 paths; the certificate needs three of them
+        rungs = 40
+        vertices = [f"{s}{j:02d}" for j in range(1, rungs + 1) for s in "ab"]
+        edges = [(f"{s}{t}{j:02d}", f"{s}{j + 1:02d}", f"{t}{j:02d}")
+                 for j in range(1, rungs) for s in "ab" for t in "ab"]
+        g = Graph.build(vertices, edges)
+        got = improper_element(g, GF3)
+        assert len(got) == 3 and verify_improper(got)
+        assert got == v(g, GF3, "a01") + e(g, GF3, "aa01") + e(g, GF3, "ba01")
 
 
 class TestUnitRegularWitness:
