@@ -42,7 +42,7 @@ class FieldValue:
 
     def _coerce(self, other):
         if isinstance(other, FieldValue):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatchError(
                     f"mixed fields: {self.field.spec_string()} and {other.field.spec_string()}"
                 )
@@ -106,7 +106,7 @@ class FieldValue:
         return self.payload == other.payload
 
     def __bool__(self):
-        return self.payload != self.field._zero_payload()
+        return not self.field._is_zero(self.payload)
 
     def __hash__(self):
         return hash((self.field, self.payload))
@@ -210,13 +210,47 @@ class Field:
 
 
 _RAT = re.compile(r"[+-]?\d+(?:/\d+)?")
+_UNSIGNED_RAT = re.compile(r"\d+(?:/\d+)?")
+_UNSIGNED_INT = re.compile(r"\d+")
+
+
+def _fraction(digits: str) -> Fraction:
+    """The Fraction of an "n" or "n/d" literal; d = 0 is a FieldError."""
+    try:
+        return Fraction(digits)
+    except ZeroDivisionError:
+        raise FieldError(f"zero denominator in literal {digits!r}") from None
 
 
 def _scan_fraction(text, pos):
     m = _RAT.match(text, pos)
     if not m:
         return None
-    return Fraction(m.group()), m.end()
+    return _fraction(m.group()), m.end()
+
+
+def _scan_part(text, pos, number, unit, *, explicit_sign):
+    """One part of a two-part literal: [sign] (number [unit] | unit), with
+    number matched by the regex ``number`` and ``unit`` a letter ("i", "t").
+    Returns ((value, has_unit), end) with value a Fraction, or None."""
+    sign = 1
+    p = pos
+    if p < len(text) and text[p] in "+-":
+        if text[p] == "-":
+            sign = -1
+        p += 1
+    elif explicit_sign:
+        return None
+    m = number.match(text, p)
+    if m:
+        value = sign * _fraction(m.group())
+        p = m.end()
+        if p < len(text) and text[p] == unit:
+            return (value, True), p + 1
+        return (value, False), p
+    if p < len(text) and text[p] == unit:
+        return (Fraction(sign), True), p + 1
+    return None
 
 
 class Rationals(Field):
@@ -230,6 +264,9 @@ class Rationals(Field):
 
     def _zero_payload(self):
         return Fraction(0)
+
+    def _is_zero(self, a):
+        return not a
 
     def _from_int(self, n):
         return Fraction(n)
@@ -290,6 +327,9 @@ class GaussianRationals(Field):
     def _zero_payload(self):
         return (Fraction(0), Fraction(0))
 
+    def _is_zero(self, a):
+        return not (a[0] or a[1])
+
     def _from_int(self, n):
         return (Fraction(n), Fraction(0))
 
@@ -337,35 +377,13 @@ class GaussianRationals(Field):
         sign = "+" if im > 0 else "-"
         return f"{re_}{sign}{imag}"
 
-    def _scan_part(self, text, pos, *, explicit_sign):
-        """One literal part: [sign] (number ['i'] | 'i'). Returns
-        ((value, is_imaginary), end) or None."""
-        sign = 1
-        p = pos
-        if p < len(text) and text[p] in "+-":
-            if text[p] == "-":
-                sign = -1
-            p += 1
-        elif explicit_sign:
-            return None
-        m = re.compile(r"\d+(?:/\d+)?").match(text, p)
-        if m:
-            value = Fraction(m.group())
-            p = m.end()
-            if p < len(text) and text[p] == "i":
-                return (sign * value, True), p + 1
-            return (sign * value, False), p
-        if p < len(text) and text[p] == "i":
-            return (Fraction(sign), True), p + 1
-        return None
-
     def scan_literal(self, text, pos):
-        first = self._scan_part(text, pos, explicit_sign=False)
+        first = _scan_part(text, pos, _UNSIGNED_RAT, "i", explicit_sign=False)
         if first is None:
             return None
         (v1, imag1), p1 = first
         if not imag1:
-            second = self._scan_part(text, p1, explicit_sign=True)
+            second = _scan_part(text, p1, _UNSIGNED_RAT, "i", explicit_sign=True)
             if second is not None and second[0][1]:
                 (v2, _), p2 = second
                 return FieldValue(self, (v1, v2)), p2
@@ -407,6 +425,9 @@ class PrimeField(Field):
 
     def _zero_payload(self):
         return 0
+
+    def _is_zero(self, a):
+        return not a
 
     def _from_int(self, n):
         return n % self.p
@@ -480,6 +501,9 @@ class QuadraticExtField(Field):
     def _zero_payload(self):
         return (0, 0)
 
+    def _is_zero(self, a):
+        return not (a[0] or a[1])
+
     def _from_int(self, n):
         return (n % self.p, 0)
 
@@ -543,40 +567,18 @@ class QuadraticExtField(Field):
         tpart = "t" if b == 1 else f"{b}t"
         return tpart if a == 0 else f"{a}+{tpart}"
 
-    def _scan_part(self, text, pos, *, explicit_sign):
-        sign = 1
-        p = pos
-        if p < len(text) and text[p] in "+-":
-            if text[p] == "-":
-                sign = -1
-            p += 1
-        elif explicit_sign:
-            return None
-        m = re.compile(r"\d+").match(text, p)
-        if m:
-            value = int(m.group())
-            p = m.end()
-            if p < len(text) and text[p] == "t":
-                return (sign * value, True), p + 1
-            return (sign * value, False), p
-        if p < len(text) and text[p] == "t":
-            return (sign, True), p + 1
-        return None
-
     def scan_literal(self, text, pos):
-        first = self._scan_part(text, pos, explicit_sign=False)
+        first = _scan_part(text, pos, _UNSIGNED_INT, "t", explicit_sign=False)
         if first is None:
             return None
         (v1, t1), p1 = first
-        second = self._scan_part(text, p1, explicit_sign=True)
+        v1 = int(v1) % self.p
+        second = _scan_part(text, p1, _UNSIGNED_INT, "t", explicit_sign=True)
         if second is not None and second[0][1] != t1:
-            (v2, t2), p2 = second
-            a = v2 if t1 else v1
-            b = v1 if t1 else v2
-            return FieldValue(self, (a % self.p, b % self.p)), p2
-        if t1:
-            return FieldValue(self, (0, v1 % self.p)), p1
-        return FieldValue(self, (v1 % self.p, 0)), p1
+            (v2, _), p2 = second
+            v2 = int(v2) % self.p
+            return FieldValue(self, (v2, v1) if t1 else (v1, v2)), p2
+        return FieldValue(self, (0, v1) if t1 else (v1, 0)), p1
 
     def sample(self, rng):
         return FieldValue(self, (rng.randrange(self.p), rng.randrange(self.p)))

@@ -1,16 +1,24 @@
-"""Dense exact linear algebra over the coefficient fields.
+"""Exact linear algebra over the coefficient fields, skipping zeros.
 
-Matrices are plain lists of FieldValue rows; sizes here are tiny (one block
-per sink), so clarity beats vectorization. The factorization A = P D Q with
-invertible P, Q and a 0/1 diagonal D is the workhorse behind inner inverses,
-projections, and invertible-factor witnesses.
+Matrices are dense: a list of rows, every entry a FieldValue of the
+operands' field, and every result has the same form (no int 0, no None, no
+sparse rows), because callers index, compare and serialize entries freely.
+The blocks of phi(a) are mostly zero, so the kernels form a scalar product
+only when both factors are nonzero: ``mat_mul`` walks the nonzero entries
+of each row, and the Gauss-Jordan updates of ``rank_factorization`` touch
+only the nonzero positions of the pivot row and column. Skipped terms are
+exact zeros, so every value is the one the full dense loops would give.
+
+The factorization A = P D Q with invertible P, Q and a 0/1 diagonal D is
+the workhorse behind inner inverses, projections, and invertible-factor
+witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import Field, FieldValue
+from .fields import Field, FieldMismatchError, FieldValue
 
 
 class ShapeError(ValueError):
@@ -53,21 +61,31 @@ def mat_eq(a, b) -> bool:
     )
 
 
+def _nonzeros(row):
+    return [(j, x) for j, x in enumerate(row) if x]
+
+
 def mat_mul(a, b):
     m, k = mat_shape(a)
     k2, n = mat_shape(b)
     if k != k2:
         raise ShapeError(f"cannot multiply {m}x{k} by {k2}x{n}")
+    if not (m and k and n):
+        return [[] for _ in range(m)]
+    field = a[0][0].field
+    if b[0][0].field is not field and b[0][0].field != field:
+        raise FieldMismatchError(
+            f"mixed fields: {field.spec_string()} and {b[0][0].field.spec_string()}")
+    zero = field.zero
+    b_rows = [_nonzeros(row) for row in b]
     out = []
-    for i in range(m):
-        row = []
-        for j in range(n):
-            acc = None
-            for t in range(k):
-                term = a[i][t] * b[t][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
+    for row_a in a:
+        acc = [None] * n
+        for t, x in _nonzeros(row_a):
+            for j, y in b_rows[t]:
+                term = x * y
+                acc[j] = term if acc[j] is None else acc[j] + term
+        out.append([zero if v is None else v for v in acc])
     return out
 
 
@@ -78,6 +96,12 @@ def conj_transpose(a):
 
 def is_zero_matrix(a) -> bool:
     return all(not x for row in a for x in row)
+
+
+def _add_multiple(row, c, entries):
+    """row <- row + c * v, in place, for v given by its nonzero entries."""
+    for j, y in entries:
+        row[j] = row[j] + c * y
 
 
 @dataclass
@@ -107,6 +131,7 @@ def rank_factorization(field: Field, a) -> RankFactorization:
     Pinv = identity(field, m)
     Q = identity(field, n)
     Qinv = identity(field, n)
+    zero = field.zero
 
     def swap_rows(mat, i, j):
         mat[i], mat[j] = mat[j], mat[i]
@@ -139,24 +164,30 @@ def rank_factorization(field: Field, a) -> RankFactorization:
         piv = M[k][k]
         if piv != field.one:
             inv = piv.inv()
-            M[k] = [inv * x for x in M[k]]
+            M[k] = [inv * x if x else x for x in M[k]]
             for row in P:           # column k of P picks up the pivot
-                row[k] = row[k] * piv
-            Pinv[k] = [inv * x for x in Pinv[k]]
+                if row[k]:
+                    row[k] = row[k] * piv
+            Pinv[k] = [inv * x if x else x for x in Pinv[k]]
+        pivot_row = _nonzeros(M[k])
+        pinv_row = _nonzeros(Pinv[k])
         for i2 in range(m):
-            if i2 != k and M[i2][k]:
-                c = M[i2][k]
-                M[i2] = [x - c * y for x, y in zip(M[i2], M[k])]
+            c = M[i2][k]
+            if i2 != k and c:
+                _add_multiple(M[i2], -c, pivot_row)
                 for row in P:       # P <- P * (I + c E_{i2,k})
-                    row[k] = row[k] + c * row[i2]
-                Pinv[i2] = [x - c * y for x, y in zip(Pinv[i2], Pinv[k])]
+                    if row[i2]:
+                        row[k] = row[k] + c * row[i2]
+                _add_multiple(Pinv[i2], -c, pinv_row)
+        # Column k of M is now zero off the pivot, so clearing column j2
+        # with column k changes only M[k][j2].
+        qinv_rows = [row for row in Qinv if row[k]]
         for j2 in range(n):
-            if j2 != k and M[k][j2]:
-                c = M[k][j2]
-                for row in M:
-                    row[j2] = row[j2] - c * row[k]
-                Q[k] = [x + c * y for x, y in zip(Q[k], Q[j2])]
-                for row in Qinv:    # Qinv <- Qinv * (I - c E_{k,j2})
+            c = M[k][j2]
+            if j2 != k and c:
+                M[k][j2] = zero
+                _add_multiple(Q[k], c, _nonzeros(Q[j2]))
+                for row in qinv_rows:   # Qinv <- Qinv * (I - c E_{k,j2})
                     row[j2] = row[j2] - c * row[k]
         rank = k + 1
 

@@ -138,3 +138,35 @@ def brute_paths(g, max_len=None):
 
 def brute_paths_to(g, v, max_len=None):
     return [p for p in brute_paths(g, max_len) if path_range(g, p) == v]
+
+
+def naive_mat_mul(a, b):
+    """Dense triple loop: every scalar product is formed, zero factors too."""
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0]) if b else 0):
+            acc = row[0] * b[0][j]
+            for t in range(1, len(b)):
+                acc = acc + row[t] * b[t][j]
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def naive_rank(a):
+    """Rank by column-by-column row reduction of a copy, independent of the
+    full-pivoting order that ``rank_factorization`` uses."""
+    rows = [row[:] for row in a]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][col].inv()
+        for r in range(rank + 1, len(rows)):
+            c = rows[r][col] * inv
+            rows[r] = [x - c * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank

@@ -116,6 +116,19 @@ class TestExpressions:
         code, _, err = run(capsys, "nf", line2_file, "--field", "Q", "-e", "e1..e2")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("spec, expr", [
+        ("Q", "1/0*e1"),
+        ("Q[i]/conj", "1/0i*e1"),
+        ("Q[i]/id", "1/0*e1"),
+        ("Q[i]/id", "2+3/0i*e1"),
+    ])
+    def test_zero_denominator_is_exit_1(self, capsys, line2_file, spec, expr):
+        code, out, err = run(capsys, "mul", line2_file, "--field", spec,
+                             "-e", expr, "-e", "e1")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "zero denominator" in err
+
     def test_phi(self, capsys, line2_file):
         code, out, _ = run(capsys, "phi", line2_file, "--field", "Q", "-e", "v2",
                            "--json")

@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 
-from leavitt import PrimeField, Rationals
+from leavitt import PrimeField, Rationals, parse_field_spec
+from leavitt.fields import FieldMismatchError, FieldValue
 from leavitt.linalg import (
     ShapeError,
     identity,
@@ -15,7 +17,7 @@ from leavitt.linalg import (
     zeros,
 )
 
-from conftest import ALL_FIELDS
+from conftest import ALL_FIELDS, naive_mat_mul, naive_rank
 
 Q = Rationals()
 GF3 = PrimeField(3)
@@ -123,3 +125,105 @@ class TestSolveLinear:
             solve_linear(Q, identity(Q, 2), zeros(Q, 3, 1), "right")
         with pytest.raises(ValueError):
             solve_linear(Q, identity(Q, 2), zeros(Q, 2, 2), "sideways")
+
+
+CONTRACT_SPECS = ("Q", "Q[i]/conj", "Q[i]/id", "GF(5)", "GF(3,2)")
+
+
+def sparse_matrix(field, rng, m, n, density):
+    return [[field.sample(rng) if rng.random() < density else field.zero
+             for _ in range(n)] for _ in range(m)]
+
+
+def contract_matrices(field, rng):
+    """Seeded sparse (full and low rank), all-zero and identity matrices of
+    every size from 1 to 12."""
+    for size in range(1, 13):
+        yield zeros(field, size, size)
+        yield identity(field, size)
+        for density in (0.1, 0.3):
+            yield sparse_matrix(field, rng, size, rng.randint(1, 12), density)
+        inner = rng.randint(1, max(1, size // 2))
+        yield naive_mat_mul(sparse_matrix(field, rng, size, inner, 0.5),
+                            sparse_matrix(field, rng, inner, size, 0.5))
+
+
+def assert_dense_over(field, mat, m, n):
+    assert len(mat) == m and all(len(row) == n for row in mat)
+    assert all(isinstance(x, FieldValue) and x.field is field for row in mat for x in row)
+
+
+class TestKernelContract:
+    """The zero-skipping kernels give what the dense loops give, as dense
+    rows of FieldValues of the operands' field."""
+
+    @pytest.mark.parametrize("spec", CONTRACT_SPECS)
+    def test_mat_mul_matches_naive(self, spec):
+        field = parse_field_spec(spec)
+        rng = random.Random(spec)
+        for a in contract_matrices(field, rng):
+            m, k = len(a), len(a[0])
+            for b in (sparse_matrix(field, rng, k, rng.randint(1, 12), 0.2),
+                      identity(field, k), zeros(field, k, 3)):
+                got = mat_mul(a, b)
+                assert_dense_over(field, got, m, len(b[0]))
+                assert got == naive_mat_mul(a, b)
+
+    @pytest.mark.parametrize("spec", CONTRACT_SPECS)
+    def test_rank_factorization(self, spec):
+        field = parse_field_spec(spec)
+        for a in contract_matrices(field, random.Random(spec)):
+            m, n = len(a), len(a[0])
+            fact = rank_factorization(field, a)
+            for mat, shape in ((fact.p, (m, m)), (fact.p_inv, (m, m)), (fact.d, (m, n)),
+                               (fact.q, (n, n)), (fact.q_inv, (n, n))):
+                assert_dense_over(field, mat, *shape)
+            assert naive_mat_mul(fact.p, fact.p_inv) == identity(field, m)
+            assert naive_mat_mul(fact.q, fact.q_inv) == identity(field, n)
+            assert naive_mat_mul(naive_mat_mul(fact.p, fact.d), fact.q) == a
+            assert fact.rank == naive_rank(a)
+
+    def test_mixed_fields_rejected(self):
+        with pytest.raises(FieldMismatchError):
+            mat_mul(zeros(Q, 2, 2), identity(GF5, 2))
+
+
+def counting_rationals():
+    """A fresh Q, not the cached parse_field_spec("Q"), whose scalar
+    products are counted."""
+    field = Rationals()
+    calls = [0]
+    mul = field._mul
+
+    def counted(x, y):
+        calls[0] += 1
+        return mul(x, y)
+
+    field._mul = counted
+    return field, calls
+
+
+class TestWorkGate:
+    """Upper bounds on scalar products: zero factors cost nothing."""
+
+    def test_mat_mul_by_identity_costs_the_nonzeros(self):
+        field, calls = counting_rationals()
+        rng = random.Random(12)
+        for density in (0.0, 0.05, 0.2, 0.5, 1.0):
+            a = sparse_matrix(field, rng, 12, 12, density)
+            s = sum(1 for row in a for x in row if x)
+            for left, right in ((a, identity(field, 12)), (identity(field, 12), a)):
+                calls[0] = 0
+                assert mat_mul(left, right) == a
+                assert calls[0] <= s
+
+    def test_rank_factorization_of_a_permutation(self):
+        field, calls = counting_rationals()
+        perm = random.Random(12).sample(range(12), 12)
+        a = [[field.one if perm[i] == j else field.zero for j in range(12)]
+             for i in range(12)]
+        fact = rank_factorization(field, a)
+        assert fact.rank == 12
+        # the four 12x12 products of the self-check, one product per
+        # nonzero pair: P.P^-1, Q.Q^-1, P.D and (P.D).Q
+        assert calls[0] <= 48
