@@ -13,7 +13,7 @@ Layer map:
 * ``linalg``      exact rank factorizations and linear solves
 * ``semisimple``  the per-sink block-matrix picture of acyclic graphs
 * ``decide``      the decision procedures
-* ``witness``     certificates, re-verified by element arithmetic
+* ``witness``     certificates, their claims, and the one claim checker
 * ``io``          file formats, the expression grammar, serialization
 * ``cli``         the ``leavitt`` command
 """
@@ -99,6 +99,7 @@ from .semisimple import (
     sink_normal_form,
 )
 from .witness import (
+    CertificateError,
     NotStarRegularError,
     ProjectionCertificate,
     UnitRegularCertificate,

@@ -541,7 +541,8 @@ class QuadraticExtField(Field):
         # x^{-1} = conj(x) / N(x) with N(x) = x * x^p landing in GF(p)
         c = self._conj(a)
         norm = self._mul(a, c)
-        assert norm[1] == 0
+        if norm[1] != 0:
+            raise AssertionError("GF(p^2) norm did not land in GF(p)")
         scale = pow(norm[0], -1, self.p)
         return ((c[0] * scale) % self.p, (c[1] * scale) % self.p)
 

@@ -265,7 +265,8 @@ class SinkBasis:
             for i, a in enumerate(self.paths[v]):
                 self.index[a] = (v, i)
         for v in self.sinks:
-            assert len(self.paths[v]) == mu(graph, v)
+            if len(self.paths[v]) != mu(graph, v):
+                raise AssertionError(f"path count at sink {v} disagrees with mu")
 
     def size(self, v: str) -> int:
         return len(self.paths[v])

@@ -32,6 +32,7 @@ from .graphs import Graph, edge_by_id, validate, vertex_set
 from .omega import extnat_to_json
 from .semisimple import MatrixImage
 from .decide import DecisionReport
+from .witness import check_claims
 
 __all__ = [
     "ParseError",
@@ -46,6 +47,7 @@ __all__ = [
     "format_matrix_image",
     "report_to_json",
     "format_report",
+    "claims_to_json",
     "verify_claims",
 ]
 
@@ -315,7 +317,8 @@ def format_report(report: DecisionReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# machine-checkable claims (witness serialization)
+# machine-checkable claims (witness serialization; the vocabulary and the
+# evaluator live in ``leavitt.witness``)
 
 
 def claim_product_equals(factors, equals) -> dict:
@@ -336,28 +339,35 @@ def claim_nonzero(x) -> dict:
     return {"type": "nonzero", "arg": format_element(x)}
 
 
-def verify_claims(g: Graph, k: Field, claims) -> bool:
-    """Re-check serialized claims by parsing and recomputing each one."""
-    for claim in claims:
-        kind = claim["type"]
+def claims_to_json(claims) -> list:
+    """Serialize ``leavitt.witness`` claim tuples, keeping their order."""
+    out = []
+    for kind, *args in claims:
         if kind == "product_equals":
-            factors = [parse_element(t, g, k) for t in claim["factors"]]
-            product = factors[0]
-            for x in factors[1:]:
-                product = product * x
-            if product != parse_element(claim["equals"], g, k):
-                return False
+            out.append(claim_product_equals(*args))
         elif kind == "star_fixed":
-            x = parse_element(claim["arg"], g, k)
-            if x.star() != x:
-                return False
+            out.append(claim_star_fixed(*args))
         elif kind == "star_product_zero":
-            x = parse_element(claim["arg"], g, k)
-            if not (x.star() * x).is_zero:
-                return False
+            out.append(claim_star_product_zero(*args))
         elif kind == "nonzero":
-            if parse_element(claim["arg"], g, k).is_zero:
-                return False
+            out.append(claim_nonzero(*args))
         else:
-            raise ParseError(f"unknown claim type {kind!r}")
-    return True
+            raise ValueError(f"unknown claim type {kind!r}")
+    return out
+
+
+def _parse_claim(g: Graph, k: Field, claim) -> tuple:
+    kind = claim["type"]
+    if kind == "product_equals":
+        return (kind, [parse_element(t, g, k) for t in claim["factors"]],
+                parse_element(claim["equals"], g, k))
+    if kind in ("star_fixed", "star_product_zero", "nonzero"):
+        return (kind, parse_element(claim["arg"], g, k))
+    raise ParseError(f"unknown claim type {kind!r}")
+
+
+def verify_claims(g: Graph, k: Field, claims) -> bool:
+    """Parse serialized claims back into claim tuples and check them with
+    ``witness.check_claims``. Claims are parsed one at a time, so checking
+    stops at the first false one."""
+    return check_claims(_parse_claim(g, k, claim) for claim in claims)

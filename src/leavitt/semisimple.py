@@ -124,7 +124,8 @@ def phi(x: Element) -> MatrixImage:
     for (p, q), c in _sink_expand(x.graph, x._terms).items():
         v, i = basis.index[p]
         v2, j = basis.index[q]
-        assert v == v2
+        if v != v2:
+            raise AssertionError("phi paired paths into different sinks")
         image.blocks[v][i][j] = image.blocks[v][i][j] + c
     return image
 

@@ -1,9 +1,24 @@
 """Constructive certificates for the decision procedures.
 
-Everything returned here is re-verified with plain element arithmetic
-before it leaves the module, so the matrix route that produced a witness is
-never trusted on its own. All constructions need a finite acyclic graph,
-where the block-matrix picture exists.
+Each certificate is a list of claims about elements, and every builder here
+checks its certificate's claims with plain element arithmetic before
+returning it, so the matrix route that produced a witness is never trusted
+on its own. A failed check raises ``CertificateError``, also under
+``python -O``. All constructions need a finite acyclic graph, where the
+block-matrix picture exists.
+
+The claim vocabulary, one tuple per claim:
+
+* ``("product_equals", factors, equals)``  the product of ``factors``,
+  left to right, is ``equals``
+* ``("star_fixed", x)``                     ``star(x) = x``
+* ``("star_product_zero", x)``              ``star(x) x = 0``
+* ``("nonzero", x)``                        ``x != 0``
+
+``check_claims`` is the one evaluator. Each certificate kind has one claim
+list (``inner_inverse_claims``, ``improper_claims``, ``projection_claims``,
+``unit_regular_claims``); ``verify_*`` evaluates it, and the CLI serializes
+it in the same order.
 """
 
 from __future__ import annotations
@@ -15,6 +30,12 @@ from .fields import Field
 from .graphs import Graph, check_acyclic, enumerate_paths_to, mu_table, sigma
 from .linalg import mat_mul, rank_factorization, solve_linear
 from .semisimple import MatrixImage, phi, phi_inv, sink_basis
+
+
+class CertificateError(AssertionError):
+    """A construction produced a certificate whose claims do not hold, or
+    reached a case its theory rules out. Raised explicitly, so the check
+    survives ``python -O``."""
 
 
 class NotStarRegularError(Exception):
@@ -44,26 +65,75 @@ class UnitRegularCertificate:
 
 
 # ---------------------------------------------------------------------------
-# verification helpers (element arithmetic only)
+# claims and their verification (element arithmetic only)
+
+
+def check_claims(claims) -> bool:
+    """True when every claim holds; stops at the first one that does not."""
+    for kind, *args in claims:
+        if kind == "product_equals":
+            factors, equals = args
+            product = factors[0]
+            for x in factors[1:]:
+                product = product * x
+            holds = product == equals
+        elif kind == "star_fixed":
+            holds = args[0].star() == args[0]
+        elif kind == "star_product_zero":
+            holds = (args[0].star() * args[0]).is_zero
+        elif kind == "nonzero":
+            holds = not args[0].is_zero
+        else:
+            raise ValueError(f"unknown claim type {kind!r}")
+        if not holds:
+            return False
+    return True
+
+
+def inner_inverse_claims(a: Element, b: Element) -> list:
+    return [("product_equals", (a, b, a), a)]
+
+
+def improper_claims(c: Element) -> list:
+    return [("nonzero", c), ("star_product_zero", c)]
+
+
+def projection_claims(a: Element, cert: ProjectionCertificate) -> list:
+    p = cert.p
+    return [("star_fixed", p),
+            ("product_equals", (p, p), p),
+            ("product_equals", (p, a), a),
+            ("product_equals", (a, cert.factor), p)]
+
+
+def unit_regular_claims(a: Element, cert: UnitRegularCertificate) -> list:
+    u, up, v = cert.u, cert.u_prime, cert.v
+    return [("product_equals", (u, up), v),
+            ("product_equals", (up, u), v),
+            ("product_equals", (v, a), a),
+            ("product_equals", (a, v), a),
+            ("product_equals", (a, u, a), a)]
 
 
 def verify_inner_inverse(a: Element, b: Element) -> bool:
-    return a * b * a == a
+    return check_claims(inner_inverse_claims(a, b))
 
 
 def verify_projection(a: Element, cert: ProjectionCertificate) -> bool:
-    p, factor = cert.p, cert.factor
-    return (p.star() == p and p * p == p and p * a == a and a * factor == p)
+    return check_claims(projection_claims(a, cert))
 
 
 def verify_improper(a: Element) -> bool:
-    return bool(a) and (a.star() * a).is_zero
+    return check_claims(improper_claims(a))
 
 
 def verify_unit_regular(a: Element, cert: UnitRegularCertificate) -> bool:
-    u, up, v = cert.u, cert.u_prime, cert.v
-    return (u * up == v and up * u == v and v * a == a and a * v == a
-            and a * u * a == a)
+    return check_claims(unit_regular_claims(a, cert))
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise CertificateError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +156,7 @@ def regular_witness(g: Graph, k: Field, a: Element) -> Element:
         return mat_mul(fact.q_inv, mat_mul(fact.d, fact.p_inv))
 
     b = phi_inv(_blockwise(image, block_inverse))
-    assert verify_inner_inverse(a, b)
+    _require(verify_inner_inverse(a, b), "inner inverse failed its claims")
     return b
 
 
@@ -110,10 +180,11 @@ def improper_element(g: Graph, k: Field) -> Element | None:
     n = level + 1
     paths = enumerate_paths_to(g, v, limit=n)
     tup = k.improper_tuple(n)
-    assert tup is not None
+    _require(tup is not None,
+             f"{k.spec_string()} has no improper tuple of length {n}")
     raw = [(x, alpha, paths[0]) for x, alpha in zip(tup, paths)]
     a = Element.from_terms(g, k, raw)
-    assert verify_improper(a)
+    _require(verify_improper(a), "improper element failed its claims")
     return a
 
 
@@ -139,7 +210,8 @@ def projection_generator(g: Graph, k: Field, a: Element) -> ProjectionCertificat
         t_block = solve_linear(k, gram.blocks[v], ximg.blocks[v], side="left")
         if t_block is None:
             cert = improper_element(g, k)
-            assert cert is not None
+            _require(cert is not None,
+                     "inconsistent solve over a field proper at this size")
             raise NotStarRegularError(cert)
         t_blocks[v] = t_block
     t = phi_inv(MatrixImage(k, ximg.basis, t_blocks))
@@ -150,12 +222,12 @@ def projection_generator(g: Graph, k: Field, a: Element) -> ProjectionCertificat
     r_blocks = {}
     for v in aimg.blocks:
         r_block = solve_linear(k, aimg.blocks[v], pimg.blocks[v], side="right")
-        assert r_block is not None
+        _require(r_block is not None, "p is not in the right ideal of a")
         r_blocks[v] = r_block
     factor = phi_inv(MatrixImage(k, aimg.basis, r_blocks))
 
     cert = ProjectionCertificate(p=p, factor=factor)
-    assert verify_projection(a, cert)
+    _require(verify_projection(a, cert), "projection failed its claims")
     return cert
 
 
@@ -175,7 +247,7 @@ def unit_regular_witness(g: Graph, k: Field, a: Element) -> UnitRegularCertifica
     u = phi_inv(MatrixImage(k, basis, u_blocks))
     u_prime = phi_inv(MatrixImage(k, basis, up_blocks))
     cert = UnitRegularCertificate(u=u, u_prime=u_prime, v=Element.one(g, k))
-    assert verify_unit_regular(a, cert)
+    _require(verify_unit_regular(a, cert), "unit-regular data failed its claims")
     return cert
 
 
@@ -190,5 +262,7 @@ def extend_to_unit(g: Graph, u: Element, u_prime: Element, v: Element):
     rest = one - v
     w = u + rest
     w_prime = u_prime + rest
-    assert w * w_prime == one and w_prime * w == one
+    _require(check_claims([("product_equals", (w, w_prime), one),
+                           ("product_equals", (w_prime, w), one)]),
+             "extended units are not mutually inverse")
     return w, w_prime

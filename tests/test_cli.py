@@ -1,11 +1,14 @@
 import json
 import pathlib
+import random
 
 import pytest
 
-from leavitt import Graph, parse_graph, standard_graph
+from leavitt import Graph, format_element, parse_graph, standard_graph
 from leavitt.cli import main
-from leavitt.io import format_graph
+from leavitt.io import format_graph, verify_claims
+
+from conftest import FIVE_FIELDS, acyclic_corpus, random_element
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -49,6 +52,9 @@ class TestAnalyze:
         assert code == 0
         data = json.loads(out)
         assert data["acyclic"] is True and data["mu"] == {"v1": 1, "v2": 2}
+        assert list(data) == ["vertices", "edges", "acyclic", "sinks", "mu", "sigma"]
+        assert data["vertices"] == ["v1", "v2"]
+        assert data["edges"] == [{"id": "e1", "src": "v1", "dst": "v2"}]
 
 
 class TestDecide:
@@ -188,6 +194,60 @@ class TestWitness:
         code, _, err = run(capsys, "witness", "regular", line2_file, "--field", "Q")
         assert code == 1
 
+    # The same input a = v2 + 2*e1 for every kind: over GF(5) its projection
+    # run ends in not_star_regular, and improper is "none" over Q.
+    @pytest.mark.parametrize("kind", ["regular", "projection", "unit", "improper"])
+    @pytest.mark.parametrize("slug", ["Q", "GF5"])
+    @pytest.mark.parametrize("suffix", ["txt", "json"])
+    def test_matches_golden(self, capsys, line2_file, kind, slug, suffix):
+        argv = ["witness", kind, line2_file, "--field", FIELD_SLUGS[slug]]
+        if kind != "improper":
+            argv += ["-e", "v2 + 2*e1"]
+        if suffix == "json":
+            argv.append("--json")
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / f"witness_{kind}_line2_{slug}.{suffix}").read_text()
+
+
+# claim types of each emitted witness kind, in the order the claims come
+CLAIM_ORDER = {
+    "regular": ["product_equals"],
+    "projection": ["star_fixed", "product_equals", "product_equals", "product_equals"],
+    "not_star_regular": ["nonzero", "star_product_zero"],
+    "unit": ["product_equals"] * 5,
+    "improper": ["nonzero", "star_product_zero"],
+}
+
+
+class TestWitnessClaimsRoundTrip:
+    """The CLI emits claims without re-checking them; parse and check them
+    here for every acyclic corpus graph and field."""
+
+    @pytest.mark.parametrize("name", sorted(acyclic_corpus()))
+    def test_claims_verify(self, capsys, tmp_path, name):
+        g = acyclic_corpus()[name]
+        path = tmp_path / f"{name}.txt"
+        path.write_text(format_graph(g))
+        for k in FIVE_FIELDS:
+            rng = random.Random(f"{name}/{k.spec_string()}")
+            runs = [["improper"]]
+            for _ in range(2):
+                expr = format_element(random_element(g, k, rng))
+                runs += [[kind, "-e", expr] for kind in ("regular", "projection", "unit")]
+            for kind, *expr in runs:
+                code, out, err = run(capsys, "witness", kind, str(path),
+                                     "--field", k.spec_string(), *expr, "--json")
+                assert code == 0 and err == "", (name, k.spec_string(), kind, expr)
+                data = json.loads(out)
+                assert data["verified"] is True
+                types = [c["type"] for c in data["claims"]]
+                if data["kind"] == "improper" and data["certificate"] is None:
+                    assert types == []
+                else:
+                    assert types == CLAIM_ORDER[data["kind"]]
+                assert verify_claims(g, k, data["claims"])
+
 
 class TestConstruct:
     def test_line(self, capsys):
@@ -221,6 +281,40 @@ class TestConstruct:
     def test_bad_size_is_exit_1(self, capsys):
         code, _, err = run(capsys, "construct", "line", "0")
         assert code == 1
+
+
+class TestOneLineErrors:
+    """Expressions starting with '-' are values, not options, and every
+    exit 1 writes exactly one stderr line."""
+
+    @pytest.mark.parametrize("argv, code, out", [
+        pytest.param(["mul", "{g}", "--field", "GF(5)", "-e", "-0*e1", "-e", "e1"],
+                     0, "0\n", id="mul-negative-zero"),
+        pytest.param(["star", "{g}", "--field", "Q", "-e", "-v1"], 0, "-1*v1\n",
+                     id="star-negative-vertex"),
+        pytest.param(["nf", "{g}", "--field", "Q", "--expr", "-e1.e1*"], 0, "-1*v1\n",
+                     id="nf-long-option"),
+        pytest.param(["mul", "{g}", "--field", "Q", "-e", "-v2", "--expr", "-e1*.e1"],
+                     0, "v2\n", id="mul-both-negative"),
+        pytest.param(["witness", "regular", "{g}", "--field", "Q", "-e", "-e1"], 0,
+                     "inverse: -1*e1*\nverified: a.b.a = a\n", id="witness-negative"),
+        pytest.param(["decide", "{g}"], 1, "", id="missing-field"),
+        pytest.param(["nf", "{g}", "--field", "Q", "-e"], 1, "", id="missing-expr-value"),
+        pytest.param(["nf", "{g}", "--field", "Q", "-e", "-q1"], 1, "",
+                     id="negative-unknown-identifier"),
+        pytest.param(["decide", "{g}", "--field", "Q", "--bogus"], 1, "",
+                     id="unknown-option"),
+        pytest.param(["frobnicate"], 1, "", id="unknown-command"),
+        pytest.param(["mul", "{g}", "--field", "GF(5)", "-e", "-0*e1"], 1, "",
+                     id="mul-one-expr"),
+    ])
+    def test_exit_and_output(self, capsys, line2_file, argv, code, out):
+        got_code, got_out, err = run(capsys, *[a.replace("{g}", line2_file) for a in argv])
+        assert (got_code, got_out) == (code, out)
+        if code == 1:
+            assert err.count("\n") == 1 and err.endswith("\n")
+        else:
+            assert err == ""
 
 
 class TestUsageErrors:

@@ -221,3 +221,13 @@ class TestClaims:
         a = Element.edge(LINE2, Q, "e1")
         bad = claim_product_equals([a, a], a)
         assert not verify_claims(LINE2, Q, [bad])
+
+    def test_unknown_claim_type_is_parse_error(self):
+        with pytest.raises(ParseError, match="unknown claim type 'bogus'"):
+            verify_claims(LINE2, Q, [{"type": "bogus", "arg": "v1"}])
+
+    def test_stops_at_first_false_claim(self):
+        # a false claim ahead of an unparsable one decides the result
+        a = Element.edge(LINE2, Q, "e1")
+        claims = [claim_product_equals([a, a], a), {"type": "bogus"}]
+        assert not verify_claims(LINE2, Q, claims)

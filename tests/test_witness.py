@@ -1,6 +1,15 @@
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import leavitt
+from leavitt import witness
 from leavitt import (
+    CertificateError,
     CyclicGraphError,
     Element,
     GaussianRationals,
@@ -20,6 +29,7 @@ from leavitt import (
     verify_projection,
     verify_unit_regular,
 )
+from leavitt.io import format_graph
 
 from conftest import acyclic_corpus, random_element
 
@@ -195,3 +205,68 @@ class TestExtendToUnit:
         with pytest.raises(ValueError):
             # u u' = v holds but u sticks out of the corner of v
             extend_to_unit(LINE2, v1 + v2, v1, v1)
+
+
+# Run under ``python -O`` with the claim evaluator patched to reject every
+# claim; prints "ok" only if each builder and the CLI still fail loudly.
+_OPTIMIZED_CHILD = """
+import contextlib, io, sys
+from leavitt import CertificateError, Element, PrimeField, Rationals, standard_graph, witness
+from leavitt.cli import main
+
+if sys.flags.optimize != 1:
+    sys.exit("not running under -O")
+witness.check_claims = lambda claims: False
+g = standard_graph("line", 2)
+Q = Rationals()
+a = Element.edge(g, Q, "e1")
+builders = {
+    "regular_witness": lambda: witness.regular_witness(g, Q, a),
+    "unit_regular_witness": lambda: witness.unit_regular_witness(g, Q, a),
+    "projection_generator": lambda: witness.projection_generator(g, Q, a),
+    "improper_element": lambda: witness.improper_element(g, PrimeField(5)),
+}
+for name, build in builders.items():
+    try:
+        build()
+    except CertificateError:
+        continue
+    sys.exit(name + " returned without CertificateError")
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = main(["witness", "regular", sys.argv[1], "--field", "Q", "-e", "e1"])
+if code != 1 or out.getvalue() or err.getvalue().count("\\n") != 1:
+    sys.exit(f"cli: exit {code}, stdout {out.getvalue()!r}, stderr {err.getvalue()!r}")
+print("ok")
+"""
+
+
+class TestChecksWithoutAsserts:
+    def test_failed_claims_raise_certificate_error(self, monkeypatch):
+        a = e(LINE2, Q, "e1")
+        cert = unit_regular_witness(LINE2, Q, a)
+        monkeypatch.setattr(witness, "check_claims", lambda claims: False)
+        with pytest.raises(CertificateError, match="inner inverse"):
+            regular_witness(LINE2, Q, a)
+        with pytest.raises(CertificateError, match="mutually inverse"):
+            extend_to_unit(LINE2, cert.u, cert.u_prime, cert.v)
+        # callers that catch the parent exception type still see the failure
+        with pytest.raises(AssertionError):
+            improper_element(LINE2, GF5)
+
+    def test_certificate_checks_survive_optimize(self, tmp_path):
+        path = tmp_path / "line2.txt"
+        path.write_text(format_graph(LINE2))
+        src = pathlib.Path(leavitt.__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHILD, str(path)],
+                                capture_output=True, text=True, env=env, timeout=120)
+        assert (result.returncode, result.stdout) == (0, "ok\n"), result.stderr
+
+    def test_no_assert_statements_in_library(self):
+        package = pathlib.Path(leavitt.__file__).parent
+        found = [f"{path.name}:{node.lineno}"
+                 for path in sorted(package.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.Assert)]
+        assert found == []
