@@ -5,11 +5,22 @@ certificate that fails its own claims (``CertificateError``), 2 when a
 decision is honestly unknown (properness over a cyclic graph and a field
 that is proper but not positive definite). Every exit 1 writes one line to
 stderr.
+
+``main(argv)`` may be called any number of times in one process. It parses
+with one parser, built by ``build_parser`` on the first call and shared by
+every later one: argparse gives each parse a fresh namespace and copies
+``append`` defaults, so no state carries over from call to call. Each
+command renders only the output form asked for, JSON under ``--json`` and
+text otherwise.
+
+``construct`` refuses, before building anything, an output larger than
+``MAX_CONSTRUCT_SIZE`` (see that constant for how size is counted).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -54,6 +65,11 @@ from .witness import (
     unit_regular_claims,
     unit_regular_witness,
 )
+
+
+# Largest output graph ``construct`` builds: n for line, rose and toeplitz,
+# N times the base graph's vertex count for mn.
+MAX_CONSTRUCT_SIZE = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,6 +134,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on first use. Sharing it is safe
+    because ``parse_args`` does not mutate the parser."""
+    return build_parser()
+
+
 def _load_graph(source: str):
     if source == "-":
         text = sys.stdin.read()
@@ -127,32 +150,41 @@ def _load_graph(source: str):
     return parse_graph_any(text)
 
 
-def _emit(payload, as_json: bool, text: str) -> None:
+def _emit(as_json: bool, obj, to_json, to_text) -> None:
+    """Print ``to_json(obj)`` as JSON under ``--json``, else ``to_text(obj)``;
+    only the renderer asked for runs."""
     if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=False))
+        print(json.dumps(to_json(obj), indent=2, sort_keys=False))
     else:
-        print(text)
+        print(to_text(obj))
 
 
-def _cmd_analyze(args) -> int:
-    g = _load_graph(args.graph)
+def _analyze_json(g) -> dict:
     table = mu_table(g)
-    info = {
+    return {
         **graph_to_json(g),
         "acyclic": is_acyclic(g),
         "sinks": list(sinks(g)),
         "mu": {v: extnat_to_json(table[v]) for v in g.vertices},
         "sigma": extnat_to_json(sigma(g)),
     }
+
+
+def _analyze_text(g) -> str:
+    table = mu_table(g)
     lines = [f"vertices: {len(g.vertices)}", f"edges: {len(g.edges)}"]
     for v in g.vertices:
         c = classify_vertex(g, v)
         tags = [t for t, on in (("sink", c.sink), ("source", c.source)) if on]
         tag = " ".join(tags) if tags else "internal"
         lines.append(f"  {v}: {tag}, out-degree {c.out_degree}, mu {extnat_to_json(table[v])}")
-    lines.append(f"acyclic: {'true' if info['acyclic'] else 'false'}")
-    lines.append(f"sigma: {info['sigma']}")
-    _emit(info, args.as_json, "\n".join(lines))
+    lines.append(f"acyclic: {'true' if is_acyclic(g) else 'false'}")
+    lines.append(f"sigma: {extnat_to_json(sigma(g))}")
+    return "\n".join(lines)
+
+
+def _cmd_analyze(args) -> int:
+    _emit(args.as_json, _load_graph(args.graph), _analyze_json, _analyze_text)
     return 0
 
 
@@ -160,7 +192,7 @@ def _cmd_decide(args) -> int:
     g = _load_graph(args.graph)
     k = parse_field_spec(args.field)
     report = full_report(g, k)
-    _emit(report_to_json(report), args.as_json, format_report(report))
+    _emit(args.as_json, report, report_to_json, format_report)
     return 2 if report.proper_algebra == UNKNOWN else 0
 
 
@@ -176,7 +208,7 @@ def _cmd_expr(args) -> int:
     else:
         x = parse_element(args.expr, g, k)
         result = x.star() if args.command == "star" else x
-    _emit({"element": format_element(result)}, args.as_json, format_element(result))
+    _emit(args.as_json, format_element(result), lambda text: {"element": text}, str)
     return 0
 
 
@@ -184,8 +216,7 @@ def _cmd_phi(args) -> int:
     g = _load_graph(args.graph)
     k = parse_field_spec(args.field)
     x = parse_element(args.expr, g, k)
-    image = phi(x)
-    _emit(matrix_image_to_json(image), args.as_json, format_matrix_image(image))
+    _emit(args.as_json, phi(x), matrix_image_to_json, format_matrix_image)
     return 0
 
 
@@ -195,13 +226,15 @@ def _cmd_witness(args) -> int:
     payload, claims, text = _witness(args, g, k)
     # The builders check their own claims and raise CertificateError when one
     # fails, so whatever reaches this line is verified.
-    _emit({**payload, "claims": claims_to_json(claims), "verified": True},
-          args.as_json, text)
+    _emit(args.as_json, payload,
+          lambda head: {**head, "claims": claims_to_json(claims), "verified": True},
+          lambda head: text)
     return 0
 
 
 def _witness(args, g, k):
-    """The payload head, the claims and the text for one witness kind."""
+    """The payload head, the claims and the text for one witness kind. The
+    text reuses the payload's formatted elements."""
     if args.kind == "improper":
         cert = improper_element(g, k)
         payload = {"kind": "improper", "certificate": None}
@@ -209,8 +242,7 @@ def _witness(args, g, k):
         if cert is not None:
             payload["certificate"] = format_element(cert)
             claims = improper_claims(cert)
-            text = (f"{format_element(cert)}\n"
-                    f"verified: a != 0 and star(a).a = 0")
+            text = f"{payload['certificate']}\nverified: a != 0 and star(a).a = 0"
         return payload, claims, text
 
     if not args.expr:
@@ -222,8 +254,7 @@ def _witness(args, g, k):
         b = regular_witness(g, k, a)
         payload["inverse"] = format_element(b)
         claims = inner_inverse_claims(a, b)
-        text = (f"inverse: {format_element(b)}\n"
-                f"verified: a.b.a = a")
+        text = f"inverse: {payload['inverse']}\nverified: a.b.a = a"
     elif args.kind == "projection":
         try:
             cert = projection_generator(g, k, a)
@@ -232,14 +263,14 @@ def _witness(args, g, k):
             payload["kind"] = "not_star_regular"
             payload["certificate"] = format_element(c)
             claims = improper_claims(c)
-            text = (f"not *-regular; certificate: {format_element(c)}\n"
+            text = (f"not *-regular; certificate: {payload['certificate']}\n"
                     f"verified: c != 0 and star(c).c = 0")
         else:
             payload["projection"] = format_element(cert.p)
             payload["factor"] = format_element(cert.factor)
             claims = projection_claims(a, cert)
-            text = (f"projection: {format_element(cert.p)}\n"
-                    f"factor: {format_element(cert.factor)}\n"
+            text = (f"projection: {payload['projection']}\n"
+                    f"factor: {payload['factor']}\n"
                     f"verified: p* = p = p.p, p.a = a, a.factor = p")
     else:
         cert = unit_regular_witness(g, k, a)
@@ -247,9 +278,9 @@ def _witness(args, g, k):
         payload["u_prime"] = format_element(cert.u_prime)
         payload["v"] = format_element(cert.v)
         claims = unit_regular_claims(a, cert)
-        text = (f"u: {format_element(cert.u)}\n"
-                f"u_prime: {format_element(cert.u_prime)}\n"
-                f"v: {format_element(cert.v)}\n"
+        text = (f"u: {payload['u']}\n"
+                f"u_prime: {payload['u_prime']}\n"
+                f"v: {payload['v']}\n"
                 f"verified: u.u' = v = u'.u, v.a = a.v = a, a.u.a = a")
     return payload, claims, text
 
@@ -260,20 +291,40 @@ def _cmd_construct(args) -> int:
     if kind in ("line", "rose", "toeplitz"):
         if len(params) > 1:
             raise ParseError(f"construct {kind} takes at most one size")
-        n = int(params[0]) if params else 1
+        n = _positive_int(params[0], "size") if params else 1
+        _check_construct_size(kind, n)
         g = standard_graph(kind, n)
     elif kind == "mn":
         if len(params) != 2:
             raise ParseError("construct mn needs GRAPH N")
-        g = m_n_graph(_load_graph(params[0]), int(params[1]))
+        base = _load_graph(params[0])
+        n = _positive_int(params[1], "N")
+        _check_construct_size(kind, n * len(base.vertices))
+        g = m_n_graph(base, n)
     else:
         if len(params) < 2:
             raise ParseError("construct ef needs GRAPH EDGE[,EDGE...]")
         base = _load_graph(params[0])
         f_ids = [e for chunk in params[1:] for e in chunk.split(",") if e]
         g = e_f_graph(base, f_ids)
-    _emit(graph_to_json(g), args.as_json, format_graph(g).rstrip("\n"))
+    _emit(args.as_json, g, graph_to_json, lambda g: format_graph(g).rstrip("\n"))
     return 0
+
+
+def _positive_int(text: str, name: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ParseError(f"{name} must be a positive integer, got {text!r}")
+    return n
+
+
+def _check_construct_size(kind: str, size: int) -> None:
+    if size > MAX_CONSTRUCT_SIZE:
+        raise ParseError(f"construct {kind}: output size {size} exceeds "
+                         f"MAX_CONSTRUCT_SIZE = {MAX_CONSTRUCT_SIZE}")
 
 
 _DISPATCH = {
@@ -303,10 +354,9 @@ def _bind_expressions(argv: list) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_bind_expressions(argv))
+        args = _parser().parse_args(_bind_expressions(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -76,8 +76,8 @@ class GraphIndex:
     """The derived tables of one graph. Build it through ``g.index``.
 
     Incidence lists are sorted by edge id; the special edge of a non-sink
-    vertex is its greatest outgoing edge id. ``mu`` and ``sink_basis`` are
-    computed on first use.
+    vertex is its greatest outgoing edge id. ``mu``, ``acyclic``, ``sigma``
+    and ``sink_basis`` are computed on first use.
     """
 
     def __init__(self, g: Graph):
@@ -113,6 +113,15 @@ class GraphIndex:
                 if not pending[e.dst]:
                     ready.append(e.dst)
         return {v: counts.get(v, OMEGA) for v in self.graph.vertices}
+
+    @functools.cached_property
+    def acyclic(self) -> bool:
+        return all(is_finite(m) for m in self.mu.values())
+
+    @functools.cached_property
+    def sigma(self):
+        """Supremum of mu over all vertices; 0 for the empty graph."""
+        return max(self.mu.values(), default=0)
 
     @functools.cached_property
     def sink_basis(self) -> "SinkBasis":
@@ -182,7 +191,7 @@ def sinks(g: Graph) -> tuple[str, ...]:
 
 
 def is_acyclic(g: Graph) -> bool:
-    return all(is_finite(m) for m in g.index.mu.values())
+    return g.index.acyclic
 
 
 def check_acyclic(g: Graph) -> Graph:
@@ -207,10 +216,7 @@ def mu(g: Graph, v: str):
 
 def sigma(g: Graph):
     """Supremum of mu over all vertices; 0 for the empty graph."""
-    table = g.index.mu
-    if not table:
-        return 0
-    return max(table.values())
+    return g.index.sigma
 
 
 def path_range(g: Graph, p: Path) -> str:

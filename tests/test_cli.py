@@ -1,10 +1,14 @@
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
-from leavitt import Graph, format_element, parse_graph, standard_graph
+import leavitt
+from leavitt import Graph, cli, format_element, parse_graph, standard_graph
 from leavitt.cli import main
 from leavitt.io import format_graph, verify_claims
 
@@ -282,6 +286,32 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "line", "0")
         assert code == 1
 
+    @pytest.mark.parametrize("size", ["x", "1.5", "-3"])
+    def test_non_integer_size_is_one_line(self, capsys, size):
+        code, out, err = run(capsys, "construct", "line", size)
+        assert (code, out) == (1, "")
+        assert err == f"error: size must be a positive integer, got {size!r}\n"
+
+    # 10**12 vertices would exhaust memory long before printing; the limit is
+    # checked before anything is built
+    @pytest.mark.parametrize("argv", [
+        ["line", str(10**12)],
+        ["rose", str(10**12)],
+        ["mn", "{g}", str(10**12)],
+    ], ids=["line", "rose", "mn"])
+    def test_oversize_is_one_line(self, capsys, line2_file, argv):
+        code, out, err = run(capsys, "construct",
+                             *[a.replace("{g}", line2_file) for a in argv])
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "MAX_CONSTRUCT_SIZE" in err
+
+    def test_size_at_limit_builds(self, capsys):
+        code, out, _ = run(capsys, "construct", "rose", str(cli.MAX_CONSTRUCT_SIZE),
+                           "--json")
+        assert code == 0
+        assert len(json.loads(out)["edges"]) == cli.MAX_CONSTRUCT_SIZE
+
 
 class TestOneLineErrors:
     """Expressions starting with '-' are values, not options, and every
@@ -339,3 +369,113 @@ class TestUsageErrors:
         path.write_text("edge e1 v1 v2\n")
         code, _, err = run(capsys, "analyze", str(path))
         assert code == 1 and "dangling" in err
+
+
+class TestGoldens:
+    @pytest.mark.parametrize("suffix", ["txt", "json"])
+    def test_analyze(self, capsys, line2_file, suffix):
+        argv = ["analyze", line2_file] + (["--json"] if suffix == "json" else [])
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"analyze_line2.{suffix}").read_text()
+
+    @pytest.mark.parametrize("slug", ["Q", "GF5"])
+    @pytest.mark.parametrize("suffix", ["txt", "json"])
+    def test_phi(self, capsys, line2_file, slug, suffix):
+        argv = ["phi", line2_file, "--field", FIELD_SLUGS[slug], "-e", "v1 + 3*v2 + 7*e1*"]
+        code, out, err = run(capsys, *argv + (["--json"] if suffix == "json" else []))
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"phi_line2_{slug}.{suffix}").read_text()
+
+
+def _raise(*args, **kwargs):
+    raise RuntimeError("renderer of the form not asked for was called")
+
+
+class TestRendersOnlyRequestedForm:
+    """Each command runs the renderer of the form asked for and no other."""
+
+    def test_json_skips_text_renderers(self, capsys, monkeypatch, line2_file):
+        for name in ("format_report", "format_matrix_image", "classify_vertex"):
+            monkeypatch.setattr(cli, name, _raise)
+        for argv, golden in (
+            (["decide", line2_file, "--field", "Q"], "decide_line2_Q.json"),
+            (["phi", line2_file, "--field", "Q", "-e", "v1 + 3*v2 + 7*e1*"],
+             "phi_line2_Q.json"),
+            (["analyze", line2_file], "analyze_line2.json"),
+        ):
+            assert run(capsys, *argv, "--json") == (0, (GOLDEN / golden).read_text(), "")
+
+    def test_text_skips_json_renderers(self, capsys, monkeypatch, line2_file):
+        for name in ("report_to_json", "matrix_image_to_json", "graph_to_json",
+                     "claims_to_json"):
+            monkeypatch.setattr(cli, name, _raise)
+        for argv, golden in (
+            (["decide", line2_file, "--field", "Q"], "decide_line2_Q.txt"),
+            (["phi", line2_file, "--field", "Q", "-e", "v1 + 3*v2 + 7*e1*"],
+             "phi_line2_Q.txt"),
+            (["analyze", line2_file], "analyze_line2.txt"),
+            (["witness", "unit", line2_file, "--field", "Q", "-e", "v2 + 2*e1"],
+             "witness_unit_line2_Q.txt"),
+        ):
+            assert run(capsys, *argv) == (0, (GOLDEN / golden).read_text(), "")
+
+
+class TestParserReuse:
+    """main parses with one parser per process and carries no state from one
+    call to the next."""
+
+    def test_import_builds_no_parser(self):
+        src = pathlib.Path(leavitt.__file__).parent.parent
+        code = "import leavitt.cli as c; print(c._parser.cache_info().currsize)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                                timeout=120)
+        assert (result.returncode, result.stdout) == (0, "0\n"), result.stderr
+
+    def test_built_once_and_calls_match_fresh_processes(self, capsys, monkeypatch,
+                                                        line2_file):
+        # help text is wrapped to the terminal width; pin it for both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        mul = ["mul", line2_file, "--field", "Q", "-e", "e1*", "-e", "e1"]
+        argvs = [
+            mul,
+            ["decide", line2_file],
+            ["--help"],
+            ["witness", "unit", line2_file, "--field", "Q", "-e", "v2 + 2*e1", "--json"],
+            mul,
+            ["decide", line2_file, "--field", "GF(5)"],
+            ["mul", "--help"],
+            ["decide", line2_file, "--field", "GF(5)", "--json"],
+        ]
+        fresh = {}
+        for argv in argvs:
+            key = tuple(argv)
+            if key not in fresh:
+                fresh[key] = _run_fresh_process(argv)
+
+        built = []
+        real_build = cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return real_build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        for i in range(20):
+            argv = argvs[i % len(argvs)]
+            got = run(capsys, *argv)
+            assert got == fresh[tuple(argv)], argv
+            if argv is mul:
+                # the append action still collects exactly the two -e values
+                assert got == (0, "v2\n", "")
+        assert len(built) == 1
+
+
+def _run_fresh_process(argv):
+    src = pathlib.Path(leavitt.__file__).parent.parent
+    result = subprocess.run([sys.executable, "-m", "leavitt.cli", *argv],
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    return result.returncode, result.stdout, result.stderr

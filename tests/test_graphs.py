@@ -334,6 +334,36 @@ class TestGraphIndex:
         assert g.index is g.index
         assert mu_table(g) is g.index.mu
 
+    # (acyclic, sigma) for every corpus graph
+    CORPUS_VALUES = {
+        "line1": (True, 1), "line2": (True, 2), "line3": (True, 3),
+        "line4": (True, 4), "line5": (True, 5),
+        "union_2_1": (True, 2), "union_3_2": (True, 3), "btree": (True, 7),
+        "rose1": (False, OMEGA), "rose2": (False, OMEGA), "toeplitz": (False, OMEGA),
+    }
+
+    def test_acyclic_and_sigma_values(self):
+        graphs = corpus()
+        assert set(graphs) == set(self.CORPUS_VALUES)
+        for name, g in graphs.items():
+            assert (is_acyclic(g), sigma(g)) == self.CORPUS_VALUES[name], name
+            assert (g.index.acyclic, g.index.sigma) == self.CORPUS_VALUES[name], name
+        empty = Graph.build([], [])
+        assert (is_acyclic(empty), sigma(empty)) == (True, 0)
+        # a cycle upstream of a sink: every vertex it reaches has OMEGA paths
+        cyclic = Graph.build(["a", "b", "c"], [("x", "a", "b"), ("y", "b", "a"),
+                                               ("z", "b", "c")])
+        assert (is_acyclic(cyclic), sigma(cyclic)) == (False, OMEGA)
+
+    def test_acyclic_and_sigma_computed_once(self):
+        g = binary_in_tree()
+        assert "acyclic" not in vars(g.index) and "sigma" not in vars(g.index)
+        is_acyclic(g), sigma(g)
+        acyclic, top = vars(g.index)["acyclic"], vars(g.index)["sigma"]
+        del g.index.mu  # a recomputation would have to rebuild the table
+        assert (is_acyclic(g), sigma(g)) == (acyclic, top)
+        assert "mu" not in vars(g.index)
+
     def test_graphs_are_freed_after_use(self):
         # no table keyed on a graph may outlive the graph
         import gc
