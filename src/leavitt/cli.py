@@ -30,6 +30,7 @@ from .fields import FieldError, parse_field_spec
 from .graphs import (
     GraphError,
     classify_vertex,
+    e_f_edge_count,
     e_f_graph,
     is_acyclic,
     m_n_graph,
@@ -68,7 +69,7 @@ from .witness import (
 
 
 # Largest output graph ``construct`` builds: n for line, rose and toeplitz,
-# N times the base graph's vertex count for mn.
+# N times the base graph's vertex count for mn, the edge count for ef.
 MAX_CONSTRUCT_SIZE = 100_000
 
 
@@ -306,6 +307,7 @@ def _cmd_construct(args) -> int:
             raise ParseError("construct ef needs GRAPH EDGE[,EDGE...]")
         base = _load_graph(params[0])
         f_ids = [e for chunk in params[1:] for e in chunk.split(",") if e]
+        _check_construct_size(kind, e_f_edge_count(base, f_ids))
         g = e_f_graph(base, f_ids)
     _emit(args.as_json, g, graph_to_json, lambda g: format_graph(g).rstrip("\n"))
     return 0

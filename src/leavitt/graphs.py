@@ -360,15 +360,10 @@ def m_n_graph(g: Graph, n: int) -> Graph:
     return Graph.build(vertices, edges)
 
 
-def e_f_graph(g: Graph, f_ids) -> Graph:
-    """The finite graph induced by a non-empty edge set F.
-
-    Vertices are the F-edges themselves (named edge:<id>) together with two
-    classes of original vertices (named vertex:<id>): ranges of F that also
-    source both an F-edge and a non-F edge, and ranges of F that source no
-    F-edge. An edge (x,y) joins x in F to y whenever the range of x is the
-    source of y, reading the source of a vertex-type y as y itself.
-    """
+def _e_f_layout(g: Graph, f_ids):
+    """The F-edges, the vertices of E_F, and those vertices grouped by their
+    source in g (the original source for edge-type, itself for vertex-type),
+    each group in vertex order."""
     f_ids = set(f_ids)
     if not f_ids:
         raise GraphError("F must be non-empty")
@@ -381,20 +376,36 @@ def e_f_graph(g: Graph, f_ids) -> Graph:
     s_f = {e.src for e in f_edges}
     s_non_f = {e.src for e in g.edges if e.id not in f_ids}
 
-    vertices = [f"edge:{e.id}" for e in f_edges]
     middle = [v for v in g.vertices if v in r_f and v in s_f and v in s_non_f]
     terminal = [v for v in g.vertices if v in r_f and v not in s_f]
-    vertices += [f"vertex:{v}" for v in middle + terminal]
+    vertices = [(f"edge:{e.id}", e.src) for e in f_edges]
+    vertices += [(f"vertex:{v}", v) for v in middle + terminal]
+    by_source = {}
+    for y, src in vertices:
+        by_source.setdefault(src, []).append(y)
+    return f_edges, [y for y, _ in vertices], by_source
 
-    # source of a new vertex: the original source for edge-type, itself for
-    # vertex-type
-    new_source = {f"edge:{e.id}": e.src for e in f_edges}
-    new_source.update({f"vertex:{v}": v for v in middle + terminal})
 
+def e_f_edge_count(g: Graph, f_ids) -> int:
+    """Edge count of ``e_f_graph(g, f_ids)``, without building it."""
+    f_edges, _, by_source = _e_f_layout(g, f_ids)
+    return sum(len(by_source.get(e.dst, ())) for e in f_edges)
+
+
+def e_f_graph(g: Graph, f_ids) -> Graph:
+    """The finite graph induced by a non-empty edge set F.
+
+    Vertices are the F-edges themselves (named edge:<id>) together with two
+    classes of original vertices (named vertex:<id>): ranges of F that also
+    source both an F-edge and a non-F edge, and ranges of F that source no
+    F-edge. An edge (x,y) joins x in F to y whenever the range of x is the
+    source of y, reading the source of a vertex-type y as y itself. The
+    cost is linear in the sizes of g and of the output.
+    """
+    f_edges, vertices, by_source = _e_f_layout(g, f_ids)
     edges = []
     for e in f_edges:
         x = f"edge:{e.id}"
-        for y in vertices:
-            if e.dst == new_source[y]:
-                edges.append((f"({x},{y})", x, y))
+        for y in by_source.get(e.dst, ()):
+            edges.append((f"({x},{y})", x, y))
     return Graph.build(vertices, edges)

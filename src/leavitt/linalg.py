@@ -1,13 +1,23 @@
-"""Exact linear algebra over the coefficient fields, skipping zeros.
+"""Exact linear algebra over the coefficient fields, on sparse payload rows.
 
-Matrices are dense: a list of rows, every entry a FieldValue of the
-operands' field, and every result has the same form (no int 0, no None, no
-sparse rows), because callers index, compare and serialize entries freely.
-The blocks of phi(a) are mostly zero, so the kernels form a scalar product
-only when both factors are nonzero: ``mat_mul`` walks the nonzero entries
-of each row, and the Gauss-Jordan updates of ``rank_factorization`` touch
-only the nonzero positions of the pivot row and column. Skipped terms are
-exact zeros, so every value is the one the full dense loops would give.
+At the boundary matrices are dense: a list of rows, every entry a
+FieldValue of the operands' field, and every result has the same form (no
+int 0, no None, no sparse rows), because callers index, compare and
+serialize entries freely.
+
+Inside, ``mat_mul``, ``rank_factorization`` and ``solve_linear`` convert
+each operand once, at entry, into payload rows: one ``{column: payload}``
+dict per row holding only the nonzero payloads, and the result once, at
+exit. No exact zero is ever stored: a sum that vanishes is dropped, so two
+payload matrices are equal exactly when their row lists compare equal with
+``==``. Every scalar operation goes through the field's payload methods
+(``_add``, ``_mul``, ``_neg``, ``_inv``, ``_is_zero``), read once per
+kernel call. Products are row by row (Gustavson, ACM TOMS 1978) and form
+a scalar product only for two nonzero factors, and the Gauss-Jordan updates
+touch only the nonzero positions of the pivot row and column, so the work
+is proportional to the nonzeros. The blocks of phi(a) are mostly zero.
+Skipped terms are exact zeros, so every value is the one the full dense
+loops would give.
 
 The factorization A = P D Q with invertible P, Q and a 0/1 diagonal D is
 the workhorse behind inner inverses, projections, and invertible-factor
@@ -47,10 +57,6 @@ def mat_from_rows(field: Field, rows):
     return out
 
 
-def mat_copy(a):
-    return [row[:] for row in a]
-
-
 def mat_shape(a):
     return (len(a), len(a[0]) if a else 0)
 
@@ -61,8 +67,51 @@ def mat_eq(a, b) -> bool:
     )
 
 
-def _nonzeros(row):
-    return [(j, x) for j, x in enumerate(row) if x]
+def _sparse(field: Field, a):
+    """Payload rows of a dense matrix over ``field``: one zero test per entry."""
+    is_zero = field._is_zero
+    rows = []
+    for row in a:
+        sparse = {}
+        for j, x in enumerate(row):
+            if x.field is not field and x.field != field:
+                raise FieldMismatchError(
+                    f"mixed fields: {field.spec_string()} and {x.field.spec_string()}")
+            if not is_zero(x.payload):
+                sparse[j] = x.payload
+        rows.append(sparse)
+    return rows
+
+
+def _dense(field: Field, rows, n: int):
+    zero = field.zero
+    out = []
+    for row in rows:
+        dense = [zero] * n
+        for j, x in row.items():
+            dense[j] = FieldValue(field, x)
+        out.append(dense)
+    return out
+
+
+def _identity(field: Field, n: int):
+    one = field._from_int(1)
+    return [{i: one} for i in range(n)]
+
+
+def _mul(field: Field, a_rows, b_rows):
+    """Row-by-row sparse product (Gustavson): one scalar product per pair of
+    nonzero factors, one zero test per accumulated entry."""
+    add, mul, is_zero = field._add, field._mul, field._is_zero
+    out = []
+    for row_a in a_rows:
+        acc = {}
+        for t, x in row_a.items():
+            for j, y in b_rows[t].items():
+                term = mul(x, y)
+                acc[j] = add(acc[j], term) if j in acc else term
+        out.append({j: v for j, v in acc.items() if not is_zero(v)})
+    return out
 
 
 def mat_mul(a, b):
@@ -73,20 +122,7 @@ def mat_mul(a, b):
     if not (m and k and n):
         return [[] for _ in range(m)]
     field = a[0][0].field
-    if b[0][0].field is not field and b[0][0].field != field:
-        raise FieldMismatchError(
-            f"mixed fields: {field.spec_string()} and {b[0][0].field.spec_string()}")
-    zero = field.zero
-    b_rows = [_nonzeros(row) for row in b]
-    out = []
-    for row_a in a:
-        acc = [None] * n
-        for t, x in _nonzeros(row_a):
-            for j, y in b_rows[t]:
-                term = x * y
-                acc[j] = term if acc[j] is None else acc[j] + term
-        out.append([zero if v is None else v for v in acc])
-    return out
+    return _dense(field, _mul(field, _sparse(field, a), _sparse(field, b)), n)
 
 
 def conj_transpose(a):
@@ -96,12 +132,6 @@ def conj_transpose(a):
 
 def is_zero_matrix(a) -> bool:
     return all(not x for row in a for x in row)
-
-
-def _add_multiple(row, c, entries):
-    """row <- row + c * v, in place, for v given by its nonzero entries."""
-    for j, y in entries:
-        row[j] = row[j] + c * y
 
 
 @dataclass
@@ -121,82 +151,106 @@ class RankFactorization:
     rank: int
 
 
-def rank_factorization(field: Field, a) -> RankFactorization:
-    """Gauss-Jordan with full pivoting; the pivot is the first nonzero entry
-    of the remaining block in row-major order, so the output is deterministic.
+def _factor(field: Field, M, m: int, n: int):
+    """Gauss-Jordan with full pivoting on the payload rows M (consumed: M
+    ends as D); returns P, P^-1, D, Q, Q^-1 as payload rows and the rank.
+
+    The pivot is the first nonzero entry of the remaining block in
+    row-major order, so the output is deterministic. Rows from k on have no
+    entry left of column k, because every earlier pivot column was cleared.
     """
-    m, n = mat_shape(a)
-    M = mat_copy(a)
-    P = identity(field, m)
-    Pinv = identity(field, m)
-    Q = identity(field, n)
-    Qinv = identity(field, n)
-    zero = field.zero
+    add, mul, neg, inv, is_zero = (
+        field._add, field._mul, field._neg, field._inv, field._is_zero)
+    one = field._from_int(1)
+    A = [dict(row) for row in M]
+    P, Pinv = _identity(field, m), _identity(field, m)
+    Q, Qinv = _identity(field, n), _identity(field, n)
 
-    def swap_rows(mat, i, j):
-        mat[i], mat[j] = mat[j], mat[i]
+    def add_term(row, j, term):
+        """row[j] <- row[j] + term, dropping the entry if the sum vanishes."""
+        if j in row:
+            total = add(row[j], term)
+            if is_zero(total):
+                del row[j]
+            else:
+                row[j] = total
+        else:
+            row[j] = term
 
-    def swap_cols(mat, i, j):
-        for row in mat:
-            row[i], row[j] = row[j], row[i]
+    def add_multiple(row, c, entries):
+        """row <- row + c * v, in place, for v given by its nonzero entries."""
+        for j, y in entries:
+            add_term(row, j, mul(c, y))
+
+    def swap_keys(rows, i, j):
+        for row in rows:
+            x, y = row.pop(i, None), row.pop(j, None)
+            if x is not None:
+                row[j] = x
+            if y is not None:
+                row[i] = y
 
     rank = 0
     for k in range(min(m, n)):
-        pivot = None
-        for i in range(k, m):
-            for j in range(k, n):
-                if M[i][j]:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
+        i = next((r for r in range(k, m) if M[r]), None)
+        if i is None:
             break
-        i, j = pivot
+        j = min(M[i])
         if i != k:
-            swap_rows(M, i, k)
-            swap_cols(P, i, k)   # P <- P * S^-1 with S the row swap
-            swap_rows(Pinv, i, k)
+            M[i], M[k] = M[k], M[i]
+            swap_keys(P, i, k)       # P <- P * S^-1 with S the row swap
+            Pinv[i], Pinv[k] = Pinv[k], Pinv[i]
         if j != k:
-            swap_cols(M, j, k)
-            swap_rows(Q, j, k)
-            swap_cols(Qinv, j, k)
+            swap_keys(M, j, k)
+            Q[j], Q[k] = Q[k], Q[j]
+            swap_keys(Qinv, j, k)
         piv = M[k][k]
-        if piv != field.one:
-            inv = piv.inv()
-            M[k] = [inv * x if x else x for x in M[k]]
-            for row in P:           # column k of P picks up the pivot
-                if row[k]:
-                    row[k] = row[k] * piv
-            Pinv[k] = [inv * x if x else x for x in Pinv[k]]
-        pivot_row = _nonzeros(M[k])
-        pinv_row = _nonzeros(Pinv[k])
+        if piv != one:
+            scale = inv(piv)
+            M[k] = {j2: mul(scale, x) for j2, x in M[k].items()}
+            for row in P:            # column k of P picks up the pivot
+                if k in row:
+                    row[k] = mul(row[k], piv)
+            Pinv[k] = {j2: mul(scale, x) for j2, x in Pinv[k].items()}
+        # The pivot is now one, so eliminating it leaves column k empty in
+        # every other row without forming c - c * 1.
+        pivot_row = [(j2, x) for j2, x in M[k].items() if j2 != k]
+        pinv_row = list(Pinv[k].items())
         for i2 in range(m):
-            c = M[i2][k]
-            if i2 != k and c:
-                _add_multiple(M[i2], -c, pivot_row)
-                for row in P:       # P <- P * (I + c E_{i2,k})
-                    if row[i2]:
-                        row[k] = row[k] + c * row[i2]
-                _add_multiple(Pinv[i2], -c, pinv_row)
+            c = M[i2].get(k) if i2 != k else None
+            if c is None:
+                continue
+            del M[i2][k]
+            add_multiple(M[i2], neg(c), pivot_row)
+            for row in P:            # P <- P * (I + c E_{i2,k})
+                if i2 in row:
+                    add_term(row, k, mul(c, row[i2]))
+            add_multiple(Pinv[i2], neg(c), pinv_row)
         # Column k of M is now zero off the pivot, so clearing column j2
         # with column k changes only M[k][j2].
-        qinv_rows = [row for row in Qinv if row[k]]
-        for j2 in range(n):
-            c = M[k][j2]
-            if j2 != k and c:
-                M[k][j2] = zero
-                _add_multiple(Q[k], c, _nonzeros(Q[j2]))
-                for row in qinv_rows:   # Qinv <- Qinv * (I - c E_{k,j2})
-                    row[j2] = row[j2] - c * row[k]
+        qinv_rows = [row for row in Qinv if k in row]
+        for j2, c in pivot_row:
+            del M[k][j2]
+            add_multiple(Q[k], c, Q[j2].items())
+            minus_c = neg(c)
+            for row in qinv_rows:    # Qinv <- Qinv * (I - c E_{k,j2})
+                add_term(row, j2, mul(minus_c, row[k]))
         rank = k + 1
 
-    fact = RankFactorization(field, P, Pinv, M, Q, Qinv, rank)
-    if not (mat_eq(mat_mul(P, Pinv), identity(field, m))
-            and mat_eq(mat_mul(Q, Qinv), identity(field, n))
-            and mat_eq(mat_mul(mat_mul(P, M), Q), a)):
+    if not (_mul(field, P, Pinv) == _identity(field, m)
+            and _mul(field, Q, Qinv) == _identity(field, n)
+            and _mul(field, _mul(field, P, M), Q) == A):
         raise AssertionError("rank factorization failed self-check")
-    return fact
+    return P, Pinv, M, Q, Qinv, rank
+
+
+def rank_factorization(field: Field, a) -> RankFactorization:
+    """A = P D Q by Gauss-Jordan with full pivoting (see ``_factor``)."""
+    m, n = mat_shape(a)
+    P, Pinv, D, Q, Qinv, rank = _factor(field, _sparse(field, a), m, n)
+    return RankFactorization(field, _dense(field, P, m), _dense(field, Pinv, m),
+                             _dense(field, D, n), _dense(field, Q, n),
+                             _dense(field, Qinv, n), rank)
 
 
 def solve_linear(field: Field, a, b, side: str):
@@ -204,33 +258,22 @@ def solve_linear(field: Field, a, b, side: str):
 
     A particular solution is returned (free coordinates are set to zero).
     """
-    fact = rank_factorization(field, a)
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     m, n = mat_shape(a)
-    r = fact.rank
+    mb, nb = mat_shape(b)
+    if side == "right" and mb != m:
+        raise ShapeError("right solve needs matching row counts")
+    if side == "left" and nb != n:
+        raise ShapeError("left solve needs matching column counts")
+    _, Pinv, _, _, Qinv, r = _factor(field, _sparse(field, a), m, n)
+    rows = _sparse(field, b)
     if side == "right":
-        mb, q = mat_shape(b)
-        if mb != m:
-            raise ShapeError("right solve needs matching row counts")
-        c = mat_mul(fact.p_inv, b)
-        for i in range(r, m):
-            if any(c[i][j] for j in range(q)):
-                return None
-        y = zeros(field, n, q)
-        for i in range(min(r, n)):
-            y[i] = c[i][:]
-        return mat_mul(fact.q_inv, y)
-    if side == "left":
-        q, nb = mat_shape(b)
-        if nb != n:
-            raise ShapeError("left solve needs matching column counts")
-        c = mat_mul(b, fact.q_inv)
-        for i in range(q):
-            for j in range(r, n):
-                if c[i][j]:
-                    return None
-        z = zeros(field, q, m)
-        for i in range(q):
-            for j in range(min(r, m)):
-                z[i][j] = c[i][j]
-        return mat_mul(z, fact.p_inv)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        c = _mul(field, Pinv, rows)
+        if any(c[r:]):
+            return None
+        return _dense(field, _mul(field, Qinv, c[:r] + [{}] * (n - r)), nb)
+    c = _mul(field, rows, Qinv)
+    if any(j >= r for row in c for j in row):
+        return None
+    return _dense(field, _mul(field, c, Pinv), m)

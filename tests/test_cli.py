@@ -306,6 +306,28 @@ class TestConstruct:
         assert err.count("\n") == 1 and err.startswith("error:")
         assert "MAX_CONSTRUCT_SIZE" in err
 
+    def test_ef_oversize_is_one_line(self, capsys, tmp_path, monkeypatch):
+        # 317 loops all in F give 317**2 = 100489 edges; refused unbuilt
+        path = tmp_path / "rose317.txt"
+        path.write_text(format_graph(standard_graph("rose", 317)))
+        monkeypatch.setattr(cli, "e_f_graph", _raise)
+        code, out, err = run(capsys, "construct", "ef", str(path),
+                             ",".join(f"e{i}" for i in range(1, 318)))
+        assert (code, out) == (1, "")
+        assert err == ("error: construct ef: output size 100489 exceeds "
+                       "MAX_CONSTRUCT_SIZE = 100000\n")
+
+    def test_ef_of_a_long_line(self, capsys, tmp_path):
+        g = standard_graph("line", 3000)
+        path = tmp_path / "line3000.txt"
+        path.write_text(format_graph(g))
+        code, out, err = run(capsys, "construct", "ef", str(path),
+                             ",".join(e.id for e in g.edges))
+        assert (code, err) == (0, "")
+        names = [f"edge:e{i}" for i in range(1, 3000)] + ["vertex:v3000"]
+        expected = Graph.build(names, [(f"({x},{y})", x, y) for x, y in zip(names, names[1:])])
+        assert out == format_graph(expected)
+
     def test_size_at_limit_builds(self, capsys):
         code, out, _ = run(capsys, "construct", "rose", str(cli.MAX_CONSTRUCT_SIZE),
                            "--json")

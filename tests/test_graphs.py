@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from leavitt import (
@@ -19,7 +21,7 @@ from leavitt import (
     standard_graph,
     validate,
 )
-from leavitt.graphs import clock_graph, sinks, vertex_set
+from leavitt.graphs import clock_graph, e_f_edge_count, sinks, vertex_set
 
 from conftest import acyclic_corpus, binary_in_tree, brute_paths_to, corpus
 
@@ -267,6 +269,37 @@ class TestEfGraph:
             e_f_graph(LINE2, set())
         with pytest.raises(GraphError):
             e_f_graph(LINE2, {"zz"})
+
+    def test_matches_definition_and_count(self):
+        # every non-empty F of up to three edges, against the definition
+        # read literally: x in F, y any vertex, range(x) = source(y)
+        for g in corpus().values():
+            ids = [e.id for e in g.edges]
+            for r in range(1, min(3, len(ids)) + 1):
+                for f in itertools.combinations(ids, r):
+                    out = e_f_graph(g, f)
+                    assert out == definition_e_f_graph(g, out.vertices)
+                    assert e_f_edge_count(g, f) == len(out.edges)
+                    assert e_f_edge_count(g, reversed(f)) == len(out.edges)
+
+    def test_count_errors(self):
+        with pytest.raises(GraphError):
+            e_f_edge_count(LINE2, set())
+        with pytest.raises(GraphError):
+            e_f_edge_count(LINE2, {"zz"})
+
+
+def definition_e_f_graph(g, vertices):
+    """E_F on the given vertex list, by the quadratic loop over F x vertices."""
+    edge = {e.id: e for e in g.edges}
+    source = {y: edge[y[5:]].src if y.startswith("edge:") else y[7:] for y in vertices}
+    edges = []
+    for x in vertices:
+        if x.startswith("edge:"):
+            for y in vertices:
+                if edge[x[5:]].dst == source[y]:
+                    edges.append((f"({x},{y})", x, y))
+    return Graph.build(list(vertices), edges)
 
 
 class TestStandardGraphs:

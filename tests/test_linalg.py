@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 import random
 
 import pytest
@@ -203,8 +205,28 @@ def counting_rationals():
     return field, calls
 
 
+def count_zero_tests(field):
+    """Count the zero tests of a field from ``counting_rationals``."""
+    calls = [0]
+    is_zero = field._is_zero
+
+    def counted(x):
+        calls[0] += 1
+        return is_zero(x)
+
+    field._is_zero = counted
+    return calls
+
+
+def permutation_matrix(field, n):
+    perm = random.Random(12).sample(range(n), n)
+    return [[field.one if perm[i] == j else field.zero for j in range(n)]
+            for i in range(n)]
+
+
 class TestWorkGate:
-    """Upper bounds on scalar products: zero factors cost nothing."""
+    """Upper bounds on scalar products and zero tests: zero factors cost
+    nothing."""
 
     def test_mat_mul_by_identity_costs_the_nonzeros(self):
         field, calls = counting_rationals()
@@ -227,3 +249,140 @@ class TestWorkGate:
         # the four 12x12 products of the self-check, one product per
         # nonzero pair: P.P^-1, Q.Q^-1, P.D and (P.D).Q
         assert calls[0] <= 48
+
+    # Zero tests: one per input entry read, plus at most one per scalar
+    # product formed (a sum that may vanish); walking dense zeros is not
+    # allowed. The bounds are those counts for this kernel's products.
+
+    def test_zero_tests_of_a_permutation_factorization(self):
+        field, calls = counting_rationals()
+        zero_tests = count_zero_tests(field)
+        a = permutation_matrix(field, 12)
+        rank_factorization(field, a)
+        assert zero_tests[0] <= 144 + calls[0] <= 192
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_zero_tests_of_a_permutation_solve(self, side):
+        field, calls = counting_rationals()
+        zero_tests = count_zero_tests(field)
+        a = permutation_matrix(field, 12)
+        assert solve_linear(field, a, a, side) == identity(field, 12)
+        # a and b are read once each: 288 entries
+        assert zero_tests[0] <= 288 + calls[0] <= 360
+
+    def test_zero_tests_of_a_diagonal_factorization(self):
+        field, calls = counting_rationals()
+        a = [[field.from_int(i + 1) if i == j else field.zero for j in range(40)]
+             for i in range(40)]
+        zero_tests = count_zero_tests(field)
+        fact = rank_factorization(field, a)
+        assert fact.rank == 40
+        assert zero_tests[0] <= 1600 + calls[0] <= 1877
+
+    def test_bad_side_forms_no_product(self):
+        field, calls = counting_rationals()
+        a = permutation_matrix(field, 12)
+        with pytest.raises(ValueError):
+            solve_linear(field, a, a, side="up")
+        assert calls[0] == 0
+
+
+GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "linalg_factorizations.json"
+GOLDEN_SPECS = ("Q", "Q[i]/conj", "Q[i]/id", "GF(3)", "GF(5)", "GF(3,2)")
+GOLDEN_DENSITIES = (0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 1.0)
+
+
+def golden_inputs(field, rng):
+    """Eight seeded (a, right-hand side, left-hand side) triples of sizes up
+    to 6; even cases get consistent sides a.X0 and X0.a, odd cases random
+    ones, which are often inconsistent."""
+    for i, density in enumerate(GOLDEN_DENSITIES):
+        m, n, q = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 3)
+        a = sparse_matrix(field, rng, m, n, density)
+        if i % 2 == 0:
+            b_right = naive_mat_mul(a, sparse_matrix(field, rng, n, q, 0.5))
+            b_left = naive_mat_mul(sparse_matrix(field, rng, q, m, 0.5), a)
+        else:
+            b_right = sparse_matrix(field, rng, m, q, density)
+            b_left = sparse_matrix(field, rng, q, n, density)
+        yield a, b_right, b_left
+
+
+def _literals(mat):
+    return None if mat is None else [[x.field.literal(x.payload) for x in row]
+                                     for row in mat]
+
+
+def golden_record(field, a, b_right, b_left):
+    fact = rank_factorization(field, a)
+    return {
+        "field": field.spec_string(),
+        "a": _literals(a), "b_right": _literals(b_right), "b_left": _literals(b_left),
+        "rank": fact.rank,
+        "p": _literals(fact.p), "p_inv": _literals(fact.p_inv), "d": _literals(fact.d),
+        "q": _literals(fact.q), "q_inv": _literals(fact.q_inv),
+        "right": _literals(solve_linear(field, a, b_right, "right")),
+        "left": _literals(solve_linear(field, a, b_left, "left")),
+    }
+
+
+def write_golden():
+    records = []
+    for spec in GOLDEN_SPECS:
+        field = parse_field_spec(spec)
+        for a, b_right, b_left in golden_inputs(field, random.Random(f"golden {spec}")):
+            records.append(golden_record(field, a, b_right, b_left))
+    GOLDEN_PATH.write_text(json.dumps(records, indent=1) + "\n")
+
+
+def _payload_types(payload):
+    return tuple(map(type, payload)) if isinstance(payload, tuple) else type(payload)
+
+
+def assert_matrix_is(field, got, want):
+    """Same shape, and every entry a FieldValue of ``field`` whose payload
+    equals the golden literal's in value and in type."""
+    assert len(got) == len(want)
+    for got_row, want_row in zip(got, want):
+        assert len(got_row) == len(want_row)
+        for x, lit in zip(got_row, want_row):
+            w = field.parse_literal(lit)
+            assert type(x) is FieldValue and x.field is field
+            assert x.payload == w.payload
+            assert _payload_types(x.payload) == _payload_types(w.payload)
+
+
+class TestGoldenFactorizations:
+    """P, P^-1, D, Q, Q^-1, the rank and both solves are pinned value for
+    value on seeded matrices over six fields. Regenerate the file with
+    ``PYTHONPATH=src python tests/test_linalg.py``, only for an intended
+    change of values."""
+
+    RECORDS = json.loads(GOLDEN_PATH.read_text())
+
+    def test_covers_every_field(self):
+        assert [r["field"] for r in self.RECORDS] == [
+            spec for spec in GOLDEN_SPECS for _ in GOLDEN_DENSITIES]
+
+    @pytest.mark.parametrize("index", range(len(GOLDEN_SPECS) * len(GOLDEN_DENSITIES)))
+    def test_matches_golden(self, index):
+        want = self.RECORDS[index]
+        field = parse_field_spec(want["field"])
+        a, b_right, b_left = (mat_from_rows(field, [[field.parse_literal(x) for x in row]
+                                                   for row in want[key]])
+                              for key in ("a", "b_right", "b_left"))
+        fact = rank_factorization(field, a)
+        assert fact.rank == want["rank"]
+        for key in ("p", "p_inv", "d", "q", "q_inv"):
+            assert_matrix_is(field, getattr(fact, key), want[key])
+        for side, b in (("right", b_right), ("left", b_left)):
+            got = solve_linear(field, a, b, side)
+            if want[side] is None:
+                assert got is None
+            else:
+                assert got is not None
+                assert_matrix_is(field, got, want[side])
+
+
+if __name__ == "__main__":
+    write_golden()

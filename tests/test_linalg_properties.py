@@ -1,0 +1,97 @@
+"""Property tests of the linalg contracts on small sparse matrices over six
+fields, checked through the dense oracles of conftest."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from leavitt import parse_field_spec  # noqa: E402
+from leavitt.linalg import identity, rank_factorization, solve_linear  # noqa: E402
+
+from conftest import naive_mat_mul, naive_rank  # noqa: E402
+
+
+def _fields():
+    """(field, g) pairs; entries are x + y*g with small integers x, y."""
+    q = parse_field_spec("Q")
+    out = [(q, q.one / q.from_int(2))]
+    for spec in ("Q[i]/conj", "Q[i]/id"):
+        field = parse_field_spec(spec)
+        out.append((field, field.i))
+    for spec in ("GF(3)", "GF(5)"):
+        field = parse_field_spec(spec)
+        out.append((field, field.one))
+    field = parse_field_spec("GF(3,2)")
+    out.append((field, field.t))
+    return out
+
+
+FIELDS = _fields()
+COEFFS = st.integers(-3, 3)
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=100, database=None,
+                             deadline=None)
+
+
+def entries(field, g):
+    # zero first, so examples shrink towards the zero matrix
+    return st.one_of(st.just(field.zero),
+                     st.builds(lambda x, y: field.from_int(x) + field.from_int(y) * g,
+                               COEFFS, COEFFS))
+
+
+@st.composite
+def systems(draw, side="right"):
+    """(field, a, b): a is m x n, b has the shape of a solve on ``side``;
+    half of the right-hand sides are consistent by construction."""
+    field, g = draw(st.sampled_from(FIELDS))
+    m, n, q = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+
+    def matrix(rows, cols):
+        return [[draw(entries(field, g)) for _ in range(cols)] for _ in range(rows)]
+
+    a = matrix(m, n)
+    consistent = draw(st.booleans())
+    if side == "right":
+        b = naive_mat_mul(a, matrix(n, q)) if consistent else matrix(m, q)
+    else:
+        b = naive_mat_mul(matrix(q, m), a) if consistent else matrix(q, n)
+    return field, a, b
+
+
+@PROPERTY_SETTINGS
+@given(systems())
+def test_rank_factorization_contract(system):
+    field, a, _ = system
+    m, n = len(a), len(a[0])
+    fact = rank_factorization(field, a)
+    assert fact.rank == naive_rank(a)
+    assert naive_mat_mul(fact.p, fact.p_inv) == identity(field, m)
+    assert naive_mat_mul(fact.q, fact.q_inv) == identity(field, n)
+    assert naive_mat_mul(naive_mat_mul(fact.p, fact.d), fact.q) == a
+    assert fact.d == [[field.one if i == j < fact.rank else field.zero for j in range(n)]
+                      for i in range(m)]
+
+
+def check_solve(side, system):
+    field, a, b = system
+    x = solve_linear(field, a, b, side)
+    if side == "right":
+        augmented = [ra + rb for ra, rb in zip(a, b)]     # [a | b]
+    else:
+        augmented = a + b                                 # a over b
+    assert (x is None) == (naive_rank(augmented) > naive_rank(a))
+    if x is not None:
+        assert (naive_mat_mul(a, x) if side == "right" else naive_mat_mul(x, a)) == b
+
+
+@PROPERTY_SETTINGS
+@given(systems("right"))
+def test_solve_linear_right(system):
+    check_solve("right", system)
+
+
+@PROPERTY_SETTINGS
+@given(systems("left"))
+def test_solve_linear_left(system):
+    check_solve("left", system)
