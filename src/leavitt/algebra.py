@@ -13,6 +13,15 @@ The rewrite only ever fires at the last edge pair, the replacement monomials
 either shrink by two or end in a non-special edge, so normalization
 terminates; the surviving monomials form the standard linear basis, which is
 what makes structural equality sound.
+
+Coefficients are stored as raw field payloads (``Field._add`` and friends
+act on them), never as an exact zero, so the arithmetic below builds no
+``FieldValue``. Values of the field appear only at the public views:
+``from_terms`` accepts ints and ``FieldValue``s and unwraps them once, and
+``items``, ``coefficient`` and ``format_element`` wrap payloads on the way
+out. Products look up, for each left monomial p1.q1*, only the right
+monomials p2.q2* whose p2 starts at the base of q1, since the middle
+cancellation q1* p2 vanishes unless one path is a prefix of the other.
 """
 
 from __future__ import annotations
@@ -42,21 +51,20 @@ def monomial_key(mono):
 
 
 def _normalize_terms(g: Graph, field: Field, raw, schedule: str = "lifo") -> dict:
-    """Rewrite a raw (coeff, p, q) stream into normal-form monomial -> coeff.
+    """Rewrite a raw (payload, p, q) stream into normal-form monomial -> payload.
 
     ``schedule`` picks the worklist order (lifo or fifo); both reach the same
     normal form, which the test suite checks as a confluence surrogate.
     """
     index = g.index
     spec, emap, outs = index.special, index.edge_by_id, index.out_edges
+    add, neg, is_zero = field._add, field._neg, field._is_zero
     acc: dict = {}
-    work = deque()
-    for c, p, q in raw:
-        work.append((c, p, q))
+    work = deque(raw)
     pop = work.pop if schedule == "lifo" else work.popleft
     while work:
         c, p, q = pop()
-        if not c:
+        if is_zero(c):
             continue
         if p.edges and q.edges and p.edges[-1] == q.edges[-1]:
             f = p.edges[-1]
@@ -65,15 +73,16 @@ def _normalize_terms(g: Graph, field: Field, raw, schedule: str = "lifo") -> dic
                 p0 = Path(p.base, p.edges[:-1])
                 q0 = Path(q.base, q.edges[:-1])
                 work.append((c, p0, q0))
+                minus = neg(c)
                 for e in outs[w]:
                     if e.id != f:
-                        work.append((-c, Path(p0.base, p0.edges + (e.id,)),
+                        work.append((minus, Path(p0.base, p0.edges + (e.id,)),
                                      Path(q0.base, q0.edges + (e.id,))))
                 continue
         key = (p, q)
         prev = acc.get(key)
-        acc[key] = c if prev is None else prev + c
-    return {m: c for m, c in acc.items() if c}
+        acc[key] = c if prev is None else add(prev, c)
+    return {m: c for m, c in acc.items() if not is_zero(c)}
 
 
 def _check_monomial(g: Graph, p: Path, q: Path):
@@ -110,8 +119,10 @@ class Element:
         cooked = []
         for c, p, q in raw:
             if isinstance(c, int):
-                c = field.from_int(c)
-            elif not isinstance(c, FieldValue) or c.field != field:
+                c = field._from_int(c)
+            elif isinstance(c, FieldValue) and (c.field is field or c.field == field):
+                c = c.payload
+            else:
                 raise FieldMismatchError(f"coefficient {c!r} is not in {field.spec_string()}")
             _check_monomial(graph, p, q)
             cooked.append((c, p, q))
@@ -120,7 +131,7 @@ class Element:
 
     @staticmethod
     def _raw(graph, field, terms: dict) -> "Element":
-        # Trusted construction from an already-reduced monomial->coeff map;
+        # Trusted construction from an already-reduced monomial->payload map;
         # sink_normal_form uses this to keep a non-canonical representation.
         return Element(graph, field, terms, _trusted=True)
 
@@ -133,7 +144,7 @@ class Element:
         if v not in graph.index.vertices:
             raise GraphError(f"unknown vertex {v}")
         t = Path(v, ())
-        return Element(graph, field, {(t, t): field.one}, _trusted=True)
+        return Element(graph, field, {(t, t): field._from_int(1)}, _trusted=True)
 
     @staticmethod
     def edge(graph, field, eid: str) -> "Element":
@@ -141,7 +152,8 @@ class Element:
         if e is None:
             raise GraphError(f"unknown edge {eid}")
         p = Path(e.src, (eid,))
-        return Element(graph, field, {(p, Path(e.dst, ())): field.one}, _trusted=True)
+        return Element(graph, field, {(p, Path(e.dst, ())): field._from_int(1)},
+                       _trusted=True)
 
     @staticmethod
     def ghost(graph, field, eid: str) -> "Element":
@@ -149,22 +161,30 @@ class Element:
         if e is None:
             raise GraphError(f"unknown edge {eid}")
         q = Path(e.src, (eid,))
-        return Element(graph, field, {(Path(e.dst, ()), q): field.one}, _trusted=True)
+        return Element(graph, field, {(Path(e.dst, ()), q): field._from_int(1)},
+                       _trusted=True)
 
     @staticmethod
     def one(graph, field) -> "Element":
         """The identity of a finite graph algebra: the sum of all vertices."""
-        terms = {(Path(v, ()), Path(v, ())): field.one for v in graph.vertices}
+        one = field._from_int(1)
+        terms = {(Path(v, ()), Path(v, ())): one for v in graph.vertices}
         return Element(graph, field, terms, _trusted=True)
 
     # --- views -----------------------------------------------------------
 
     def items(self):
-        """Terms in the canonical order: total length, then both paths."""
+        """(monomial, FieldValue) pairs in the canonical order: total
+        length, then both paths."""
+        field = self.field
+        return [(m, FieldValue(field, c)) for m, c in self._sorted_terms()]
+
+    def _sorted_terms(self):
         return sorted(self._terms.items(), key=lambda kv: monomial_key(kv[0]))
 
     def coefficient(self, p: Path, q: Path):
-        return self._terms.get((p, q), self.field.zero)
+        c = self._terms.get((p, q))
+        return self.field.zero if c is None else FieldValue(self.field, c)
 
     @property
     def is_zero(self) -> bool:
@@ -179,27 +199,32 @@ class Element:
     # --- arithmetic --------------------------------------------------------
 
     def _check_compatible(self, other: "Element"):
-        if self.graph != other.graph:
+        if self.graph is not other.graph and self.graph != other.graph:
             raise AlgebraError("elements live over different graphs")
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatchError("elements live over different fields")
 
     def __add__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
         self._check_compatible(other)
+        add, is_zero = self.field._add, self.field._is_zero
         terms = dict(self._terms)
         for m, c in other._terms.items():
             prev = terms.get(m)
-            total = c if prev is None else prev + c
-            if total:
-                terms[m] = total
-            elif prev is not None:
+            if prev is None:
+                terms[m] = c
+                continue
+            total = add(prev, c)
+            if is_zero(total):
                 del terms[m]
+            else:
+                terms[m] = total
         return Element(self.graph, self.field, terms, _trusted=True)
 
     def __neg__(self):
-        return Element(self.graph, self.field, {m: -c for m, c in self._terms.items()},
+        neg = self.field._neg
+        return Element(self.graph, self.field, {m: neg(c) for m, c in self._terms.items()},
                        _trusted=True)
 
     def __sub__(self, other):
@@ -208,12 +233,21 @@ class Element:
         return self + (-other)
 
     def scale(self, c) -> "Element":
+        field = self.field
         if isinstance(c, int):
-            c = self.field.from_int(c)
-        if not c:
-            return Element.zero(self.graph, self.field)
-        return Element(self.graph, self.field,
-                       {m: c * v for m, v in self._terms.items()}, _trusted=True)
+            c = field._from_int(c)
+        elif isinstance(c, FieldValue):
+            if c.field is not field and c.field != field:
+                raise FieldMismatchError(
+                    f"mixed fields: {c.field.spec_string()} and {field.spec_string()}")
+            c = c.payload
+        else:
+            raise TypeError(f"cannot scale an element by {type(c).__name__}")
+        if field._is_zero(c):
+            return Element.zero(self.graph, field)
+        mul = field._mul
+        return Element(self.graph, field, {m: mul(c, v) for m, v in self._terms.items()},
+                       _trusted=True)
 
     def __mul__(self, other):
         if isinstance(other, (FieldValue, int)):
@@ -221,14 +255,33 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._check_compatible(other)
-        g = self.graph
+        g, field = self.graph, self.field
+        mul = field._mul
+        # (p1 q1*)(p2 q2*) survives only when q1 and p2 start at the same
+        # vertex and one is a prefix of the other, so group the right
+        # operand by the base vertex of p2.
+        by_base: dict = {}
+        for (p2, q2), c2 in other._terms.items():
+            group = by_base.get(p2.base)
+            if group is None:
+                by_base[p2.base] = [(p2.edges, q2, c2)]
+            else:
+                group.append((p2.edges, q2, c2))
         raw = []
         for (p1, q1), c1 in self._terms.items():
-            for (p2, q2), c2 in other._terms.items():
-                mono = _mul_monomials(g, p1, q1, p2, q2)
-                if mono is not None:
-                    raw.append((c1 * c2, mono[0], mono[1]))
-        return Element(g, self.field, _normalize_terms(g, self.field, raw), _trusted=True)
+            group = by_base.get(q1.base)
+            if group is None:
+                continue
+            qe = q1.edges
+            n = len(qe)
+            for pe, q2, c2 in group:
+                if pe[:n] == qe:
+                    # q1 is a prefix of p2 = q1.gamma: p1.gamma (q2)*
+                    raw.append((mul(c1, c2), Path(p1.base, p1.edges + pe[n:]), q2))
+                elif qe[:len(pe)] == pe:
+                    # p2 is a prefix of q1 = p2.gamma: p1 (q2.gamma)*
+                    raw.append((mul(c1, c2), p1, Path(q2.base, q2.edges + qe[len(pe):])))
+        return Element(g, field, _normalize_terms(g, field, raw), _trusted=True)
 
     def __rmul__(self, other):
         if isinstance(other, (FieldValue, int)):
@@ -237,7 +290,8 @@ class Element:
 
     def star(self) -> "Element":
         """The induced involution: sum of k p q* goes to conj(k) q p*."""
-        terms = {(q, p): c.conj() for (p, q), c in self._terms.items()}
+        conj = self.field._conj
+        terms = {(q, p): conj(c) for (p, q), c in self._terms.items()}
         return Element(self.graph, self.field, terms, _trusted=True)
 
     # --- comparison -----------------------------------------------------
@@ -245,7 +299,8 @@ class Element:
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        return (self.graph == other.graph and self.field == other.field
+        return ((self.graph is other.graph or self.graph == other.graph)
+                and (self.field is other.field or self.field == other.field)
                 and self._terms == other._terms)
 
     def __hash__(self):
@@ -255,22 +310,6 @@ class Element:
         return format_element(self)
 
     __str__ = __repr__
-
-
-def _is_prefix(a: Path, b: Path) -> bool:
-    return a.base == b.base and b.edges[: len(a.edges)] == a.edges
-
-
-def _mul_monomials(g: Graph, p1: Path, q1: Path, p2: Path, q2: Path):
-    """(p1 q1*)(p2 q2*) before normalization: None when the ghost/real
-    cancellation in the middle kills the product."""
-    if _is_prefix(q1, p2):
-        gamma = p2.edges[len(q1.edges):]
-        return Path(p1.base, p1.edges + gamma), q2
-    if _is_prefix(p2, q1):
-        gamma = q1.edges[len(p2.edges):]
-        return p1, Path(q2.base, q2.edges + gamma)
-    return None
 
 
 def normalize(graph, field, raw, schedule: str = "lifo") -> Element:
@@ -306,11 +345,12 @@ def linear_combine(terms) -> Element:
 def local_unit(x: Element) -> Element:
     """The sum of the distinct vertices supporting x; acts as identity on x."""
     support = {p.base for (p, q) in x._terms} | {q.base for (p, q) in x._terms}
+    one = x.field._from_int(1)
     terms = {}
     for v in x.graph.vertices:
         if v in support:
             t = Path(v, ())
-            terms[(t, t)] = x.field.one
+            terms[(t, t)] = one
     return Element(x.graph, x.field, terms, _trusted=True)
 
 
@@ -335,9 +375,9 @@ def format_element(x: Element) -> str:
     if x.is_zero:
         return "0"
     pieces = []
-    for (p, q), c in x.items():
+    for (p, q), c in x._sorted_terms():
         mono = format_monomial(p, q)
-        lit = x.field.literal(c.payload)
+        lit = x.field.literal(c)
         pieces.append((lit, mono))
     out = []
     for idx, (lit, mono) in enumerate(pieces):

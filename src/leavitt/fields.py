@@ -12,6 +12,13 @@ Values are exact (fractions and residues) and always canonical, so equality
 is structural. ``improper_tuple`` is deliberately an independent brute-force
 oracle on finite fields: it searches rather than consulting
 ``properness_level``, and the test suite cross-checks the two.
+
+The ``_add``/``_mul``/... methods act on raw payloads and are the kernels
+that ``algebra`` and ``linalg`` call directly. The Q[i] product works on
+the integer numerators and denominators and builds each component as one
+``Fraction``. Primality of p in GF(p) and GF(p,2) is decided by
+deterministic Miller-Rabin, which is proven only below ``PRIME_LIMIT``
+(about 3.3e24); a larger p is refused with a ``FieldError``.
 """
 
 from __future__ import annotations
@@ -340,7 +347,14 @@ class GaussianRationals(Field):
         return (a[0] - b[0], a[1] - b[1])
 
     def _mul(self, a, b):
-        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+        # Both components over the one denominator ad*bd of the four parts,
+        # in integers, so each Fraction is built (and reduced) once.
+        (ar, ai), (br, bi) = a, b
+        arn, ard, ain, aid = ar.numerator, ar.denominator, ai.numerator, ai.denominator
+        brn, brd, bin_, bid = br.numerator, br.denominator, bi.numerator, bi.denominator
+        den = ard * aid * brd * bid
+        return (Fraction(arn * brn * aid * bid - ain * bin_ * ard * brd, den),
+                Fraction(arn * bin_ * aid * brd + ain * brn * ard * bid, den))
 
     def _neg(self, a):
         return (-a[0], -a[1])
@@ -398,14 +412,35 @@ class GaussianRationals(Field):
         )
 
 
+# Miller-Rabin with the first 13 prime bases is deterministic below this
+# bound (Sorenson and Webster, 2015); larger p is refused, not guessed.
+PRIME_LIMIT = 3317044064679887385961981
+_WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; a FieldError for p >= PRIME_LIMIT."""
+    if p >= PRIME_LIMIT:
+        raise FieldError(f"{p} is too large: primality is only decided below {PRIME_LIMIT}")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _WITNESS_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in _WITNESS_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -488,9 +523,9 @@ class QuadraticExtField(Field):
         if p == 2:
             self._u, self._w = 1, 1
         else:
-            squares = {pow(x, 2, p) for x in range(p)}
+            # the smallest non-residue, by Euler's criterion c^((p-1)/2) = -1
             self._u = 0
-            self._w = next(c for c in range(2, p) if c not in squares)
+            self._w = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
 
     def _key(self):
         return ("GF2ext", self.p)

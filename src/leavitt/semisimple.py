@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Element
-from .fields import Field
+from .fields import Field, FieldValue
 from .graphs import Graph, Path, SinkBasis, check_acyclic, mu, path_range, sinks
 from .linalg import ShapeError, conj_transpose, mat_eq, mat_mul, mat_shape, zeros
 
@@ -21,10 +21,12 @@ def sink_basis(g: Graph) -> SinkBasis:
     return g.index.sink_basis
 
 
-def _sink_expand(g: Graph, terms: dict) -> dict:
+def _sink_expand(g: Graph, field: Field, terms: dict) -> dict:
     """Push every monomial to the sinks: p q* = sum over e leaving r(p) of
-    (pe)(qe)*. Terminates because the graph is acyclic."""
+    (pe)(qe)*. Terminates because the graph is acyclic. Coefficients are
+    payloads of ``field``."""
     outs = g.index.out_edges
+    add, is_zero = field._add, field._is_zero
     out: dict = {}
     work = [(c, p, q) for (p, q), c in terms.items()]
     while work:
@@ -33,13 +35,12 @@ def _sink_expand(g: Graph, terms: dict) -> dict:
         if not branches:
             key = (p, q)
             prev = out.get(key)
-            total = c if prev is None else prev + c
-            out[key] = total
+            out[key] = c if prev is None else add(prev, c)
             continue
         for e in branches:
             work.append((c, Path(p.base, p.edges + (e.id,)),
                          Path(q.base, q.edges + (e.id,))))
-    return {m: c for m, c in out.items() if c}
+    return {m: c for m, c in out.items() if not is_zero(c)}
 
 
 def sink_normal_form(x: Element) -> Element:
@@ -49,7 +50,7 @@ def sink_normal_form(x: Element) -> Element:
     back x); it is the representation phi reads entries from.
     """
     check_acyclic(x.graph)
-    return Element._raw(x.graph, x.field, _sink_expand(x.graph, x._terms))
+    return Element._raw(x.graph, x.field, _sink_expand(x.graph, x.field, x._terms))
 
 
 @dataclass
@@ -120,13 +121,15 @@ def phi(x: Element) -> MatrixImage:
     blockwise conjugate transpose.
     """
     basis = sink_basis(x.graph)
-    image = MatrixImage.zero(basis, x.field)
-    for (p, q), c in _sink_expand(x.graph, x._terms).items():
+    field = x.field
+    image = MatrixImage.zero(basis, field)
+    # the expansion merged equal monomials, so each entry is written once
+    for (p, q), c in _sink_expand(x.graph, field, x._terms).items():
         v, i = basis.index[p]
         v2, j = basis.index[q]
         if v != v2:
             raise AssertionError("phi paired paths into different sinks")
-        image.blocks[v][i][j] = image.blocks[v][i][j] + c
+        image.blocks[v][i][j] = FieldValue(field, c)
     return image
 
 

@@ -170,3 +170,38 @@ def naive_rank(a):
             rows[r] = [x - c * y for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def oracle_product_terms(x, y):
+    """(coeff, p, q) for every pair of monomials of x and y whose product
+    p1 q1* p2 q2* survives, by trying all |x|*|y| pairs: the middle q1* p2
+    is nonzero only when one path is a prefix of the other."""
+    def is_prefix(a, b):
+        return a.base == b.base and b.edges[:len(a.edges)] == a.edges
+
+    raw = []
+    for (p1, q1), c1 in x.items():
+        for (p2, q2), c2 in y.items():
+            if is_prefix(q1, p2):
+                gamma = p2.edges[len(q1.edges):]
+                raw.append((c1 * c2, Path(p1.base, p1.edges + gamma), q2))
+            elif is_prefix(p2, q1):
+                gamma = q1.edges[len(p2.edges):]
+                raw.append((c1 * c2, p1, Path(q2.base, q2.edges + gamma)))
+    return raw
+
+
+def oracle_mul(x, y) -> Element:
+    """x * y through the all-pairs rule, normalized by from_terms."""
+    return Element.from_terms(x.graph, x.field, oracle_product_terms(x, y))
+
+
+def trial_division_is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True

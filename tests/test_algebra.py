@@ -3,6 +3,8 @@ import pytest
 from leavitt import (
     AlgebraError,
     Element,
+    FieldMismatchError,
+    FieldValue,
     GaussianRationals,
     Path,
     PrimeField,
@@ -11,12 +13,14 @@ from leavitt import (
     linear_combine,
     local_unit,
     normalize,
+    parse_field_spec,
     special_edges,
     standard_graph,
 )
+from leavitt.fields import Field
 from leavitt.graphs import clock_graph, out_edges
 
-from conftest import corpus, random_element, random_raw_terms
+from conftest import corpus, oracle_product_terms, random_element, random_raw_terms
 
 Q = Rationals()
 LINE2 = standard_graph("line", 2)
@@ -386,3 +390,79 @@ class TestClassicRelations:
                 ee = Element.edge(g, Q, e.id) * Element.ghost(g, Q, e.id)
                 total = ee if total is None else total + ee
             assert total == vertex(g, Q, v)
+
+
+class TestScale:
+    """Scaling by a value of another field is refused, whether or not the
+    element is zero; x * c and c * x go through the same check."""
+
+    GF3 = PrimeField(3)
+
+    def test_nonzero_element(self):
+        x = edge(LINE2, Q, "e1")
+        c = self.GF3.from_int(2)
+        for scaled in (lambda: x.scale(c), lambda: x * c, lambda: c * x):
+            with pytest.raises(FieldMismatchError):
+                scaled()
+
+    def test_zero_element(self):
+        x = Element.zero(LINE2, Q)
+        for c in (self.GF3.from_int(2), self.GF3.zero):
+            for scaled in (lambda: x.scale(c), lambda: x * c, lambda: c * x):
+                with pytest.raises(FieldMismatchError):
+                    scaled()
+
+    def test_same_field(self):
+        x = edge(LINE2, Q, "e1")
+        assert (x * Q.zero).is_zero and (0 * x).is_zero
+        assert x.scale(Q.from_int(3)) == 3 * x == x * Q.from_int(3)
+
+
+class TestWorkGate:
+    """Products, stars and sums of operands that share their graph and field
+    objects build no FieldValue and compare no fields, and a product
+    multiplies coefficients only for the monomial pairs that survive."""
+
+    SPECS = ("Q", "Q[i]/conj", "GF(5)", "GF(3,2)")
+    GRAPHS = (standard_graph("line", 5), ROSE2, standard_graph("toeplitz"))
+
+    @staticmethod
+    def operand(g, k, rng):
+        while True:
+            x = Element.from_terms(g, k, random_raw_terms(g, k, rng, max_terms=6, max_len=3))
+            if 4 <= len(x) <= 5:
+                return x
+
+    @staticmethod
+    def counted(monkeypatch, cls, name):
+        calls = []
+        original = cls.__dict__[name]
+
+        def wrapper(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+        return calls
+
+    def test_no_field_values_and_no_field_comparisons(self, rng, monkeypatch):
+        cases = [(self.operand(g, k, rng), self.operand(g, k, rng))
+                 for g in self.GRAPHS for k in map(parse_field_spec, self.SPECS)
+                 for _ in range(5)]
+        built = self.counted(monkeypatch, FieldValue, "__init__")
+        compared = self.counted(monkeypatch, Field, "__eq__")
+        for x, y in cases:
+            for op in (lambda: x * y, x.star, lambda: x + y):
+                op()
+                assert (len(built), len(compared)) == (0, 0)
+
+    def test_coefficient_products_bounded_by_surviving_pairs(self, rng, monkeypatch):
+        for k in map(parse_field_spec, self.SPECS):
+            calls = self.counted(monkeypatch, type(k), "_mul")
+            for g in self.GRAPHS:
+                for _ in range(10):
+                    x, y = self.operand(g, k, rng), self.operand(g, k, rng)
+                    kept = len(oracle_product_terms(x, y))
+                    calls.clear()
+                    x * y
+                    assert len(calls) <= kept

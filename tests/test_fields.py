@@ -1,7 +1,12 @@
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import leavitt
 from leavitt import (
     FieldError,
     FieldMismatchError,
@@ -12,8 +17,9 @@ from leavitt import (
     Rationals,
     parse_field_spec,
 )
+from leavitt.fields import PRIME_LIMIT, _is_prime
 
-from conftest import ALL_FIELDS
+from conftest import ALL_FIELDS, trial_division_is_prime
 
 Q = Rationals()
 QI_ID = GaussianRationals(conjugation=False)
@@ -199,3 +205,61 @@ class TestSpecStrings:
         assert parse_field_spec("GF(3)") == PrimeField(3)
         assert PrimeField(3) != PrimeField(5)
         assert GaussianRationals(True) != GaussianRationals(False)
+
+
+class TestLargePrimes:
+    """Primality by deterministic Miller-Rabin below PRIME_LIMIT, a refusal
+    above it, and GF(p, 2) without a table of all p squares."""
+
+    def test_agrees_with_trial_division(self):
+        assert [n for n in range(-3, 20000) if _is_prime(n)] == [
+            n for n in range(-3, 20000) if trial_division_is_prime(n)]
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # strong pseudoprimes to every prime base up to 23, 37 and 41
+        for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+            assert not _is_prime(n)
+            with pytest.raises(FieldError, match="is not prime"):
+                PrimeField(n)
+
+    def test_large_primes_accepted(self):
+        for p in (2**31 - 1, 2**61 - 1, 1000000007, 998244353):
+            assert _is_prime(p)
+        assert parse_field_spec("GF(2305843009213693951)").p == 2**61 - 1
+
+    @pytest.mark.parametrize("spec", [f"GF({PRIME_LIMIT})", f"GF({PRIME_LIMIT + 2},2)",
+                                      f"GF({2**127 - 1})"])
+    def test_refused_at_the_limit(self, spec):
+        with pytest.raises(FieldError) as info:
+            parse_field_spec(spec)
+        message = str(info.value)
+        assert str(PRIME_LIMIT) in message and "\n" not in message
+
+    def test_non_residue_matches_the_squares_table(self):
+        for p in (n for n in range(3, 3000) if trial_division_is_prime(n)):
+            squares = {x * x % p for x in range(p)}
+            smallest = next(c for c in range(2, p) if c not in squares)
+            assert QuadraticExtField(p)._w == smallest
+
+    @pytest.mark.parametrize("spec", ["GF(2305843009213693951)", "GF(1000000007,2)"])
+    def test_cli_product_fast_and_small(self, tmp_path, spec):
+        graph = tmp_path / "line2.txt"
+        graph.write_text("vertex v1\nvertex v2\nedge e1 v1 v2\n")
+        child = (
+            "import resource, sys, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))\n"
+            "resource.setrlimit(resource.RLIMIT_CPU, (20, 20))\n"
+            "from leavitt.cli import main\n"
+            "start = time.process_time()\n"
+            "code = main(sys.argv[1:])\n"
+            "print(time.process_time() - start, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        src = pathlib.Path(leavitt.__file__).parent.parent
+        result = subprocess.run(
+            [sys.executable, "-c", child, "mul", str(graph), "--field", spec,
+             "-e", "e1", "-e", "e1*"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert (result.returncode, result.stdout) == (0, "v1\n"), result.stderr[-500:]
+        assert float(result.stderr) < 1.0
