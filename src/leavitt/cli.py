@@ -162,11 +162,13 @@ def _emit(as_json: bool, obj, to_json, to_text) -> None:
 
 def _analyze_json(g) -> dict:
     table = mu_table(g)
+    acyclic = is_acyclic(g)
     return {
         **graph_to_json(g),
-        "acyclic": is_acyclic(g),
+        "acyclic": acyclic,
         "sinks": list(sinks(g)),
-        "mu": {v: extnat_to_json(table[v]) for v in g.vertices},
+        # in vertex order already, and all ints when acyclic
+        "mu": table if acyclic else {v: extnat_to_json(table[v]) for v in g.vertices},
         "sigma": extnat_to_json(sigma(g)),
     }
 

@@ -9,9 +9,12 @@ Four families cover every behavior the decision procedures distinguish:
 * ``QuadraticExtField(p)``        Frobenius involution x -> x^p, never 2-proper
 
 Values are exact (fractions and residues) and always canonical, so equality
-is structural. ``improper_tuple`` is deliberately an independent brute-force
-oracle on finite fields: it searches rather than consulting
-``properness_level``, and the test suite cross-checks the two.
+is structural. On finite fields ``improper_tuple`` is in closed form: it
+returns the first improper tuple with x_1 = 1 in ``elements()`` order, built
+from square roots mod p (Euler's criterion, then a^((p+1)/4) or
+Tonelli-Shanks), so its cost is polylogarithmic in p. The exhaustive search
+it replaces is the oracle in ``tests/conftest.py``; the test suite checks
+the two against each other and against ``properness_level``.
 
 The ``_add``/``_mul``/... methods act on raw payloads and are the kernels
 that ``algebra`` and ``linalg`` call directly. The Q[i] product works on
@@ -164,32 +167,12 @@ class Field:
 
     def improper_tuple(self, n: int):
         """A not-all-zero tuple (x_1..x_n) with sum of conj(x_i)*x_i = 0, or
-        None when no such tuple exists."""
+        None when no such tuple exists. On finite fields it is the first
+        such tuple with x_1 = 1 in ``elements()`` order."""
         raise NotImplementedError
 
     def elements(self):
         raise FieldError(f"{self.spec_string()} is infinite")
-
-    def _search_improper(self, n: int):
-        # Exhaustive witness search for finite fields. Any witness can be
-        # permuted and scaled so its first entry is 1, so fixing x_1 = 1
-        # loses nothing while cutting the space by a factor of |K|.
-        if n < 1:
-            raise FieldError("n must be positive")
-        pool = list(self.elements())
-        one = self.one
-
-        def rec(prefix, acc):
-            if len(prefix) == n:
-                return prefix if acc == self.zero else None
-            for x in pool:
-                found = rec(prefix + [x], acc + x.conj() * x)
-                if found is not None:
-                    return found
-            return None
-
-        found = rec([one], one.conj() * one)
-        return tuple(found) if found is not None else None
 
     # --- literals ------------------------------------------------------
 
@@ -444,6 +427,40 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _is_square(a: int, p: int) -> bool:
+    """Whether a (reduced mod the odd prime p) is a square, 0 included, by
+    Euler's criterion."""
+    return a == 0 or pow(a, (p - 1) // 2, p) == 1
+
+
+def _least_non_residue(p: int) -> int:
+    """The smallest non-square mod the odd prime p."""
+    return next(c for c in range(2, p) if not _is_square(c, p))
+
+
+def _sqrt_mod(a: int, p: int) -> int:
+    """The smaller square root of a square a (reduced) mod the odd prime p:
+    a^((p+1)/4) when p = 3 (mod 4), Tonelli-Shanks otherwise."""
+    if a == 0:
+        return 0
+    if p % 4 == 3:
+        r = pow(a, (p + 1) // 4, p)
+    else:
+        q, s = p - 1, 0
+        while not q & 1:
+            q >>= 1
+            s += 1
+        c, t, r = pow(_least_non_residue(p), q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            b = pow(c, 1 << (s - i - 1), p)
+            s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
+
+
 class PrimeField(Field):
     """GF(p) with the identity involution."""
 
@@ -494,7 +511,25 @@ class PrimeField(Field):
         return 2 if self.p % 4 == 3 else 1
 
     def improper_tuple(self, n):
-        return self._search_improper(n)
+        # x_1 = 1, so the rest must sum to -1. One square never suffices
+        # when p = 3 (mod 4), and two always do, so the first tuple is
+        # zeros and then the least x with -1 - x^2 a square and its root.
+        if n < 1:
+            raise FieldError("n must be positive")
+        p = self.p
+        if n == 1:
+            return None
+        if p == 2:
+            tail = [1]
+        elif n == 2:
+            if p % 4 == 3:
+                return None
+            tail = [_sqrt_mod(p - 1, p)]
+        else:
+            x = next(x for x in range(p) if _is_square((-1 - x * x) % p, p))
+            tail = [x, _sqrt_mod((-1 - x * x) % p, p)]
+        payloads = [1] + [0] * (n - 1 - len(tail)) + tail
+        return tuple(FieldValue(self, a) for a in payloads)
 
     def literal(self, payload):
         return str(payload)
@@ -523,9 +558,8 @@ class QuadraticExtField(Field):
         if p == 2:
             self._u, self._w = 1, 1
         else:
-            # the smallest non-residue, by Euler's criterion c^((p-1)/2) = -1
             self._u = 0
-            self._w = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+            self._w = _least_non_residue(p)
 
     def _key(self):
         return ("GF2ext", self.p)
@@ -594,7 +628,25 @@ class QuadraticExtField(Field):
         return 1
 
     def improper_tuple(self, n):
-        return self._search_improper(n)
+        # x_1 = 1, and the norm onto GF(p) is surjective, so the first tuple
+        # is zeros and then the first z with norm(z) = -1. For odd p,
+        # norm(a + bt) = a^2 - c b^2: the least a with (a^2 + 1)/c a square,
+        # and the smaller root b.
+        if n < 1:
+            raise FieldError("n must be positive")
+        if n == 1:
+            return None
+        p = self.p
+        if p == 2:
+            minus_one = self._from_int(-1)
+            last = next(z for z in ((a, b) for a in range(p) for b in range(p))
+                        if self._mul(self._conj(z), z) == minus_one)
+        else:
+            inv_c = pow(self._w, -1, p)
+            a = next(a for a in range(p) if _is_square((a * a + 1) * inv_c % p, p))
+            last = (a, _sqrt_mod((a * a + 1) * inv_c % p, p))
+        payloads = [(1, 0)] + [(0, 0)] * (n - 2) + [last]
+        return tuple(FieldValue(self, z) for z in payloads)
 
     def literal(self, payload):
         a, b = payload

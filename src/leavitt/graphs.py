@@ -8,6 +8,11 @@ basis) lives in one ``GraphIndex``, reached as ``g.index``: it is built the
 first time it is asked for, memoized on that graph object, and freed with
 it. Sharing a graph across threads is safe; ``cached_property`` may build a
 table twice under a race, and both results are equal.
+
+Building the index validates the graph: a duplicate identifier or a dangling
+endpoint raises ``GraphError`` with the messages of ``validate``, so every
+table-reading function refuses an invalid graph the same way. One forward
+Kahn pass gives both the path counts ``mu`` and ``acyclic``.
 """
 
 from __future__ import annotations
@@ -75,53 +80,76 @@ class Graph:
 class GraphIndex:
     """The derived tables of one graph. Build it through ``g.index``.
 
-    Incidence lists are sorted by edge id; the special edge of a non-sink
-    vertex is its greatest outgoing edge id. ``mu``, ``acyclic``, ``sigma``
-    and ``sink_basis`` are computed on first use.
+    Building it raises ``GraphError`` (the ``validate`` messages joined by
+    "; ") on duplicate identifiers or dangling endpoints. Incidence lists are
+    sorted by edge id; the special edge of a non-sink vertex is its greatest
+    outgoing edge id. ``mu``, ``acyclic``, ``sigma`` and ``sink_basis`` are
+    computed on first use.
     """
 
     def __init__(self, g: Graph):
         self.graph = g
         self.vertices = frozenset(g.vertices)
         self.edge_by_id = {e.id: e for e in g.edges}
+        if len(self.vertices) < len(g.vertices) or len(self.edge_by_id) < len(g.edges):
+            raise _invalid(g)
         outs = {v: [] for v in g.vertices}
         ins = {v: [] for v in g.vertices}
-        for e in sorted(g.edges, key=lambda e: e.id):
-            outs[e.src].append(e)
-            ins[e.dst].append(e)
+        try:
+            # with unique ids, tuple order is edge-id order
+            for e in sorted(g.edges):
+                outs[e.src].append(e)
+                ins[e.dst].append(e)
+        except KeyError:
+            raise _invalid(g) from None
         self.out_edges = {v: tuple(es) for v, es in outs.items()}
         self.in_edges = {v: tuple(es) for v, es in ins.items()}
         self.special = {v: es[-1].id for v, es in self.out_edges.items() if es}
 
     @functools.cached_property
-    def mu(self) -> dict:
-        """Number of paths ending at each vertex, the trivial path included.
+    def _path_counts(self) -> tuple[dict, bool]:
+        """(mu, acyclic) from one forward pass of Kahn's topological sort.
 
-        One pass of Kahn's topological sort: a vertex is popped once all its
-        in-edges come from popped vertices, and then its count is one plus
-        theirs. The vertices never popped are exactly those a cycle reaches,
-        and they get OMEGA.
+        Every count starts at 1 (the trivial path). A vertex is popped once
+        all its in-edges come from popped vertices, so its count is final;
+        popping it adds that count to each out-neighbour. The vertices left
+        with pending in-edges are exactly those a cycle reaches, and they get
+        OMEGA; the graph is acyclic when every vertex was popped.
         """
+        vertices = self.graph.vertices
+        out_edges = self.out_edges
         pending = {v: len(es) for v, es in self.in_edges.items()}
-        ready = [v for v in self.graph.vertices if not pending[v]]
-        counts = {}
+        counts = dict.fromkeys(vertices, 1)
+        ready = [v for v in vertices if not pending[v]]
+        popped = 0
         while ready:
             v = ready.pop()
-            counts[v] = 1 + sum(counts[e.src] for e in self.in_edges[v])
-            for e in self.out_edges[v]:
-                pending[e.dst] -= 1
-                if not pending[e.dst]:
-                    ready.append(e.dst)
-        return {v: counts.get(v, OMEGA) for v in self.graph.vertices}
+            popped += 1
+            c = counts[v]
+            for e in out_edges[v]:
+                w = e.dst
+                counts[w] += c
+                pending[w] -= 1
+                if not pending[w]:
+                    ready.append(w)
+        if popped == len(vertices):
+            return counts, True
+        return {v: OMEGA if pending[v] else counts[v] for v in vertices}, False
+
+    @functools.cached_property
+    def mu(self) -> dict:
+        """Number of paths ending at each vertex, the trivial path included,
+        in vertex order; OMEGA where a cycle reaches."""
+        return self._path_counts[0]
 
     @functools.cached_property
     def acyclic(self) -> bool:
-        return all(is_finite(m) for m in self.mu.values())
+        return self._path_counts[1]
 
     @functools.cached_property
     def sigma(self):
         """Supremum of mu over all vertices; 0 for the empty graph."""
-        return max(self.mu.values(), default=0)
+        return max(self.mu.values(), default=0) if self.acyclic else OMEGA
 
     @functools.cached_property
     def sink_basis(self) -> "SinkBasis":
@@ -149,6 +177,10 @@ def in_edges(g: Graph, v: str) -> tuple[Edge, ...]:
 def _require_vertex(g: Graph, v: str):
     if v not in g.index.vertices:
         raise GraphError(f"unknown vertex {v}")
+
+
+def _invalid(g: Graph) -> GraphError:
+    return GraphError("; ".join(validate(g)))
 
 
 # ---------------------------------------------------------------------------

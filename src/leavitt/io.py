@@ -6,8 +6,9 @@ Graph text format, one declaration per line, '#' starts a comment:
     edge <id> <source-id> <range-id>
 
 The structured (JSON) graph format is an object with "vertices" and "edges"
-keys only; edges are {"id","src","dst"} objects. Both parsers reject
-duplicate identifiers and dangling endpoints.
+keys only; edges are {"id","src","dst"} objects. Both parsers build the
+graph's index, which rejects duplicate identifiers and dangling endpoints
+with the messages of ``graphs.validate``.
 
 Element expressions follow
 
@@ -28,7 +29,7 @@ import json
 
 from .algebra import Element, format_element
 from .fields import Field
-from .graphs import Graph, edge_by_id, validate, vertex_set
+from .graphs import Edge, Graph, GraphError, edge_by_id, vertex_set
 from .omega import extnat_to_json
 from .semisimple import MatrixImage
 from .decide import DecisionReport
@@ -65,22 +66,28 @@ def parse_graph(text: str) -> Graph:
     and with offending identifiers on broken invariants."""
     vertices = []
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         tokens = line.split()
-        if tokens[0] == "vertex" and len(tokens) == 2:
+        n = len(tokens)
+        if n == 4 and tokens[0] == "edge":
+            edges.append(Edge._make(tokens[1:]))
+        elif n == 2 and tokens[0] == "vertex":
             vertices.append(tokens[1])
-        elif tokens[0] == "edge" and len(tokens) == 4:
-            edges.append((tokens[1], tokens[2], tokens[3]))
-        else:
+        elif n:
             raise ParseError(f"line {lineno}: expected 'vertex <id>' or "
-                             f"'edge <id> <src> <dst>', got {line!r}")
-    g = Graph.build(vertices, edges)
-    errors = validate(g)
-    if errors:
-        raise ParseError("; ".join(errors))
+                             f"'edge <id> <src> <dst>', got {line.strip()!r}")
+    return _indexed(Graph(tuple(vertices), tuple(edges)))
+
+
+def _indexed(g: Graph) -> Graph:
+    """g with its index built; the index refuses duplicate identifiers and
+    dangling endpoints, reported here as a ParseError."""
+    try:
+        g.index
+    except GraphError as exc:
+        raise ParseError(str(exc)) from None
     return g
 
 
@@ -107,11 +114,7 @@ def parse_graph_json(obj) -> Graph:
             edges.append((e["id"], e["src"], e["dst"]))
         except KeyError as missing:
             raise ParseError(f"edge missing key {missing}") from None
-    g = Graph.build(vertices, edges)
-    errors = validate(g)
-    if errors:
-        raise ParseError("; ".join(errors))
-    return g
+    return _indexed(Graph.build(vertices, edges))
 
 
 def parse_graph_any(text: str) -> Graph:
@@ -283,7 +286,9 @@ def report_to_json(report: DecisionReport) -> dict:
     return {
         "field": report.field.spec_string(),
         "acyclic": report.acyclic,
-        "mu": {v: extnat_to_json(report.mu[v]) for v in report.graph.vertices},
+        # in vertex order already, and all ints when acyclic
+        "mu": report.mu if report.acyclic else {
+            v: extnat_to_json(report.mu[v]) for v in report.graph.vertices},
         "sigma": extnat_to_json(report.sigma),
         "properness_level": extnat_to_json(report.properness_level),
         "regular": report.regular,

@@ -205,3 +205,47 @@ def trial_division_is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def search_improper(k, n):
+    """The first tuple (1, x_2, ..., x_n) in ``k.elements()`` order whose
+    sum of conj(x_i)*x_i vanishes, by exhaustive search; None when there is
+    none. Any improper tuple can be permuted and scaled so its first entry
+    is 1, so fixing x_1 = 1 loses nothing."""
+    pool = list(k.elements())
+    one, zero = k.one, k.zero
+
+    def rec(prefix, acc):
+        if len(prefix) == n:
+            return prefix if acc == zero else None
+        for x in pool:
+            found = rec(prefix + [x], acc + x.conj() * x)
+            if found is not None:
+                return found
+        return None
+
+    found = rec([one], one.conj() * one)
+    return tuple(found) if found is not None else None
+
+
+def cycle_reached(g) -> set:
+    """Vertices that some cycle reaches (the cycle's own vertices included),
+    by forward reachability over the edge list: u lies on a cycle when u
+    reaches itself by a path of at least one edge."""
+    succ = {v: set() for v in g.vertices}
+    for e in g.edges:
+        succ[e.src].add(e.dst)
+    reach = {}
+    for u in g.vertices:
+        seen, stack = set(), list(succ[u])
+        while stack:
+            w = stack.pop()
+            if w not in seen:
+                seen.add(w)
+                stack.extend(succ[w])
+        reach[u] = seen
+    out = set()
+    for u in g.vertices:
+        if u in reach[u]:
+            out |= reach[u]
+    return out

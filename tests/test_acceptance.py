@@ -57,6 +57,7 @@ from conftest import (
     random_element,
     random_nonzero_element,
     random_raw_terms,
+    search_improper,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -158,6 +159,8 @@ def _check_matrix_properness(p, sizes):
     assert k.improper_tuple(level) is None
     witness = k.improper_tuple(level + 1)
     assert witness is not None
+    assert (k.improper_tuple(level), witness) == (
+        search_improper(k, level), search_improper(k, level + 1))
     total = k.zero
     for x in witness:
         total = total + x.conj() * x

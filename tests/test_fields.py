@@ -17,9 +17,9 @@ from leavitt import (
     Rationals,
     parse_field_spec,
 )
-from leavitt.fields import PRIME_LIMIT, _is_prime
+from leavitt.fields import PRIME_LIMIT, FieldValue, _is_prime, _is_square, _sqrt_mod
 
-from conftest import ALL_FIELDS, trial_division_is_prime
+from conftest import ALL_FIELDS, search_improper, trial_division_is_prime
 
 Q = Rationals()
 QI_ID = GaussianRationals(conjugation=False)
@@ -243,23 +243,121 @@ class TestLargePrimes:
 
     @pytest.mark.parametrize("spec", ["GF(2305843009213693951)", "GF(1000000007,2)"])
     def test_cli_product_fast_and_small(self, tmp_path, spec):
-        graph = tmp_path / "line2.txt"
-        graph.write_text("vertex v1\nvertex v2\nedge e1 v1 v2\n")
-        child = (
-            "import resource, sys, time\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))\n"
-            "resource.setrlimit(resource.RLIMIT_CPU, (20, 20))\n"
-            "from leavitt.cli import main\n"
-            "start = time.process_time()\n"
-            "code = main(sys.argv[1:])\n"
-            "print(time.process_time() - start, file=sys.stderr)\n"
-            "sys.exit(code)\n"
-        )
-        src = pathlib.Path(leavitt.__file__).parent.parent
-        result = subprocess.run(
-            [sys.executable, "-c", child, "mul", str(graph), "--field", spec,
-             "-e", "e1", "-e", "e1*"],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(src)})
-        assert (result.returncode, result.stdout) == (0, "v1\n"), result.stderr[-500:]
-        assert float(result.stderr) < 1.0
+        code, out, cpu = run_limited(tmp_path, ["mul", "{line2}", "--field", spec,
+                                                "-e", "e1", "-e", "e1*"])
+        assert (code, out) == (0, "v1\n")
+        assert cpu < 1.0
+
+
+LINE_TEXT = {
+    "line2": "vertex v1\nvertex v2\nedge e1 v1 v2\n",
+    "line3": "vertex v1\nvertex v2\nvertex v3\nedge e1 v1 v2\nedge e2 v2 v3\n",
+}
+
+
+def run_limited(tmp_path, argv):
+    """(exit code, stdout, CPU seconds) of ``leavitt.cli.main(argv)`` in a
+    child process that caps its own address space and CPU time; ``{line2}``
+    and ``{line3}`` in argv stand for graph files."""
+    for name, text in LINE_TEXT.items():
+        (tmp_path / f"{name}.txt").write_text(text)
+    argv = [a.format(**{n: str(tmp_path / f"{n}.txt") for n in LINE_TEXT}) for a in argv]
+    child = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))\n"
+        "resource.setrlimit(resource.RLIMIT_CPU, (20, 20))\n"
+        "from leavitt.cli import main\n"
+        "start = time.process_time()\n"
+        "code = main(sys.argv[1:])\n"
+        "print(time.process_time() - start, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    src = pathlib.Path(leavitt.__file__).parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", child, *argv],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.stderr.count("\n") == 1, result.stderr[-500:]
+    return result.returncode, result.stdout, float(result.stderr)
+
+
+def prime_fields(bound):
+    return [PrimeField(p) for p in range(2, bound) if trial_division_is_prime(p)]
+
+
+def extension_fields(bound):
+    return [QuadraticExtField(p) for p in range(2, bound) if trial_division_is_prime(p)]
+
+
+class TestClosedFormImproperTuples:
+    """``improper_tuple`` is the first improper tuple with x_1 = 1 in
+    ``elements()`` order, built without walking the field."""
+
+    @pytest.mark.parametrize("k", prime_fields(120) + extension_fields(50),
+                             ids=lambda k: k.spec_string())
+    def test_equals_the_search(self, k):
+        top = 4 if isinstance(k, PrimeField) else 3
+        for n in range(1, top + 1):
+            assert k.improper_tuple(n) == search_improper(k, n), n
+
+    def test_square_roots(self):
+        for p in range(3, 600):
+            if not trial_division_is_prime(p):
+                continue
+            roots = {}
+            for x in range(p):
+                roots.setdefault(x * x % p, x)
+            for a in range(p):
+                assert _is_square(a, p) == (a in roots), (p, a)
+                if a in roots:
+                    assert _sqrt_mod(a, p) == roots[a], (p, a)
+
+    @pytest.mark.parametrize("argv, out", [
+        (["decide", "{line3}", "--field", "GF(10007,2)"],
+         "improper_certificate: v2 + 2+t*e1\n"),
+        (["decide", "{line3}", "--field", "GF(1000003)"],
+         "improper_certificate: v3 + e2 + 410588*e1.e2\n"),
+        (["witness", "improper", "{line2}", "--field", "GF(1000000007,2)"],
+         "v2 + 2+t*e1\nverified: a != 0 and star(a).a = 0\n"),
+    ])
+    def test_cli_on_large_fields(self, tmp_path, argv, out):
+        code, stdout, cpu = run_limited(tmp_path, argv)
+        assert code == 0 and stdout.endswith(out), stdout
+        assert cpu < 1.0
+
+
+WORK_FIELDS = [PrimeField(43), PrimeField(41), QuadraticExtField(47), PrimeField(1000003)]
+
+
+class TestImproperTupleWork:
+    @pytest.fixture
+    def no_elements(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("elements() called")
+
+        for cls in (leavitt.fields.Field, PrimeField, QuadraticExtField):
+            monkeypatch.setattr(cls, "elements", refuse)
+
+    @pytest.mark.parametrize("k", WORK_FIELDS, ids=lambda k: k.spec_string())
+    def test_builds_n_values(self, k, monkeypatch, no_elements):
+        built = []
+        init = FieldValue.__init__
+
+        def counting_init(self, field, payload):
+            built.append(payload)
+            init(self, field, payload)
+
+        monkeypatch.setattr(FieldValue, "__init__", counting_init)
+        for n in range(1, 7):
+            del built[:]
+            tup = k.improper_tuple(n)
+            assert len(built) == (0 if tup is None else n), n
+
+    @pytest.mark.parametrize("k", WORK_FIELDS, ids=lambda k: k.spec_string())
+    def test_decide_without_elements(self, k, tmp_path, capsys, no_elements):
+        from leavitt.cli import main
+
+        path = tmp_path / "line3.txt"
+        path.write_text(LINE_TEXT["line3"])
+        assert main(["decide", str(path), "--field", k.spec_string()]) == 0
+        assert "proper_algebra: improper" in capsys.readouterr().out

@@ -3,11 +3,13 @@ import itertools
 import pytest
 
 from leavitt import (
+    Element,
     Graph,
     GraphError,
     InfinitePathSetError,
     OMEGA,
     Path,
+    Rationals,
     classify_vertex,
     e_f_graph,
     enumerate_paths_to,
@@ -16,6 +18,7 @@ from leavitt import (
     m_n_graph,
     mu,
     mu_table,
+    phi,
     relabel_graph,
     sigma,
     standard_graph,
@@ -50,6 +53,33 @@ class TestValidate:
     def test_corpus_valid(self):
         for g in corpus().values():
             assert validate(g) == []
+
+
+class TestInvalidGraphsRefused:
+    """Every table reader refuses an invalid graph with one GraphError that
+    carries validate's messages."""
+
+    CASES = {
+        "duplicate_vertex": Graph.build(["v1", "v1"], [("e1", "v1", "v1")]),
+        "duplicate_edge": Graph.build(["v1", "v2"], [("e1", "v1", "v2"), ("e1", "v2", "v1")]),
+        "dangling_dst": Graph.build(["v1"], [("e1", "v1", "v2")]),
+        "dangling_src": Graph.build(["v2"], [("e0", "v2", "v2"), ("e1", "v1", "v2")]),
+        "all_three": Graph.build(["a", "b", "a"], [("e1", "a", "b"), ("e1", "b", "a"),
+                                                    ("e2", "a", "z")]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("reader", [
+        mu_table, sigma, sinks, is_acyclic,
+        lambda g: phi(Element.one(g, Rationals())),
+    ], ids=["mu_table", "sigma", "sinks", "is_acyclic", "phi"])
+    def test_refused(self, name, reader):
+        g = self.CASES[name]
+        message = "; ".join(validate(g))
+        assert message
+        with pytest.raises(GraphError) as info:
+            reader(g)
+        assert str(info.value) == message
 
 
 class TestClassify:

@@ -65,6 +65,53 @@ class TestGraphText:
             assert parse_graph(format_graph(g)) == g
 
 
+_EXPECTED = "expected 'vertex <id>' or 'edge <id> <src> <dst>', got "
+
+
+class TestGraphTextPinned:
+    """The exact graphs and error texts of the line format."""
+
+    def test_comments_whitespace_and_line_endings(self):
+        text = ("# leading comment\r\n"
+                "\tvertex\tv1 # after a declaration\r\n"
+                "\r\n"
+                "   \n"
+                "vertex v2#glued\n"
+                "edge e1\t v1  v2   \r\n"
+                "#edge e2 v2 v1\n")
+        assert parse_graph(text) == LINE2
+
+    @pytest.mark.parametrize("text, message", [
+        ("vertex", "line 1: " + _EXPECTED + "'vertex'"),
+        ("vertex v1\nvertex a b", "line 2: " + _EXPECTED + "'vertex a b'"),
+        ("vertex v1\r\n\r\nedge e1 v1", "line 3: " + _EXPECTED + "'edge e1 v1'"),
+        ("edge e1 a b c # five", "line 1: " + _EXPECTED + "'edge e1 a b c'"),
+        ("# c\n\tnode\ta  # unknown keyword\n", "line 2: " + _EXPECTED + "'node\\ta'"),
+        ("  vertex  a \t b  ", "line 1: " + _EXPECTED + "'vertex  a \\t b'"),
+        ("vertex a\nVertex b", "line 2: " + _EXPECTED + "'Vertex b'"),
+    ])
+    def test_syntax_error_text(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_graph(text)
+        assert str(info.value) == message
+
+    INVALID = ("duplicate identifier a; duplicate identifier e1; dangling endpoint e2; "
+               "dangling endpoint e3; duplicate identifier e2")
+
+    def test_invariant_errors_in_order(self):
+        edges = [("e1", "a", "b"), ("e1", "b", "a"), ("e2", "a", "z"),
+                 ("e3", "y", "b"), ("e2", "b", "b")]
+        text = "vertex a\nvertex b\nvertex a\n" + "".join(
+            f"edge {e} {s} {d}\n" for e, s, d in edges)
+        obj = {"vertices": ["a", "b", "a"],
+               "edges": [{"id": e, "src": s, "dst": d} for e, s, d in edges]}
+        for parse, data in ((parse_graph, text), (parse_graph_json, obj),
+                            (parse_graph_any, json.dumps(obj))):
+            with pytest.raises(ParseError) as info:
+                parse(data)
+            assert str(info.value) == self.INVALID, parse.__name__
+
+
 class TestGraphJson:
     def test_round_trip(self):
         for g in corpus().values():
