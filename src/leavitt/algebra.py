@@ -92,6 +92,21 @@ def _check_monomial(g: Graph, p: Path, q: Path):
         raise AlgebraError(f"paths have different ranges: {p}, {q}")
 
 
+def _monomial_product(p1: Path, q1: Path, p2: Path, q2: Path):
+    """(p1 q1*)(p2 q2*) as one monomial (p, q) before normalization, or None
+    when it vanishes: p1.gamma q2* when p2 = q1.gamma, p1 (q2.gamma)* when
+    q1 = p2.gamma. The same rule as ``Element.__mul__``, which inlines it."""
+    if p2.base != q1.base:
+        return None
+    qe, pe = q1.edges, p2.edges
+    n = len(qe)
+    if pe[:n] == qe:
+        return Path(p1.base, p1.edges + pe[n:]), q2
+    if qe[:len(pe)] == pe:
+        return p1, Path(q2.base, q2.edges + qe[len(pe):])
+    return None
+
+
 class Element:
     """An immutable element of the algebra of a fixed graph over a field.
 

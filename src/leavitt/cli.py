@@ -42,6 +42,7 @@ from .graphs import (
 from .io import (
     ParseError,
     claims_to_json,
+    element_formatter,
     format_graph,
     format_matrix_image,
     format_report,
@@ -226,24 +227,26 @@ def _cmd_phi(args) -> int:
 def _cmd_witness(args) -> int:
     g = _load_graph(args.graph)
     k = parse_field_spec(args.field)
-    payload, claims, text = _witness(args, g, k)
+    fmt = element_formatter()
+    payload, claims, text = _witness(args, g, k, fmt)
     # The builders check their own claims and raise CertificateError when one
     # fails, so whatever reaches this line is verified.
     _emit(args.as_json, payload,
-          lambda head: {**head, "claims": claims_to_json(claims), "verified": True},
+          lambda head: {**head, "claims": claims_to_json(claims, fmt), "verified": True},
           lambda head: text)
     return 0
 
 
-def _witness(args, g, k):
+def _witness(args, g, k, fmt):
     """The payload head, the claims and the text for one witness kind. The
-    text reuses the payload's formatted elements."""
+    payload's elements are formatted with ``fmt`` (an ``element_formatter``),
+    so the text and the claims reuse those strings."""
     if args.kind == "improper":
         cert = improper_element(g, k)
         payload = {"kind": "improper", "certificate": None}
         claims, text = [], "none"
         if cert is not None:
-            payload["certificate"] = format_element(cert)
+            payload["certificate"] = fmt(cert)
             claims = improper_claims(cert)
             text = f"{payload['certificate']}\nverified: a != 0 and star(a).a = 0"
         return payload, claims, text
@@ -251,11 +254,11 @@ def _witness(args, g, k):
     if not args.expr:
         raise ParseError(f"witness {args.kind} needs -e EXPR")
     a = parse_element(args.expr, g, k)
-    payload = {"kind": args.kind, "input": format_element(a)}
+    payload = {"kind": args.kind, "input": fmt(a)}
 
     if args.kind == "regular":
         b = regular_witness(g, k, a)
-        payload["inverse"] = format_element(b)
+        payload["inverse"] = fmt(b)
         claims = inner_inverse_claims(a, b)
         text = f"inverse: {payload['inverse']}\nverified: a.b.a = a"
     elif args.kind == "projection":
@@ -264,22 +267,22 @@ def _witness(args, g, k):
         except NotStarRegularError as exc:
             c = exc.certificate
             payload["kind"] = "not_star_regular"
-            payload["certificate"] = format_element(c)
+            payload["certificate"] = fmt(c)
             claims = improper_claims(c)
             text = (f"not *-regular; certificate: {payload['certificate']}\n"
                     f"verified: c != 0 and star(c).c = 0")
         else:
-            payload["projection"] = format_element(cert.p)
-            payload["factor"] = format_element(cert.factor)
+            payload["projection"] = fmt(cert.p)
+            payload["factor"] = fmt(cert.factor)
             claims = projection_claims(a, cert)
             text = (f"projection: {payload['projection']}\n"
                     f"factor: {payload['factor']}\n"
                     f"verified: p* = p = p.p, p.a = a, a.factor = p")
     else:
         cert = unit_regular_witness(g, k, a)
-        payload["u"] = format_element(cert.u)
-        payload["u_prime"] = format_element(cert.u_prime)
-        payload["v"] = format_element(cert.v)
+        payload["u"] = fmt(cert.u)
+        payload["u_prime"] = fmt(cert.u_prime)
+        payload["v"] = fmt(cert.v)
         claims = unit_regular_claims(a, cert)
         text = (f"u: {payload['u']}\n"
                 f"u_prime: {payload['u_prime']}\n"

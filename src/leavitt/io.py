@@ -21,15 +21,20 @@ where coeff is a field literal. Coefficient literals are atomic: "1+2i*e1"
 is (1+2i)*e1, while "1 + 2i*e1" is 1 + (2i)*e1. A bare coeff term means
 coeff times the identity (the sum of all vertices). Printing emits the same
 grammar with terms in canonical monomial order.
+
+Each term's factors fold into one monomial p q* (or into zero) by the
+product rule of ``Element.__mul__``, so a term is one raw (payload, p, q)
+triple, or one per vertex for a bare coeff; the whole expression is
+normalized once, at the end.
 """
 
 from __future__ import annotations
 
 import json
 
-from .algebra import Element, format_element
+from .algebra import Element, _monomial_product, _normalize_terms, format_element
 from .fields import Field
-from .graphs import Edge, Graph, GraphError, edge_by_id, vertex_set
+from .graphs import Edge, Graph, GraphError, Path, edge_by_id, vertex_set
 from .omega import extnat_to_json
 from .semisimple import MatrixImage
 from .decide import DecisionReport
@@ -111,9 +116,12 @@ def parse_graph_json(obj) -> Graph:
         if bad:
             raise ParseError(f"unknown edge keys: {sorted(bad)}")
         try:
-            edges.append((e["id"], e["src"], e["dst"]))
+            fields = (e["id"], e["src"], e["dst"])
         except KeyError as missing:
             raise ParseError(f"edge missing key {missing}") from None
+        if not all(isinstance(x, str) for x in fields):
+            raise ParseError("edge id, src and dst must be strings")
+        edges.append(fields)
     return _indexed(Graph.build(vertices, edges))
 
 
@@ -175,19 +183,24 @@ class _ExprParser:
         self.skip_ws()
         if not self.peek():
             self.fail("empty expression")
-        total = self.parse_term()
+        raw = self.parse_term()
         while True:
             self.skip_ws()
             ch = self.peek()
             if not ch:
-                return total
+                return Element(self.g, self.k, _normalize_terms(self.g, self.k, raw),
+                               _trusted=True)
             if ch not in "+-":
                 self.fail(f"unexpected character {ch!r}")
             self.pos += 1
             term = self.parse_term()
-            total = total + term if ch == "+" else total - term
+            if ch == "-":
+                neg = self.k._neg
+                term = [(neg(c), p, q) for c, p, q in term]
+            raw += term
 
-    def parse_term(self) -> Element:
+    def parse_term(self) -> list:
+        """The term as raw (payload, p, q) triples, not yet normalized."""
         self.skip_ws()
         start = self.pos
         scanned = self.k.scan_literal(self.text, self.pos)
@@ -197,28 +210,38 @@ class _ExprParser:
             self.skip_ws()
             if self.peek() == "*":
                 self.pos += 1
-                return self.parse_factors().scale(coeff)
+                return self.monomial_term(coeff.payload)
             if self.at_term_end():
-                return Element.one(self.g, self.k).scale(coeff)
+                c = coeff.payload
+                return [(c, Path(v, ()), Path(v, ())) for v in self.g.vertices]
             self.pos = start  # looked like a literal but is not one: re-read
+        c = self.k._from_int(1)
         if self.peek() in "+-":
             # sign before plain factors, e.g. "-v1"
-            sign = self.peek()
+            if self.peek() == "-":
+                c = self.k._neg(c)
             self.pos += 1
-            element = self.parse_factors()
-            return -element if sign == "-" else element
-        return self.parse_factors()
+        return self.monomial_term(c)
 
-    def parse_factors(self) -> Element:
-        element = self.parse_factor()
+    def monomial_term(self, c) -> list:
+        mono = self.parse_factors()
+        return [] if mono is None else [(c, *mono)]
+
+    def parse_factors(self):
+        """The product of the factors as one monomial (p, q), or None when
+        it vanishes. Factors after a vanishing product are still parsed and
+        resolved, so their errors are reported."""
+        mono = self.parse_factor()
         while True:
             self.skip_ws()
             if self.peek() != ".":
-                return element
+                return mono
             self.pos += 1
-            element = element * self.parse_factor()
+            right = self.parse_factor()
+            if mono is not None:
+                mono = _monomial_product(*mono, *right)
 
-    def parse_factor(self) -> Element:
+    def parse_factor(self):
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos] in _IDENT_CHARS:
@@ -231,20 +254,21 @@ class _ExprParser:
         if self.peek() == "*":
             adjoint = True
             self.pos += 1
-        element = self.resolve(name, adjoint)
-        return element
+        return self.resolve(name, adjoint)
 
-    def resolve(self, name: str, adjoint: bool) -> Element:
+    def resolve(self, name: str, adjoint: bool):
+        """The monomial (p, q) that a vertex, an edge or a ghost stands for."""
         is_vertex = name in self.vset
         is_edge = name in self.emap
         if is_vertex and is_edge:
             raise ParseError(f"ambiguous identifier {name!r} (both a vertex and an edge)")
         if is_vertex:
-            return Element.vertex(self.g, self.k, name)
+            t = Path(name, ())
+            return t, t
         if is_edge:
-            if adjoint:
-                return Element.ghost(self.g, self.k, name)
-            return Element.edge(self.g, self.k, name)
+            e = self.emap[name]
+            mono = Path(e.src, (name,)), Path(e.dst, ())
+            return mono[::-1] if adjoint else mono
         raise ParseError(f"unknown identifier {name!r}")
 
 
@@ -326,36 +350,57 @@ def format_report(report: DecisionReport) -> str:
 # evaluator live in ``leavitt.witness``)
 
 
-def claim_product_equals(factors, equals) -> dict:
+def element_formatter():
+    """A ``format_element`` that formats each element object once and
+    returns the same text on every later call with that object."""
+    texts = {}
+
+    def fmt(x):
+        hit = texts.get(id(x))
+        if hit is None:
+            # keep x alive, so its id is not reused while the cache lives
+            hit = texts[id(x)] = (x, format_element(x))
+        return hit[1]
+
+    return fmt
+
+
+def claim_product_equals(factors, equals, fmt=None) -> dict:
+    fmt = fmt or format_element
     return {"type": "product_equals",
-            "factors": [format_element(x) for x in factors],
-            "equals": format_element(equals)}
+            "factors": [fmt(x) for x in factors],
+            "equals": fmt(equals)}
 
 
-def claim_star_fixed(x) -> dict:
-    return {"type": "star_fixed", "arg": format_element(x)}
+def claim_star_fixed(x, fmt=None) -> dict:
+    return {"type": "star_fixed", "arg": (fmt or format_element)(x)}
 
 
-def claim_star_product_zero(x) -> dict:
-    return {"type": "star_product_zero", "arg": format_element(x)}
+def claim_star_product_zero(x, fmt=None) -> dict:
+    return {"type": "star_product_zero", "arg": (fmt or format_element)(x)}
 
 
-def claim_nonzero(x) -> dict:
-    return {"type": "nonzero", "arg": format_element(x)}
+def claim_nonzero(x, fmt=None) -> dict:
+    return {"type": "nonzero", "arg": (fmt or format_element)(x)}
 
 
-def claims_to_json(claims) -> list:
-    """Serialize ``leavitt.witness`` claim tuples, keeping their order."""
+def claims_to_json(claims, fmt=None) -> list:
+    """Serialize ``leavitt.witness`` claim tuples, keeping their order.
+
+    Each element object is formatted once per call, through ``fmt`` when
+    given (an ``element_formatter`` that may already hold the texts of the
+    caller's elements) and through a fresh one otherwise."""
+    fmt = fmt or element_formatter()
     out = []
     for kind, *args in claims:
         if kind == "product_equals":
-            out.append(claim_product_equals(*args))
+            out.append(claim_product_equals(*args, fmt))
         elif kind == "star_fixed":
-            out.append(claim_star_fixed(*args))
+            out.append(claim_star_fixed(*args, fmt))
         elif kind == "star_product_zero":
-            out.append(claim_star_product_zero(*args))
+            out.append(claim_star_product_zero(*args, fmt))
         elif kind == "nonzero":
-            out.append(claim_nonzero(*args))
+            out.append(claim_nonzero(*args, fmt))
         else:
             raise ValueError(f"unknown claim type {kind!r}")
     return out

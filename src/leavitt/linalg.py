@@ -8,16 +8,20 @@ serialize entries freely.
 Inside, ``mat_mul``, ``rank_factorization`` and ``solve_linear`` convert
 each operand once, at entry, into payload rows: one ``{column: payload}``
 dict per row holding only the nonzero payloads, and the result once, at
-exit. No exact zero is ever stored: a sum that vanishes is dropped, so two
-payload matrices are equal exactly when their row lists compare equal with
-``==``. Every scalar operation goes through the field's payload methods
-(``_add``, ``_mul``, ``_neg``, ``_inv``, ``_is_zero``), read once per
-kernel call. Products are row by row (Gustavson, ACM TOMS 1978) and form
-a scalar product only for two nonzero factors, and the Gauss-Jordan updates
-touch only the nonzero positions of the pivot row and column, so the work
-is proportional to the nonzeros. The blocks of phi(a) are mostly zero.
-Skipped terms are exact zeros, so every value is the one the full dense
-loops would give.
+exit. The payload-row kernels behind them, ``_mul``, ``_factor``,
+``_solve`` and ``_conj_transpose``, are what the witness builders call
+directly, so a certificate never goes through dense matrices. ``_factor``
+(and so ``_solve``) consumes the rows it factors: a caller that needs a
+block again passes a copy. No exact zero is ever stored: a sum that
+vanishes is dropped, so two payload matrices are equal exactly when their
+row lists compare equal with ``==``. Every scalar operation goes through
+the field's payload methods (``_add``, ``_mul``, ``_neg``, ``_inv``,
+``_is_zero``, ``_conj``), read once per kernel call. Products are row by
+row (Gustavson, ACM TOMS 1978) and form a scalar product only for two
+nonzero factors, and the Gauss-Jordan updates touch only the nonzero
+positions of the pivot row and column, so the work is proportional to the
+nonzeros. The blocks of phi(a) are mostly zero. Skipped terms are exact
+zeros, so every value is the one the full dense loops would give.
 
 The factorization A = P D Q with invertible P, Q and a 0/1 diagonal D is
 the workhorse behind inner inverses, projections, and invertible-factor
@@ -253,6 +257,33 @@ def rank_factorization(field: Field, a) -> RankFactorization:
                              _dense(field, Qinv, n), rank)
 
 
+def _conj_transpose(field: Field, rows, n: int):
+    """The conjugate transpose of payload rows with ``n`` columns."""
+    conj = field._conj
+    out = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = conj(x)
+    return out
+
+
+def _solve(field: Field, a_rows, m: int, n: int, b_rows, side: str):
+    """Payload rows of X with X A = B (side='left') or A X = B
+    (side='right') for the m x n payload rows ``a_rows``, or None when the
+    system is inconsistent. Factors ``a_rows`` with ``_factor``, which
+    consumes them. Free coordinates of the solution are zero."""
+    _, Pinv, _, _, Qinv, r = _factor(field, a_rows, m, n)
+    if side == "right":
+        c = _mul(field, Pinv, b_rows)
+        if any(c[r:]):
+            return None
+        return _mul(field, Qinv, c[:r] + [{}] * (n - r))
+    c = _mul(field, b_rows, Qinv)
+    if any(j >= r for row in c for j in row):
+        return None
+    return _mul(field, c, Pinv)
+
+
 def solve_linear(field: Field, a, b, side: str):
     """X with X a = b (side='left') or a X = b (side='right'), or None.
 
@@ -266,14 +297,7 @@ def solve_linear(field: Field, a, b, side: str):
         raise ShapeError("right solve needs matching row counts")
     if side == "left" and nb != n:
         raise ShapeError("left solve needs matching column counts")
-    _, Pinv, _, _, Qinv, r = _factor(field, _sparse(field, a), m, n)
-    rows = _sparse(field, b)
-    if side == "right":
-        c = _mul(field, Pinv, rows)
-        if any(c[r:]):
-            return None
-        return _dense(field, _mul(field, Qinv, c[:r] + [{}] * (n - r)), nb)
-    c = _mul(field, rows, Qinv)
-    if any(j >= r for row in c for j in row):
+    x = _solve(field, _sparse(field, a), m, n, _sparse(field, b), side)
+    if x is None:
         return None
-    return _dense(field, _mul(field, c, Pinv), m)
+    return _dense(field, x, nb if side == "right" else m)

@@ -1,20 +1,25 @@
 """The finite-dimensional picture of an acyclic graph algebra.
 
 For a finite acyclic graph the algebra splits into one matrix block per
-sink, of size the number of paths into that sink. ``phi`` realizes the
-block-matrix isomorphism by expanding every monomial toward the sinks and
-reading off coefficients against the ordered path basis; ``phi_inv`` maps
-matrix entries back to path monomials and renormalizes.
+sink, of size the number of paths into that sink. The block-matrix
+isomorphism has one working form, on payload rows (see ``linalg``):
+``_phi_rows`` expands every monomial toward the sinks once and files each
+coefficient under its row and column in the ordered path basis, giving one
+``{column: payload}`` dict per row of each block; ``_from_rows`` reads only
+the nonzero entries back onto path monomials and normalizes them once.
+The witness builders work in this form. ``phi`` and ``phi_inv`` are the
+dense views of it, a ``MatrixImage`` of ``FieldValue`` entries, for the
+``phi`` command and for callers that index or print blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Element
-from .fields import Field, FieldValue
+from .algebra import Element, _normalize_terms
+from .fields import Field
 from .graphs import Graph, Path, SinkBasis, check_acyclic, mu, path_range, sinks
-from .linalg import ShapeError, conj_transpose, mat_eq, mat_mul, mat_shape, zeros
+from .linalg import ShapeError, _dense, conj_transpose, mat_eq, mat_mul, mat_shape, zeros
 
 
 def sink_basis(g: Graph) -> SinkBasis:
@@ -114,6 +119,34 @@ class MatrixImage:
         return image
 
 
+def _phi_rows(x: Element) -> dict:
+    """phi(x) as payload rows: ``{sink: [{column: payload}, ...]}`` with one
+    row per path into the sink, in basis order, and no zero stored."""
+    basis = sink_basis(x.graph)
+    index = basis.index
+    blocks = {v: [{} for _ in range(basis.size(v))] for v in basis.sinks}
+    # the expansion merged equal monomials, so each entry is written once
+    for (p, q), c in _sink_expand(x.graph, x.field, x._terms).items():
+        v, i = index[p]
+        v2, j = index[q]
+        if v != v2:
+            raise AssertionError("phi paired paths into different sinks")
+        blocks[v][i][j] = c
+    return blocks
+
+
+def _from_rows(g: Graph, field: Field, blocks: dict) -> Element:
+    """The element whose image has these payload rows (any subset of the
+    sinks): entry (i, j) of block v rides on alpha_i alpha_j* for the
+    ordered paths into v."""
+    paths = sink_basis(g).paths
+    raw = [(c, paths[v][i], paths[v][j])
+           for v, rows in blocks.items()
+           for i, row in enumerate(rows)
+           for j, c in row.items()]
+    return Element(g, field, _normalize_terms(g, field, raw), _trusted=True)
+
+
 def phi(x: Element) -> MatrixImage:
     """The canonical isomorphism onto the per-sink matrix blocks.
 
@@ -122,15 +155,9 @@ def phi(x: Element) -> MatrixImage:
     """
     basis = sink_basis(x.graph)
     field = x.field
-    image = MatrixImage.zero(basis, field)
-    # the expansion merged equal monomials, so each entry is written once
-    for (p, q), c in _sink_expand(x.graph, field, x._terms).items():
-        v, i = basis.index[p]
-        v2, j = basis.index[q]
-        if v != v2:
-            raise AssertionError("phi paired paths into different sinks")
-        image.blocks[v][i][j] = FieldValue(field, c)
-    return image
+    return MatrixImage(field, basis,
+                       {v: _dense(field, rows, len(rows))
+                        for v, rows in _phi_rows(x).items()})
 
 
 def phi_inv(image: MatrixImage) -> Element:

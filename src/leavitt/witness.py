@@ -7,6 +7,15 @@ on its own. A failed check raises ``CertificateError``, also under
 ``python -O``. All constructions need a finite acyclic graph, where the
 block-matrix picture exists.
 
+The builders work on the per-sink payload rows of ``semisimple`` with the
+payload-row kernels of ``linalg``: a is expanded once (``_phi_rows``), each
+block is factored, multiplied and solved as rows, and only the elements of
+the certificate are mapped back (``_from_rows``). The projection algebra
+(x = a b, its Gram matrix x* x, t and p = t x*) stays in block land too:
+phi is multiplicative and star-compatible, so each block is the image of
+the element product it stands for, and no element product is formed before
+the claims are checked.
+
 The claim vocabulary, one tuple per claim:
 
 * ``("product_equals", factors, equals)``  the product of ``factors``,
@@ -28,8 +37,8 @@ from dataclasses import dataclass
 from .algebra import Element
 from .fields import Field
 from .graphs import Graph, check_acyclic, enumerate_paths_to, mu_table, sigma
-from .linalg import mat_mul, rank_factorization, solve_linear
-from .semisimple import MatrixImage, phi, phi_inv, sink_basis
+from .linalg import _conj_transpose, _factor, _mul, _solve
+from .semisimple import _from_rows, _phi_rows
 
 
 class CertificateError(AssertionError):
@@ -140,22 +149,19 @@ def _require(ok: bool, message: str) -> None:
 # constructions
 
 
-def _blockwise(image: MatrixImage, fn) -> MatrixImage:
-    return MatrixImage(image.field, image.basis,
-                       {v: fn(b) for v, b in image.blocks.items()})
+def _inner_inverse(k: Field, block):
+    """B = Q^-1 D P^-1 for the square payload rows A = P D Q (consumed)."""
+    n = len(block)
+    _, p_inv, d, _, q_inv, _ = _factor(k, block, n, n)
+    return _mul(k, q_inv, _mul(k, d, p_inv))
 
 
 def regular_witness(g: Graph, k: Field, a: Element) -> Element:
     """An inner inverse: b with a b a = a, built per block from A = P D Q as
     B = Q^-1 D P^-1."""
     check_acyclic(g)
-    image = phi(a)
-
-    def block_inverse(block):
-        fact = rank_factorization(k, block)
-        return mat_mul(fact.q_inv, mat_mul(fact.d, fact.p_inv))
-
-    b = phi_inv(_blockwise(image, block_inverse))
+    b = _from_rows(g, k, {v: _inner_inverse(k, block)
+                          for v, block in _phi_rows(a).items()})
     _require(verify_inner_inverse(a, b), "inner inverse failed its claims")
     return b
 
@@ -199,34 +205,28 @@ def projection_generator(g: Graph, k: Field, a: Element) -> ProjectionCertificat
     raised carrying an improper element for the graph and field.
     """
     check_acyclic(g)
-    b = regular_witness(g, k, a)
-    x = a * b
-    xs = x.star()
-    gram = phi(xs * x)
-    ximg = phi(x)
-
-    t_blocks = {}
-    for v in ximg.blocks:
-        t_block = solve_linear(k, gram.blocks[v], ximg.blocks[v], side="left")
-        if t_block is None:
+    a_blocks = _phi_rows(a)
+    b_blocks = {v: _inner_inverse(k, [dict(row) for row in block])
+                for v, block in a_blocks.items()}
+    _require(verify_inner_inverse(a, _from_rows(g, k, b_blocks)),
+             "inner inverse failed its claims")
+    p_blocks, r_blocks = {}, {}
+    for v, block in a_blocks.items():
+        n = len(block)
+        x = _mul(k, block, b_blocks[v])
+        xs = _conj_transpose(k, x, n)
+        t = _solve(k, _mul(k, xs, x), n, n, x, "left")
+        if t is None:
             cert = improper_element(g, k)
             _require(cert is not None,
                      "inconsistent solve over a field proper at this size")
             raise NotStarRegularError(cert)
-        t_blocks[v] = t_block
-    t = phi_inv(MatrixImage(k, ximg.basis, t_blocks))
-    p = t * xs
+        p_blocks[v] = _mul(k, t, xs)
+        r_blocks[v] = _solve(k, block, n, n, p_blocks[v], "right")
+        _require(r_blocks[v] is not None, "p is not in the right ideal of a")
 
-    pimg = phi(p)
-    aimg = phi(a)
-    r_blocks = {}
-    for v in aimg.blocks:
-        r_block = solve_linear(k, aimg.blocks[v], pimg.blocks[v], side="right")
-        _require(r_block is not None, "p is not in the right ideal of a")
-        r_blocks[v] = r_block
-    factor = phi_inv(MatrixImage(k, aimg.basis, r_blocks))
-
-    cert = ProjectionCertificate(p=p, factor=factor)
+    cert = ProjectionCertificate(p=_from_rows(g, k, p_blocks),
+                                 factor=_from_rows(g, k, r_blocks))
     _require(verify_projection(a, cert), "projection failed its claims")
     return cert
 
@@ -236,17 +236,15 @@ def unit_regular_witness(g: Graph, k: Field, a: Element) -> UnitRegularCertifica
     vertices): u = Q^-1 P^-1 per block is invertible with inverse u' = P Q,
     and a u a = a."""
     check_acyclic(g)
-    image = phi(a)
-    basis = sink_basis(g)
-    u_blocks = {}
-    up_blocks = {}
-    for v, block in image.blocks.items():
-        fact = rank_factorization(k, block)
-        u_blocks[v] = mat_mul(fact.q_inv, fact.p_inv)
-        up_blocks[v] = mat_mul(fact.p, fact.q)
-    u = phi_inv(MatrixImage(k, basis, u_blocks))
-    u_prime = phi_inv(MatrixImage(k, basis, up_blocks))
-    cert = UnitRegularCertificate(u=u, u_prime=u_prime, v=Element.one(g, k))
+    u_blocks, up_blocks = {}, {}
+    for v, block in _phi_rows(a).items():
+        n = len(block)
+        p, p_inv, _, q, q_inv, _ = _factor(k, block, n, n)
+        u_blocks[v] = _mul(k, q_inv, p_inv)
+        up_blocks[v] = _mul(k, p, q)
+    cert = UnitRegularCertificate(u=_from_rows(g, k, u_blocks),
+                                  u_prime=_from_rows(g, k, up_blocks),
+                                  v=Element.one(g, k))
     _require(verify_unit_regular(a, cert), "unit-regular data failed its claims")
     return cert
 

@@ -249,3 +249,180 @@ def cycle_reached(g) -> set:
         if u in reach[u]:
             out |= reach[u]
     return out
+
+
+# ---------------------------------------------------------------------------
+# the sink route through dense blocks: the reference for the witness builders
+
+
+def oracle_regular_witness(g, k, a):
+    """b = phi_inv(Q^-1 D P^-1) per dense block of phi(a), A = P D Q."""
+    from leavitt.linalg import mat_mul, rank_factorization
+    from leavitt.semisimple import MatrixImage, phi, phi_inv
+
+    def block_inverse(block):
+        fact = rank_factorization(k, block)
+        return mat_mul(fact.q_inv, mat_mul(fact.d, fact.p_inv))
+
+    image = phi(a)
+    return phi_inv(MatrixImage(k, image.basis,
+                               {v: block_inverse(b) for v, b in image.blocks.items()}))
+
+
+def oracle_unit_regular_witness(g, k, a):
+    """(u, u') = phi_inv(Q^-1 P^-1), phi_inv(P Q) per dense block of phi(a)."""
+    from leavitt.linalg import mat_mul, rank_factorization
+    from leavitt.semisimple import MatrixImage, phi, phi_inv, sink_basis
+
+    image = phi(a)
+    basis = sink_basis(g)
+    u_blocks, up_blocks = {}, {}
+    for v, block in image.blocks.items():
+        fact = rank_factorization(k, block)
+        u_blocks[v] = mat_mul(fact.q_inv, fact.p_inv)
+        up_blocks[v] = mat_mul(fact.p, fact.q)
+    return (phi_inv(MatrixImage(k, basis, u_blocks)),
+            phi_inv(MatrixImage(k, basis, up_blocks)))
+
+
+def oracle_projection_generator(g, k, a):
+    """(p, factor) by element products and dense solves: x = a b, t with
+    t phi(x* x) = phi(x) per block, p = t x*, and a factor = p per block.
+    Raises NotStarRegularError with ``improper_element`` when a solve for t
+    is inconsistent."""
+    from leavitt import NotStarRegularError, improper_element
+    from leavitt.linalg import solve_linear
+    from leavitt.semisimple import MatrixImage, phi, phi_inv
+
+    b = oracle_regular_witness(g, k, a)
+    x = a * b
+    xs = x.star()
+    gram = phi(xs * x)
+    ximg = phi(x)
+    t_blocks = {}
+    for v in ximg.blocks:
+        t_block = solve_linear(k, gram.blocks[v], ximg.blocks[v], side="left")
+        if t_block is None:
+            raise NotStarRegularError(improper_element(g, k))
+        t_blocks[v] = t_block
+    t = phi_inv(MatrixImage(k, ximg.basis, t_blocks))
+    p = t * xs
+    pimg = phi(p)
+    aimg = phi(a)
+    r_blocks = {v: solve_linear(k, aimg.blocks[v], pimg.blocks[v], side="right")
+                for v in aimg.blocks}
+    return p, phi_inv(MatrixImage(k, aimg.basis, r_blocks))
+
+
+# ---------------------------------------------------------------------------
+# the expression parser that multiplies and normalizes as it goes: the
+# reference for ``io.parse_element``
+
+
+class OracleExprParser:
+    def __init__(self, text, g, k):
+        from leavitt.graphs import edge_by_id, vertex_set
+
+        self.text = text
+        self.pos = 0
+        self.g = g
+        self.k = k
+        self.vset = vertex_set(g)
+        self.emap = edge_by_id(g)
+
+    def fail(self, message):
+        from leavitt.io import ParseError
+        raise ParseError(f"column {self.pos + 1}: {message}")
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def at_term_end(self):
+        self.skip_ws()
+        return self.peek() in ("", "+", "-")
+
+    def parse(self):
+        self.skip_ws()
+        if not self.peek():
+            self.fail("empty expression")
+        total = self.parse_term()
+        while True:
+            self.skip_ws()
+            ch = self.peek()
+            if not ch:
+                return total
+            if ch not in "+-":
+                self.fail(f"unexpected character {ch!r}")
+            self.pos += 1
+            term = self.parse_term()
+            total = total + term if ch == "+" else total - term
+
+    def parse_term(self):
+        self.skip_ws()
+        start = self.pos
+        scanned = self.k.scan_literal(self.text, self.pos)
+        if scanned is not None:
+            coeff, end = scanned
+            self.pos = end
+            self.skip_ws()
+            if self.peek() == "*":
+                self.pos += 1
+                return self.parse_factors().scale(coeff)
+            if self.at_term_end():
+                return Element.one(self.g, self.k).scale(coeff)
+            self.pos = start
+        if self.peek() in "+-":
+            sign = self.peek()
+            self.pos += 1
+            element = self.parse_factors()
+            return -element if sign == "-" else element
+        return self.parse_factors()
+
+    def parse_factors(self):
+        element = self.parse_factor()
+        while True:
+            self.skip_ws()
+            if self.peek() != ".":
+                return element
+            self.pos += 1
+            element = element * self.parse_factor()
+
+    def parse_factor(self):
+        from leavitt.io import _IDENT_CHARS
+
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] in _IDENT_CHARS:
+            self.pos += 1
+        name = self.text[start:self.pos]
+        if not name:
+            self.fail("expected an identifier")
+        self.skip_ws()
+        adjoint = False
+        if self.peek() == "*":
+            adjoint = True
+            self.pos += 1
+        return self.resolve(name, adjoint)
+
+    def resolve(self, name, adjoint):
+        from leavitt.io import ParseError
+
+        is_vertex = name in self.vset
+        is_edge = name in self.emap
+        if is_vertex and is_edge:
+            raise ParseError(f"ambiguous identifier {name!r} (both a vertex and an edge)")
+        if is_vertex:
+            return Element.vertex(self.g, self.k, name)
+        if is_edge:
+            if adjoint:
+                return Element.ghost(self.g, self.k, name)
+            return Element.edge(self.g, self.k, name)
+        raise ParseError(f"unknown identifier {name!r}")
+
+
+def oracle_parse_element(text, g, k):
+    return OracleExprParser(text, g, k).parse()

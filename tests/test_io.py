@@ -29,10 +29,13 @@ from leavitt.io import (
     claim_product_equals,
     claim_star_fixed,
     claim_star_product_zero,
+    claims_to_json,
     matrix_image_to_json,
 )
 
-from conftest import FIVE_FIELDS, corpus, random_element
+from leavitt.cli import main
+
+from conftest import FIVE_FIELDS, corpus, oracle_parse_element, random_element
 
 Q = Rationals()
 GF2 = PrimeField(2)
@@ -131,6 +134,24 @@ class TestGraphJson:
         with pytest.raises(ParseError, match="duplicate"):
             parse_graph_json({"vertices": ["a", "a"], "edges": []})
 
+    @pytest.mark.parametrize("edges", [
+        [{"id": ["l"], "src": "a", "dst": "a"}],
+        [{"id": "e", "src": "a", "dst": "b"}, {"id": 7, "src": "a", "dst": "b"}],
+        [{"id": "e", "src": {"v": "a"}, "dst": "b"}],
+        [{"id": "e", "src": "a", "dst": None}],
+    ], ids=["list-id", "int-id-among-strings", "object-src", "null-dst"])
+    def test_non_string_edge_fields_rejected(self, edges, tmp_path, capsys):
+        obj = {"vertices": ["a", "b"], "edges": edges}
+        with pytest.raises(ParseError) as exc:
+            parse_graph_json(obj)
+        assert str(exc.value) == "edge id, src and dst must be strings"
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(obj))
+        assert main(["decide", str(path), "--field", "Q"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "must be strings" in captured.err
+
 
 class TestParseElement:
     def test_improper_certificate_input(self):
@@ -180,6 +201,29 @@ class TestParseElement:
         k = Q
         x = parse_element("(edge:e1,vertex:v2).(edge:e1,vertex:v2)*", g, k)
         assert x == Element.vertex(g, k, "edge:e1")
+
+    def test_one_normalization_and_no_products(self, monkeypatch):
+        from leavitt import algebra, io
+
+        calls = []
+        original = algebra._normalize_terms
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        def no_products(*args):
+            raise AssertionError("Element.__mul__ called")
+
+        for module in (algebra, io):
+            monkeypatch.setattr(module, "_normalize_terms", counted)
+        monkeypatch.setattr(Element, "__mul__", no_products)
+        text = "2*e1.e1*.v1 - e1*.e1 + 3 + v2.e1*"
+        x = parse_element(text, LINE2, Q)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert x == oracle_parse_element(text, LINE2, Q)
+        assert format_element(x) == "5*v1 + 2*v2 + e1*"
 
     def test_round_trips(self, rng):
         fields = FIVE_FIELDS + (QuadraticExtField(3),)
@@ -272,6 +316,25 @@ class TestClaims:
     def test_unknown_claim_type_is_parse_error(self):
         with pytest.raises(ParseError, match="unknown claim type 'bogus'"):
             verify_claims(LINE2, Q, [{"type": "bogus", "arg": "v1"}])
+
+    def test_each_element_formatted_once(self, monkeypatch):
+        from leavitt import io, unit_regular_witness
+        from leavitt.witness import unit_regular_claims
+
+        a = Element.edge(LINE2, Q, "e1") + Element.vertex(LINE2, Q, "v2")
+        claims = unit_regular_claims(a, unit_regular_witness(LINE2, Q, a))
+        want = claims_to_json(claims)
+        formatted = []
+        original = io.format_element
+
+        def counted(x):
+            formatted.append(x)
+            return original(x)
+
+        monkeypatch.setattr(io, "format_element", counted)
+        assert claims_to_json(claims) == want
+        assert len(formatted) == 4 and len({id(x) for x in formatted}) == 4
+        assert want[0] == claim_product_equals(*claims[0][1:])
 
     def test_stops_at_first_false_claim(self):
         # a false claim ahead of an unparsable one decides the result

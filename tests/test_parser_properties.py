@@ -1,0 +1,104 @@
+"""Property tests of the expression parser on line, rose, toeplitz, clock
+and M_n graphs over six fields: it gives the element, or the ParseError
+text, of the multiply-as-you-go parser of conftest, and its monomial
+product rule agrees with ``Element.__mul__``."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+
+from leavitt import Element, Path, Rationals, m_n_graph, standard_graph  # noqa: E402
+from leavitt.algebra import _monomial_product  # noqa: E402
+from leavitt.graphs import clock_graph, in_edges  # noqa: E402
+from leavitt.io import parse_element  # noqa: E402
+
+from conftest import oracle_parse_element  # noqa: E402
+from test_linalg_properties import COEFFS, FIELDS, PROPERTY_SETTINGS  # noqa: E402
+
+GRAPHS = (standard_graph("line", 3), standard_graph("rose", 2),
+          standard_graph("toeplitz"), clock_graph(2, 2),
+          m_n_graph(standard_graph("line", 2), 3))
+TAILS = (" +", "-", ".", "..e1", " x9", "*", " v1 v1", " + 2*", "e1 ")
+
+
+@st.composite
+def expressions(draw):
+    """(g, k, text): one to four terms joined by '+' or '-', each of the
+    forms c*w, -w, c and w for words w of vertices, edges and ghosts, and
+    now and then a malformed tail."""
+    g = draw(st.sampled_from(GRAPHS))
+    field, gen = draw(st.sampled_from(FIELDS))
+    names = ([*g.vertices] + [e.id for e in g.edges] + [f"{e.id}*" for e in g.edges])
+
+    def word():
+        factors = draw(st.lists(st.sampled_from(names), min_size=1, max_size=4))
+        return draw(st.sampled_from((".", " . "))).join(factors)
+
+    def coeff():
+        x = field.from_int(draw(COEFFS)) + field.from_int(draw(COEFFS)) * gen
+        return field.literal(x.payload)
+
+    def term():
+        form = draw(st.integers(0, 3))
+        if form == 0:
+            return f"{coeff()}*{word()}"
+        if form == 1:
+            return f"-{word()}"
+        return coeff() if form == 2 else word()
+
+    text = term()
+    for _ in range(draw(st.integers(0, 3))):
+        text += draw(st.sampled_from((" + ", " - ", "+", "-"))) + term()
+    if draw(st.integers(0, 3)) == 0:
+        text += draw(st.sampled_from(TAILS))
+    return g, field, text
+
+
+def outcome(parse, g, k, text):
+    try:
+        return parse(text, g, k)
+    except Exception as exc:  # the error type and text must agree too
+        return (type(exc).__name__, str(exc))
+
+
+@PROPERTY_SETTINGS
+@given(expressions())
+def test_parse_matches_the_multiply_as_you_go_parser(case):
+    g, k, text = case
+    assert outcome(parse_element, g, k, text) == outcome(oracle_parse_element, g, k, text)
+
+
+@st.composite
+def monomial_pairs(draw):
+    """(g, (p1, q1), (p2, q2)): p and q of each are backward walks of at
+    most three edges into a common vertex."""
+    g = draw(st.sampled_from(GRAPHS))
+
+    def path_to(v):
+        edges = []
+        for _ in range(draw(st.integers(0, 3))):
+            ins = in_edges(g, v)
+            if not ins:
+                break
+            e = draw(st.sampled_from(ins))
+            edges.append(e.id)
+            v = e.src
+        return Path(v, tuple(reversed(edges)))
+
+    def monomial():
+        v = draw(st.sampled_from(g.vertices))
+        return path_to(v), path_to(v)
+
+    return g, monomial(), monomial()
+
+
+@PROPERTY_SETTINGS
+@given(monomial_pairs())
+def test_monomial_product_matches_element_product(case):
+    g, (p1, q1), (p2, q2) = case
+    k = Rationals()
+    want = Element.from_terms(g, k, [(1, p1, q1)]) * Element.from_terms(g, k, [(1, p2, q2)])
+    mono = _monomial_product(p1, q1, p2, q2)
+    got = Element.zero(g, k) if mono is None else Element.from_terms(g, k, [(1, *mono)])
+    assert got == want

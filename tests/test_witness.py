@@ -31,7 +31,7 @@ from leavitt import (
 )
 from leavitt.io import format_graph
 
-from conftest import acyclic_corpus, random_element
+from conftest import acyclic_corpus, corpus, random_element
 
 Q = Rationals()
 QI_ID = GaussianRationals(conjugation=False)
@@ -173,6 +173,43 @@ class TestUnitRegularWitness:
                     a = random_element(g, k, rng)
                     cert = unit_regular_witness(g, k, a)
                     assert verify_unit_regular(a, cert)
+
+
+class TestWorkGate:
+    """The builders work on payload rows from end to end: no FieldValue is
+    built and no dense matrix is read or made, and the certificates still
+    verify."""
+
+    CASES = (("btree", "GF(3,2)", "2*c3.c1 + c5.c2 + t*c1* + n2"),
+             ("union_3_2", "Q[i]/conj", "v1 + 1+i*e1.e2 - 2*e2* + wv1"),
+             ("line5", "Q", "1/2*e1.e2.e3 + e4* - e1 + v3"))
+
+    @staticmethod
+    def forbid(monkeypatch, owner, name):
+        def boom(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        monkeypatch.setattr(owner, name, boom)
+
+    def test_no_field_values_and_no_dense_blocks(self, monkeypatch):
+        from leavitt import fields, linalg, parse_element, parse_field_spec, semisimple
+
+        graphs = corpus()
+        cases = [(graphs[name], parse_field_spec(spec)) for name, spec, _ in self.CASES]
+        elements = [parse_element(text, g, k)
+                    for (g, k), (_, _, text) in zip(cases, self.CASES)]
+        for owner in (linalg, semisimple):
+            for name in ("_sparse", "_dense"):
+                if hasattr(owner, name):
+                    self.forbid(monkeypatch, owner, name)
+        self.forbid(monkeypatch, fields.FieldValue, "__init__")
+        certs = [(regular_witness(g, k, a), unit_regular_witness(g, k, a),
+                  projection_generator(g, k, a))
+                 for (g, k), a in zip(cases, elements)]
+        monkeypatch.undo()
+        for a, (b, unit, proj) in zip(elements, certs):
+            assert verify_inner_inverse(a, b)
+            assert verify_unit_regular(a, unit)
+            assert verify_projection(a, proj)
 
 
 class TestExtendToUnit:
