@@ -675,9 +675,12 @@ class QuadraticExtField(Field):
 _SPEC_RE = re.compile(r"GF\((\d+)(?:,(\d+))?\)$")
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def parse_field_spec(text: str) -> Field:
-    """Field spec strings: Q, Q[i]/id, Q[i]/conj, GF(p), GF(p,2)."""
+    """Field spec strings: Q, Q[i]/id, Q[i]/conj, GF(p), GF(p,2).
+
+    The cache is keyed on the raw text and bounded, so a long-lived caller
+    passing ever new specs (other primes, stray spaces) does not grow it."""
     text = text.strip()
     if text == "Q":
         return Rationals()

@@ -3,11 +3,17 @@
 Everything downstream (path algebra elements, the matrix picture, the
 decision procedures) works over these graphs. Graphs are immutable values
 and all functions here are pure. Every derived table of a graph (vertex
-set, edge lookup, incidence lists, special edges, path counts, the sink
-basis) lives in one ``GraphIndex``, reached as ``g.index``: it is built the
-first time it is asked for, memoized on that graph object, and freed with
-it. Sharing a graph across threads is safe; ``cached_property`` may build a
+set, edge lookup, incidence lists, special edges, sinks, path counts, the
+sink-basis paths) lives in one ``GraphIndex``, reached as ``g.index``: it is
+built the first time it is asked for and memoized on that graph object.
+Sharing a graph across threads is safe; ``cached_property`` may build a
 table twice under a race, and both results are equal.
+
+Ownership: derived tables never point back to the graph, so a graph and
+everything computed from it are freed by reference counting as soon as the
+last reference to the graph goes. Only values handed to callers hold a
+``Graph``: an ``Element``, a ``SinkBasis`` view (and the ``MatrixImage``
+built on it) and a ``DecisionReport``.
 
 Building the index validates the graph: a duplicate identifier or a dangling
 endpoint raises ``GraphError`` with the messages of ``validate``, so every
@@ -83,12 +89,14 @@ class GraphIndex:
     Building it raises ``GraphError`` (the ``validate`` messages joined by
     "; ") on duplicate identifiers or dangling endpoints. Incidence lists are
     sorted by edge id; the special edge of a non-sink vertex is its greatest
-    outgoing edge id. ``mu``, ``acyclic``, ``sigma`` and ``sink_basis`` are
-    computed on first use.
+    outgoing edge id. ``mu``, ``acyclic``, ``sigma``, ``sinks`` and
+    ``sink_paths`` are computed on first use. The index keeps the graph's
+    vertex-order tuple, never the graph itself, so it forms no reference
+    cycle with the graph that memoizes it.
     """
 
     def __init__(self, g: Graph):
-        self.graph = g
+        self.order = g.vertices
         self.vertices = frozenset(g.vertices)
         self.edge_by_id = {e.id: e for e in g.edges}
         if len(self.vertices) < len(g.vertices) or len(self.edge_by_id) < len(g.edges):
@@ -116,7 +124,7 @@ class GraphIndex:
         with pending in-edges are exactly those a cycle reaches, and they get
         OMEGA; the graph is acyclic when every vertex was popped.
         """
-        vertices = self.graph.vertices
+        vertices = self.order
         out_edges = self.out_edges
         pending = {v: len(es) for v, es in self.in_edges.items()}
         counts = dict.fromkeys(vertices, 1)
@@ -152,8 +160,25 @@ class GraphIndex:
         return max(self.mu.values(), default=0) if self.acyclic else OMEGA
 
     @functools.cached_property
-    def sink_basis(self) -> "SinkBasis":
-        return SinkBasis(self.graph)
+    def sinks(self) -> tuple[str, ...]:
+        outs = self.out_edges
+        return tuple(v for v in self.order if not outs[v])
+
+    @functools.cached_property
+    def sink_paths(self) -> tuple[dict, dict]:
+        """The sink-basis tables of an acyclic graph: the ordered paths into
+        each sink (see ``enumerate_paths_to``), and the (sink, position) of
+        each of those paths."""
+        if not self.acyclic:
+            raise CyclicGraphError("graph has a cycle")
+        paths = {v: tuple(_paths_to(self.in_edges, v)) for v in self.sinks}
+        position = {}
+        for v, ps in paths.items():
+            if len(ps) != self.mu[v]:
+                raise AssertionError(f"path count at sink {v} disagrees with mu")
+            for i, a in enumerate(ps):
+                position[a] = (v, i)
+        return paths, position
 
 
 def vertex_set(g: Graph) -> frozenset:
@@ -218,8 +243,7 @@ def classify_vertex(g: Graph, v: str) -> VertexInfo:
 
 
 def sinks(g: Graph) -> tuple[str, ...]:
-    outs = g.index.out_edges
-    return tuple(v for v in g.vertices if not outs[v])
+    return g.index.sinks
 
 
 def is_acyclic(g: Graph) -> bool:
@@ -280,7 +304,12 @@ def enumerate_paths_to(g: Graph, v: str, limit: int | None = None) -> list:
     """
     if not is_finite(mu(g, v)):
         raise InfinitePathSetError(f"infinitely many paths end at {v}")
-    ins = g.index.in_edges
+    return _paths_to(g.index.in_edges, v, limit)
+
+
+def _paths_to(ins: dict, v: str, limit: int | None = None) -> list:
+    """``enumerate_paths_to`` over the in-edge table of a graph in which
+    finitely many paths end at v."""
     found = []
     level = [Path(v, ())]
     while level and (limit is None or len(found) < limit):
@@ -291,20 +320,19 @@ def enumerate_paths_to(g: Graph, v: str, limit: int | None = None) -> list:
 
 
 class SinkBasis:
-    """Ordered sinks with, for each, the ordered list of paths into it."""
+    """Ordered sinks with, for each, the ordered list of paths into it, and
+    ``index`` giving each of those paths its (sink, position).
+
+    A view of one acyclic graph: it holds the graph, so a ``MatrixImage``
+    built on it keeps its graph alive, while the tables themselves are the
+    graph-free ``sinks`` and ``sink_paths`` of ``graph.index``.
+    """
 
     def __init__(self, graph: Graph):
-        check_acyclic(graph)
+        index = graph.index
+        self.paths, self.index = index.sink_paths
+        self.sinks = index.sinks
         self.graph = graph
-        self.sinks = sinks(graph)
-        self.paths = {v: tuple(enumerate_paths_to(graph, v)) for v in self.sinks}
-        self.index = {}
-        for v in self.sinks:
-            for i, a in enumerate(self.paths[v]):
-                self.index[a] = (v, i)
-        for v in self.sinks:
-            if len(self.paths[v]) != mu(graph, v):
-                raise AssertionError(f"path count at sink {v} disagrees with mu")
 
     def size(self, v: str) -> int:
         return len(self.paths[v])

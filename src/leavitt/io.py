@@ -108,6 +108,8 @@ def parse_graph_json(obj) -> Graph:
     edges_in = obj.get("edges", [])
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise ParseError("vertices must be a list of strings")
+    if not isinstance(edges_in, list):
+        raise ParseError("edges must be a list of objects")
     edges = []
     for e in edges_in:
         if not isinstance(e, dict):

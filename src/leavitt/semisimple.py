@@ -23,7 +23,7 @@ from .linalg import ShapeError, _dense, conj_transpose, mat_eq, mat_mul, mat_sha
 
 
 def sink_basis(g: Graph) -> SinkBasis:
-    return g.index.sink_basis
+    return SinkBasis(g)
 
 
 def _sink_expand(g: Graph, field: Field, terms: dict) -> dict:

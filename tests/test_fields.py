@@ -206,6 +206,15 @@ class TestSpecStrings:
         assert PrimeField(3) != PrimeField(5)
         assert GaussianRationals(True) != GaussianRationals(False)
 
+    def test_spec_cache_is_bounded(self):
+        bound = parse_field_spec.cache_info().maxsize
+        assert bound is not None
+        # raw texts differing only in spaces are distinct cache keys
+        fields = [parse_field_spec(" " * i + "GF(3)") for i in range(bound + 10)]
+        assert parse_field_spec.cache_info().currsize <= bound
+        assert all(k == PrimeField(3) for k in fields)
+        assert parse_field_spec("GF(3) ") == parse_field_spec("GF(3)")
+
 
 class TestLargePrimes:
     """Primality by deterministic Miller-Rabin below PRIME_LIMIT, a refusal

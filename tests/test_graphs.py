@@ -1,4 +1,7 @@
+import contextlib
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -428,10 +431,8 @@ class TestGraphIndex:
         assert "mu" not in vars(g.index)
 
     def test_graphs_are_freed_after_use(self):
-        # no table keyed on a graph may outlive the graph
-        import gc
-        import weakref
-
+        # no table keyed on a graph may outlive the graph, and no table may
+        # point back to it: reference counting alone frees the graph
         from leavitt import (
             Element,
             NotStarRegularError,
@@ -459,9 +460,75 @@ class TestGraphIndex:
             except NotStarRegularError:
                 pass
 
-        g = standard_graph("line", 3)
-        use(g)
-        ref = weakref.ref(g)
-        del g
-        gc.collect()
-        assert ref() is None
+        with collector_off():
+            g = standard_graph("line", 3)
+            use(g)
+            ref = weakref.ref(g)
+            del g
+            assert ref() is None
+
+    def test_cli_leaves_no_cyclic_garbage(self, tmp_path, capsys):
+        from leavitt.cli import main
+        from leavitt.io import format_graph
+
+        line3 = tmp_path / "line3.txt"
+        line3.write_text(format_graph(standard_graph("line", 3)))
+        rose1 = tmp_path / "rose1.txt"
+        rose1.write_text(format_graph(standard_graph("rose", 1)))
+        runs = [
+            (["analyze", line3], 0),
+            (["analyze", rose1, "--json"], 0),
+            (["decide", line3, "--field", "GF(3)"], 0),
+            (["decide", rose1, "--field", "Q", "--json"], 0),
+            (["nf", line3, "--field", "Q", "-e", "e1.e2.e2* + v3"], 0),
+            (["mul", line3, "--field", "Q", "-e", "e1", "-e", "e2"], 0),
+            (["star", line3, "--field", "Q[i]/conj", "-e", "i*e2"], 0),
+            (["phi", line3, "--field", "Q", "-e", "v3 + e2"], 0),
+            (["witness", "regular", line3, "--field", "Q", "-e", "v3 + e2"], 0),
+            (["witness", "unit", line3, "--field", "Q", "-e", "v3 + 2*e2"], 0),
+            (["witness", "projection", line3, "--field", "Q", "-e", "v3 + e2"], 0),
+            (["witness", "improper", line3, "--field", "GF(3)"], 0),
+            (["witness", "regular", rose1, "--field", "Q", "-e", "v"], 1),
+        ]
+        with collector_off(gc.DEBUG_SAVEALL):
+            for argv, code in runs:
+                assert main([str(a) for a in argv]) == code, argv
+            capsys.readouterr()
+            gc.collect()
+            kept = sorted({type(o).__qualname__ for o in gc.garbage
+                           if type(o).__module__.startswith("leavitt")})
+        assert kept == []
+
+    def test_image_keeps_its_graph(self):
+        from leavitt import phi_inv
+
+        def element():
+            g, q = standard_graph("line", 3), Rationals()
+            return Element.vertex(g, q, "v3") + 2 * Element.edge(g, q, "e2")
+
+        with collector_off():
+            x = element()
+            img = phi(x)
+            ref = weakref.ref(x.graph)
+            del x
+            assert ref() is img.basis.graph
+            assert phi_inv(img) == element()
+            del img
+            assert ref() is None
+
+
+@contextlib.contextmanager
+def collector_off(debug=0):
+    """Run the block with the cyclic garbage collector disabled (and the
+    given debug flags), restoring both afterwards."""
+    was_enabled, old_debug = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(debug)
+    try:
+        yield
+    finally:
+        gc.set_debug(old_debug)
+        del gc.garbage[:]
+        if was_enabled:
+            gc.enable()

@@ -152,6 +152,21 @@ class TestGraphJson:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "must be strings" in captured.err
 
+    @pytest.mark.parametrize("edges", [None, 5, "xyz", {"id": "e"}],
+                             ids=["null", "number", "string", "object"])
+    def test_edges_not_a_list_rejected(self, edges, tmp_path, capsys):
+        obj = {"vertices": ["a"], "edges": edges}
+        with pytest.raises(ParseError) as exc:
+            parse_graph_json(obj)
+        assert str(exc.value) == "edges must be a list of objects"
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(obj))
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "edges must be a list of objects" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestParseElement:
     def test_improper_certificate_input(self):
