@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .fields import Field, FieldMismatchError, FieldValue
+from .fields import Field, FieldError, FieldMismatchError, FieldValue
 from .graphs import Graph, GraphError, Path, is_path, path_range
 
 
@@ -386,6 +386,17 @@ def _float_sign(literal: str) -> bool:
     return literal.startswith("-") and not any(ch in "+-" for ch in literal[1:])
 
 
+def _reads_as_coefficient(field: Field, mono: str) -> bool:
+    """True when the parser would read mono alone, or mono followed by "*",
+    as a coefficient: a whole field literal such as vertex "1" over Q or
+    edge "i" over Q[i]. Such a monomial needs an explicit "1*" before it."""
+    try:
+        scanned = field.scan_literal(mono, 0)
+    except FieldError:
+        return False
+    return scanned is not None and mono[scanned[1]:scanned[1] + 1] in ("", "*")
+
+
 def format_element(x: Element) -> str:
     if x.is_zero:
         return "0"
@@ -403,6 +414,9 @@ def format_element(x: Element) -> str:
             joiner = " + "
         else:
             joiner = ""
-        body = mono if lit == "1" else f"{lit}*{mono}"
+        if lit == "1" and not _reads_as_coefficient(x.field, mono):
+            body = mono
+        else:
+            body = f"{lit}*{mono}"
         out.append(joiner + body)
     return "".join(out)

@@ -98,7 +98,10 @@ def _indexed(g: Graph) -> Graph:
 
 def parse_graph_json(obj) -> Graph:
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        try:
+            obj = json.loads(obj)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ParseError("graph object expected")
     unknown = set(obj) - {"vertices", "edges"}
@@ -129,13 +132,8 @@ def parse_graph_json(obj) -> Graph:
 
 def parse_graph_any(text: str) -> Graph:
     """Sniff the format: JSON if the first non-space character is '{'."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON: {exc}") from None
-        return parse_graph_json(obj)
+    if text.lstrip().startswith("{"):
+        return parse_graph_json(text)
     return parse_graph(text)
 
 

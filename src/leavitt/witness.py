@@ -11,10 +11,10 @@ The builders work on the per-sink payload rows of ``semisimple`` with the
 payload-row kernels of ``linalg``: a is expanded once (``_phi_rows``), each
 block is factored, multiplied and solved as rows, and only the elements of
 the certificate are mapped back (``_from_rows``). The projection algebra
-(x = a b, its Gram matrix x* x, t and p = t x*) stays in block land too:
-phi is multiplicative and star-compatible, so each block is the image of
-the element product it stands for, and no element product is formed before
-the claims are checked.
+(the Gram block A* A of a's block A, t and p = t A*) stays in block land
+too: phi is multiplicative and star-compatible, so each block is the image
+of the element product it stands for, and no element product is formed
+before the claims are checked.
 
 The claim vocabulary, one tuple per claim:
 
@@ -149,19 +149,16 @@ def _require(ok: bool, message: str) -> None:
 # constructions
 
 
-def _inner_inverse(k: Field, block):
-    """B = Q^-1 D P^-1 for the square payload rows A = P D Q (consumed)."""
-    n = len(block)
-    _, p_inv, d, _, q_inv, _ = _factor(k, block, n, n)
-    return _mul(k, q_inv, _mul(k, d, p_inv))
-
-
 def regular_witness(g: Graph, k: Field, a: Element) -> Element:
     """An inner inverse: b with a b a = a, built per block from A = P D Q as
     B = Q^-1 D P^-1."""
     check_acyclic(g)
-    b = _from_rows(g, k, {v: _inner_inverse(k, block)
-                          for v, block in _phi_rows(a).items()})
+    b_blocks = {}
+    for v, block in _phi_rows(a).items():
+        n = len(block)
+        _, p_inv, d, _, q_inv, _ = _factor(k, block, n, n)
+        b_blocks[v] = _mul(k, q_inv, _mul(k, d, p_inv))
+    b = _from_rows(g, k, b_blocks)
     _require(verify_inner_inverse(a, b), "inner inverse failed its claims")
     return b
 
@@ -198,30 +195,28 @@ def projection_generator(g: Graph, k: Field, a: Element) -> ProjectionCertificat
     """A projection generating the same right ideal as a, with a factor
     witnessing p in aR.
 
-    Follows the regular-and-proper route: x = a b is an idempotent with
-    x R = a R; solve t (x* x) = x, then p = t x* is the projection. When the
-    involution is proper at every block size the solve is always consistent;
-    it can only fail when properness fails, and then NotStarRegularError is
-    raised carrying an improper element for the graph and field.
+    Per block A of a: solve t (A* A) = A; then p = t A* is the projection
+    onto the column space of A, and the factor r solves A r = p. The solve
+    fails exactly when that column space holds a nonzero vector orthogonal
+    to all of it, which a field proper at every block size rules out; then
+    NotStarRegularError carries an improper element for the graph and
+    field. The inner-inverse route (x = a b, solved with x* x) gives the
+    same p, factor and error: x = a b and a = x a share that column space,
+    p is the unique projection onto it, and r is solved from the same A
+    and p.
     """
     check_acyclic(g)
-    a_blocks = _phi_rows(a)
-    b_blocks = {v: _inner_inverse(k, [dict(row) for row in block])
-                for v, block in a_blocks.items()}
-    _require(verify_inner_inverse(a, _from_rows(g, k, b_blocks)),
-             "inner inverse failed its claims")
     p_blocks, r_blocks = {}, {}
-    for v, block in a_blocks.items():
+    for v, block in _phi_rows(a).items():
         n = len(block)
-        x = _mul(k, block, b_blocks[v])
-        xs = _conj_transpose(k, x, n)
-        t = _solve(k, _mul(k, xs, x), n, n, x, "left")
+        a_star = _conj_transpose(k, block, n)
+        t = _solve(k, _mul(k, a_star, block), n, n, block, "left")
         if t is None:
             cert = improper_element(g, k)
             _require(cert is not None,
                      "inconsistent solve over a field proper at this size")
             raise NotStarRegularError(cert)
-        p_blocks[v] = _mul(k, t, xs)
+        p_blocks[v] = _mul(k, t, a_star)
         r_blocks[v] = _solve(k, block, n, n, p_blocks[v], "right")
         _require(r_blocks[v] is not None, "p is not in the right ideal of a")
 

@@ -5,6 +5,7 @@ import pytest
 from leavitt import (
     Element,
     GaussianRationals,
+    Graph,
     ParseError,
     PrimeField,
     QuadraticExtField,
@@ -16,6 +17,7 @@ from leavitt import (
     full_report,
     graph_to_json,
     parse_element,
+    parse_field_spec,
     parse_graph,
     parse_graph_any,
     parse_graph_json,
@@ -133,6 +135,14 @@ class TestGraphJson:
     def test_duplicates_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
             parse_graph_json({"vertices": ["a", "a"], "edges": []})
+
+    def test_bad_json_text_is_one_parse_error(self):
+        with pytest.raises(ParseError) as direct:
+            parse_graph_json("{bad")
+        with pytest.raises(ParseError) as sniffed:
+            parse_graph_any("{bad")
+        assert str(direct.value).startswith("bad JSON: ")
+        assert str(direct.value) == str(sniffed.value)
 
     @pytest.mark.parametrize("edges", [
         [{"id": ["l"], "src": "a", "dst": "a"}],
@@ -275,6 +285,45 @@ class TestFormatting:
             rose, Q, [(1, Path("v", ("e1", "e1")), Path("v", ("e2", "e1")))])
         assert format_element(x) == "e1.e1.e1*.e2*"
         assert parse_element("e1.e1.e1*.e2*", rose, Q) == x
+
+    # identifiers that are whole field literals: "1" over Q reads as the
+    # identity, "i" over Q[i] as the scalar i, unless written "1*..."
+    LITERAL_IDS = [("Q[i]/id", "i", "1i"), ("Q[i]/conj", "i", "1i"),
+                   ("GF(3,2)", "t", "2t"), ("Q", "1", "2"), ("GF(5)", "1", "2")]
+
+    @pytest.mark.parametrize("spec,x,y", LITERAL_IDS)
+    def test_literal_like_ids_round_trip(self, spec, x, y):
+        k = parse_field_spec(spec)
+        on_vertices = Graph.build([x, y, "w"], [("e", "w", x)])
+        on_edges = Graph.build(["a", "b"], [(x, "a", "b"), (y, "a", "b")])
+        for g in (on_vertices, on_edges):
+            gens = [Element.vertex(g, k, u) for u in g.vertices]
+            gens += [Element.edge(g, k, f.id) for f in g.edges]
+            gens += [Element.edge(g, k, f.id).star() for f in g.edges]
+            gens.append(Element.one(g, k))
+            elements = gens + [-u for u in gens]
+            elements += [u - w for u in gens for w in gens if u != w]
+            for elem in elements:
+                assert parse_element(format_element(elem), g, k) == elem
+
+    def test_id_with_a_zero_denominator_still_formats(self):
+        g = parse_graph_json({"vertices": ["1/0", "2/0i"], "edges": []})
+        for k in (Q, GaussianRationals(conjugation=True)):
+            assert format_element(Element.vertex(g, k, "1/0")) == "1/0"
+            assert format_element(Element.vertex(g, k, "2/0i")) == "2/0i"
+
+    @pytest.mark.parametrize("spec,x,y", LITERAL_IDS)
+    def test_literal_like_ids_claims_reverify(self, spec, x, y, tmp_path, capsys):
+        k = parse_field_spec(spec)
+        g = Graph.build(["a", "b", x], [(y, "a", "b")])
+        path = tmp_path / "g.txt"
+        path.write_text(format_graph(g))
+        for kind in ("regular", "unit", "projection"):
+            for text in (f"1*{y}", f"1*{x} - 1*{y}*", f"a + 1*{y}"):
+                argv = ["witness", kind, str(path), "--field", spec, "-e", text, "--json"]
+                assert main(argv) == 0, argv
+                out = json.loads(capsys.readouterr().out)
+                assert verify_claims(g, k, out["claims"]), argv
 
 
 class TestReportSerialization:

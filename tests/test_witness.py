@@ -211,6 +211,31 @@ class TestWorkGate:
             assert verify_unit_regular(a, unit)
             assert verify_projection(a, proj)
 
+    def test_projection_factors_each_block_twice(self, monkeypatch):
+        from leavitt import linalg, parse_element, parse_field_spec
+        from leavitt.semisimple import _phi_rows
+
+        graphs = corpus()
+        cases = [(graphs[name], parse_field_spec(spec), text)
+                 for name, spec, text in self.CASES]
+        cases.append((LINE2, Q, "e1"))
+        calls = []
+        factor = linalg._factor
+
+        def counted(*args):
+            calls.append(None)
+            return factor(*args)
+
+        monkeypatch.setattr(linalg, "_factor", counted)
+        monkeypatch.setattr(witness, "_factor", counted)
+        self.forbid(monkeypatch, witness, "verify_inner_inverse")
+        for g, k, text in cases:
+            a = parse_element(text, g, k)
+            calls.clear()
+            cert = projection_generator(g, k, a)
+            assert len(calls) == 2 * len(_phi_rows(a)), text
+            assert verify_projection(a, cert)
+
 
 class TestExtendToUnit:
     def test_full_identity_leaves_u(self):
