@@ -111,10 +111,12 @@ class Element:
     """An immutable element of the algebra of a fixed graph over a field.
 
     Supports +, -, * (both by elements and by coefficients), ``star`` for
-    the involution, and structural equality of normal forms.
+    the involution, and structural equality of normal forms. ``_text``, the
+    printed form, is set by the first ``format_element`` call and is not
+    part of equality or the hash.
     """
 
-    __slots__ = ("graph", "field", "_terms")
+    __slots__ = ("graph", "field", "_terms", "_text")
 
     def __init__(self, graph: Graph, field: Field, terms: dict, *, _trusted=False):
         if not _trusted:
@@ -143,12 +145,6 @@ class Element:
             cooked.append((c, p, q))
         return Element(graph, field, _normalize_terms(graph, field, cooked, schedule),
                        _trusted=True)
-
-    @staticmethod
-    def _raw(graph, field, terms: dict) -> "Element":
-        # Trusted construction from an already-reduced monomial->payload map;
-        # sink_normal_form uses this to keep a non-canonical representation.
-        return Element(graph, field, terms, _trusted=True)
 
     @staticmethod
     def zero(graph, field) -> "Element":
@@ -398,15 +394,26 @@ def _reads_as_coefficient(field: Field, mono: str) -> bool:
 
 
 def format_element(x: Element) -> str:
-    if x.is_zero:
-        return "0"
-    pieces = []
-    for (p, q), c in x._sorted_terms():
+    """x in the expression grammar.
+
+    The text is formatted once per element and kept on it, so printing the
+    same object again (a certificate in its payload and in its claims) costs
+    an attribute read. It cannot go stale: only ``__init__`` assigns
+    ``_terms``. Two threads that race both store the same string.
+    """
+    try:
+        return x._text
+    except AttributeError:
+        pass
+    x._text = text = _format_terms(x)
+    return text
+
+
+def _format_terms(x: Element) -> str:
+    out = []
+    for idx, ((p, q), c) in enumerate(x._sorted_terms()):
         mono = format_monomial(p, q)
         lit = x.field.literal(c)
-        pieces.append((lit, mono))
-    out = []
-    for idx, (lit, mono) in enumerate(pieces):
         if idx > 0 and _float_sign(lit):
             lit = lit[1:]
             joiner = " - "
@@ -419,4 +426,4 @@ def format_element(x: Element) -> str:
         else:
             body = f"{lit}*{mono}"
         out.append(joiner + body)
-    return "".join(out)
+    return "".join(out) or "0"

@@ -42,7 +42,6 @@ from .graphs import (
 from .io import (
     ParseError,
     claims_to_json,
-    element_formatter,
     format_graph,
     format_matrix_image,
     format_report,
@@ -227,26 +226,25 @@ def _cmd_phi(args) -> int:
 def _cmd_witness(args) -> int:
     g = _load_graph(args.graph)
     k = parse_field_spec(args.field)
-    fmt = element_formatter()
-    payload, claims, text = _witness(args, g, k, fmt)
+    payload, claims, text = _witness(args, g, k)
     # The builders check their own claims and raise CertificateError when one
     # fails, so whatever reaches this line is verified.
     _emit(args.as_json, payload,
-          lambda head: {**head, "claims": claims_to_json(claims, fmt), "verified": True},
+          lambda head: {**head, "claims": claims_to_json(claims), "verified": True},
           lambda head: text)
     return 0
 
 
-def _witness(args, g, k, fmt):
-    """The payload head, the claims and the text for one witness kind. The
-    payload's elements are formatted with ``fmt`` (an ``element_formatter``),
-    so the text and the claims reuse those strings."""
+def _witness(args, g, k):
+    """The payload head, the claims and the text for one witness kind. Each
+    element keeps the text ``format_element`` gives it, so the claims reuse
+    the payload's strings."""
     if args.kind == "improper":
         cert = improper_element(g, k)
         payload = {"kind": "improper", "certificate": None}
         claims, text = [], "none"
         if cert is not None:
-            payload["certificate"] = fmt(cert)
+            payload["certificate"] = format_element(cert)
             claims = improper_claims(cert)
             text = f"{payload['certificate']}\nverified: a != 0 and star(a).a = 0"
         return payload, claims, text
@@ -254,11 +252,11 @@ def _witness(args, g, k, fmt):
     if not args.expr:
         raise ParseError(f"witness {args.kind} needs -e EXPR")
     a = parse_element(args.expr, g, k)
-    payload = {"kind": args.kind, "input": fmt(a)}
+    payload = {"kind": args.kind, "input": format_element(a)}
 
     if args.kind == "regular":
         b = regular_witness(g, k, a)
-        payload["inverse"] = fmt(b)
+        payload["inverse"] = format_element(b)
         claims = inner_inverse_claims(a, b)
         text = f"inverse: {payload['inverse']}\nverified: a.b.a = a"
     elif args.kind == "projection":
@@ -267,22 +265,22 @@ def _witness(args, g, k, fmt):
         except NotStarRegularError as exc:
             c = exc.certificate
             payload["kind"] = "not_star_regular"
-            payload["certificate"] = fmt(c)
+            payload["certificate"] = format_element(c)
             claims = improper_claims(c)
             text = (f"not *-regular; certificate: {payload['certificate']}\n"
                     f"verified: c != 0 and star(c).c = 0")
         else:
-            payload["projection"] = fmt(cert.p)
-            payload["factor"] = fmt(cert.factor)
+            payload["projection"] = format_element(cert.p)
+            payload["factor"] = format_element(cert.factor)
             claims = projection_claims(a, cert)
             text = (f"projection: {payload['projection']}\n"
                     f"factor: {payload['factor']}\n"
                     f"verified: p* = p = p.p, p.a = a, a.factor = p")
     else:
         cert = unit_regular_witness(g, k, a)
-        payload["u"] = fmt(cert.u)
-        payload["u_prime"] = fmt(cert.u_prime)
-        payload["v"] = fmt(cert.v)
+        payload["u"] = format_element(cert.u)
+        payload["u_prime"] = format_element(cert.u_prime)
+        payload["v"] = format_element(cert.v)
         claims = unit_regular_claims(a, cert)
         text = (f"u: {payload['u']}\n"
                 f"u_prime: {payload['u_prime']}\n"

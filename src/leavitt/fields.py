@@ -153,11 +153,6 @@ class Field:
     def from_int(self, n: int) -> FieldValue:
         return FieldValue(self, self._from_int(n))
 
-    def conj(self, value: FieldValue) -> FieldValue:
-        if value.field != self:
-            raise FieldMismatchError("value belongs to a different field")
-        return value.conj()
-
     # --- involution and properness ------------------------------------
 
     def properness_level(self):

@@ -8,7 +8,8 @@ Graph text format, one declaration per line, '#' starts a comment:
 The structured (JSON) graph format is an object with "vertices" and "edges"
 keys only; edges are {"id","src","dst"} objects. Both parsers build the
 graph's index, which rejects duplicate identifiers and dangling endpoints
-with the messages of ``graphs.validate``.
+with the messages of ``graphs.validate``, and then refuse an id that the
+expression grammar below cannot spell.
 
 Element expressions follow
 
@@ -88,12 +89,28 @@ def parse_graph(text: str) -> Graph:
 
 def _indexed(g: Graph) -> Graph:
     """g with its index built; the index refuses duplicate identifiers and
-    dangling endpoints, reported here as a ParseError."""
+    dangling endpoints, reported here as a ParseError. Then every id must be
+    one the expression grammar can spell (nonempty ``_IDENT_CHARS``, never
+    both a vertex and an edge), or printed claims would not parse back. One
+    pass over the joined ids checks that; only a refused graph is scanned id
+    by id, to name the first offender."""
     try:
-        g.index
+        index = g.index
     except GraphError as exc:
         raise ParseError(str(exc)) from None
-    return g
+    vertices, edges = index.vertices, index.edge_by_id
+    ids = "".join(g.vertices) + "".join(edges)
+    if ids.isascii():
+        rest = ids.encode().translate(None, _IDENT_PUNCT)
+        if ((rest.isalnum() or not rest) and "" not in vertices and "" not in edges
+                and vertices.isdisjoint(edges)):
+            return g
+    for name in (*g.vertices, *edges):
+        if not name or not _IDENT_CHARS.issuperset(name):
+            raise ParseError(f"identifier {name!r} must be nonempty letters, "
+                             f"digits and _:@(),")
+    name = next(v for v in g.vertices if v in edges)
+    raise ParseError(f"identifier {name!r} names both a vertex and an edge")
 
 
 def parse_graph_json(obj) -> Graph:
@@ -154,6 +171,8 @@ def graph_to_json(g: Graph) -> dict:
 # element expressions
 
 _IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_:@(),")
+# the characters of _IDENT_CHARS that are not ASCII letters or digits
+_IDENT_PUNCT = b"_:@(),"
 
 
 class _ExprParser:
@@ -350,57 +369,38 @@ def format_report(report: DecisionReport) -> str:
 # evaluator live in ``leavitt.witness``)
 
 
-def element_formatter():
-    """A ``format_element`` that formats each element object once and
-    returns the same text on every later call with that object."""
-    texts = {}
-
-    def fmt(x):
-        hit = texts.get(id(x))
-        if hit is None:
-            # keep x alive, so its id is not reused while the cache lives
-            hit = texts[id(x)] = (x, format_element(x))
-        return hit[1]
-
-    return fmt
-
-
-def claim_product_equals(factors, equals, fmt=None) -> dict:
-    fmt = fmt or format_element
+def claim_product_equals(factors, equals) -> dict:
     return {"type": "product_equals",
-            "factors": [fmt(x) for x in factors],
-            "equals": fmt(equals)}
+            "factors": [format_element(x) for x in factors],
+            "equals": format_element(equals)}
 
 
-def claim_star_fixed(x, fmt=None) -> dict:
-    return {"type": "star_fixed", "arg": (fmt or format_element)(x)}
+def claim_star_fixed(x) -> dict:
+    return {"type": "star_fixed", "arg": format_element(x)}
 
 
-def claim_star_product_zero(x, fmt=None) -> dict:
-    return {"type": "star_product_zero", "arg": (fmt or format_element)(x)}
+def claim_star_product_zero(x) -> dict:
+    return {"type": "star_product_zero", "arg": format_element(x)}
 
 
-def claim_nonzero(x, fmt=None) -> dict:
-    return {"type": "nonzero", "arg": (fmt or format_element)(x)}
+def claim_nonzero(x) -> dict:
+    return {"type": "nonzero", "arg": format_element(x)}
 
 
-def claims_to_json(claims, fmt=None) -> list:
-    """Serialize ``leavitt.witness`` claim tuples, keeping their order.
-
-    Each element object is formatted once per call, through ``fmt`` when
-    given (an ``element_formatter`` that may already hold the texts of the
-    caller's elements) and through a fresh one otherwise."""
-    fmt = fmt or element_formatter()
+def claims_to_json(claims) -> list:
+    """Serialize ``leavitt.witness`` claim tuples, keeping their order. An
+    element keeps its printed text, so one that appears in several claims
+    (or was printed before) is formatted once."""
     out = []
     for kind, *args in claims:
         if kind == "product_equals":
-            out.append(claim_product_equals(*args, fmt))
+            out.append(claim_product_equals(*args))
         elif kind == "star_fixed":
-            out.append(claim_star_fixed(*args, fmt))
+            out.append(claim_star_fixed(*args))
         elif kind == "star_product_zero":
-            out.append(claim_star_product_zero(*args, fmt))
+            out.append(claim_star_product_zero(*args))
         elif kind == "nonzero":
-            out.append(claim_nonzero(*args, fmt))
+            out.append(claim_nonzero(*args))
         else:
             raise ValueError(f"unknown claim type {kind!r}")
     return out

@@ -55,7 +55,7 @@ def sink_normal_form(x: Element) -> Element:
     back x); it is the representation phi reads entries from.
     """
     check_acyclic(x.graph)
-    return Element._raw(x.graph, x.field, _sink_expand(x.graph, x.field, x._terms))
+    return Element(x.graph, x.field, _sink_expand(x.graph, x.field, x._terms), _trusted=True)
 
 
 @dataclass
@@ -65,9 +65,6 @@ class MatrixImage:
     field: Field
     basis: SinkBasis
     blocks: dict
-
-    def block(self, v: str):
-        return self.blocks[v]
 
     def is_zero(self) -> bool:
         return all(not x for b in self.blocks.values() for row in b for x in row)

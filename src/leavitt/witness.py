@@ -151,13 +151,14 @@ def _require(ok: bool, message: str) -> None:
 
 def regular_witness(g: Graph, k: Field, a: Element) -> Element:
     """An inner inverse: b with a b a = a, built per block from A = P D Q as
-    B = Q^-1 D P^-1."""
+    B = Q^-1 D P^-1. D is the 0/1 diagonal of rank r, so D P^-1 is the
+    first r rows of P^-1 over empty rows."""
     check_acyclic(g)
     b_blocks = {}
     for v, block in _phi_rows(a).items():
         n = len(block)
-        _, p_inv, d, _, q_inv, _ = _factor(k, block, n, n)
-        b_blocks[v] = _mul(k, q_inv, _mul(k, d, p_inv))
+        _, p_inv, _, _, q_inv, r = _factor(k, block, n, n)
+        b_blocks[v] = _mul(k, q_inv, p_inv[:r] + [{}] * (n - r))
     b = _from_rows(g, k, b_blocks)
     _require(verify_inner_inverse(a, b), "inner inverse failed its claims")
     return b

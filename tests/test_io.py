@@ -178,6 +178,78 @@ class TestGraphJson:
         assert "Traceback" not in captured.err
 
 
+class TestIdsTheGrammarCanSpell:
+    """Both graph parsers refuse an id that element expressions cannot
+    spell, since claims printed over it would not parse back."""
+
+    # (vertices, edges, message); edges are (id, src, dst)
+    REFUSED = [
+        (["a", "b"], [("a", "a", "b")],
+         "identifier 'a' names both a vertex and an edge"),
+        (["x-1", "b"], [("e", "x-1", "b")],
+         "identifier 'x-1' must be nonempty letters, digits and _:@(),"),
+        (["a", "b"], [("e.f", "a", "b")],
+         "identifier 'e.f' must be nonempty letters, digits and _:@(),"),
+        (["v\u00e9", "b"], [],
+         "identifier 'v\u00e9' must be nonempty letters, digits and _:@(),"),
+    ]
+
+    @staticmethod
+    def _files(tmp_path, vertices, edges):
+        text = tmp_path / "g.txt"
+        text.write_text("".join(f"vertex {v}\n" for v in vertices)
+                        + "".join(f"edge {e} {s} {d}\n" for e, s, d in edges),
+                        encoding="utf-8")
+        data = tmp_path / "g.json"
+        data.write_text(json.dumps(graph_to_json(Graph.build(vertices, edges))))
+        return text, data
+
+    @pytest.mark.parametrize("vertices,edges,message", REFUSED,
+                             ids=["vertex-and-edge", "dash", "dot", "non-ascii"])
+    def test_refused_through_the_cli(self, vertices, edges, message, tmp_path, capsys):
+        for path in self._files(tmp_path, vertices, edges):
+            for argv in (["decide", str(path), "--field", "GF(5)"],
+                         ["witness", "improper", str(path), "--field", "GF(5)", "--json"],
+                         ["witness", "unit", str(path), "--field", "Q", "-e", "b",
+                          "--json"]):
+                assert main(argv) == 1, argv
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == f"error: {message}\n", argv
+
+    @pytest.mark.parametrize("name", ["", "\ud800"], ids=["empty", "lone-surrogate"])
+    def test_json_only_ids_refused(self, name, tmp_path, capsys):
+        for obj in ({"vertices": [name, "b"], "edges": []},
+                    {"vertices": ["a", "b"], "edges": [{"id": name, "src": "a", "dst": "b"}]}):
+            with pytest.raises(ParseError) as exc:
+                parse_graph_json(obj)
+            assert str(exc.value) == (f"identifier {name!r} must be nonempty letters, "
+                                      "digits and _:@(),")
+            path = tmp_path / "g.json"
+            path.write_text(json.dumps(obj))
+            assert main(["analyze", str(path)]) == 1
+            assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+    def test_index_errors_come_first(self):
+        # duplicate and dangling ids keep their messages
+        with pytest.raises(ParseError, match="^duplicate identifier x-1$"):
+            parse_graph("vertex x-1\nvertex x-1\n")
+        with pytest.raises(ParseError, match="^dangling endpoint a$"):
+            parse_graph_json({"vertices": ["a"], "edges": [{"id": "a", "src": "a", "dst": "z"}]})
+
+    def test_grammar_punctuation_and_empty_graphs_accepted(self, tmp_path, capsys):
+        g = Graph.build(["_", "(a,b)", "x@1", "edge:e1"],
+                        [("f_1", "_", "(a,b)"), ("g:2", "x@1", "edge:e1")])
+        assert parse_graph(format_graph(g)) == g
+        assert parse_graph_json(graph_to_json(g)) == g
+        assert parse_graph_json({"vertices": [], "edges": []}) == Graph.build([], [])
+        path = tmp_path / "g.txt"
+        path.write_text(format_graph(g))
+        assert main(["witness", "unit", str(path), "--field", "Q",
+                     "-e", "f_1 + 2*x@1", "--json"]) == 0
+        assert verify_claims(g, Q, json.loads(capsys.readouterr().out)["claims"])
+
+
 class TestParseElement:
     def test_improper_certificate_input(self):
         x = parse_element("v2 + e1", LINE2, GF2)
@@ -307,7 +379,7 @@ class TestFormatting:
                 assert parse_element(format_element(elem), g, k) == elem
 
     def test_id_with_a_zero_denominator_still_formats(self):
-        g = parse_graph_json({"vertices": ["1/0", "2/0i"], "edges": []})
+        g = Graph.build(["1/0", "2/0i"], [])
         for k in (Q, GaussianRationals(conjugation=True)):
             assert format_element(Element.vertex(g, k, "1/0")) == "1/0"
             assert format_element(Element.vertex(g, k, "2/0i")) == "2/0i"
@@ -381,24 +453,42 @@ class TestClaims:
         with pytest.raises(ParseError, match="unknown claim type 'bogus'"):
             verify_claims(LINE2, Q, [{"type": "bogus", "arg": "v1"}])
 
-    def test_each_element_formatted_once(self, monkeypatch):
-        from leavitt import io, unit_regular_witness
-        from leavitt.witness import unit_regular_claims
+    def test_each_element_formatted_once(self, monkeypatch, tmp_path, capsys):
+        # one whole witness command: the payload and the claims print each
+        # distinct element object once, and later prints reuse its text
+        from leavitt import algebra
+        from leavitt.witness import UnitRegularCertificate, unit_regular_claims
 
-        a = Element.edge(LINE2, Q, "e1") + Element.vertex(LINE2, Q, "v2")
-        claims = unit_regular_claims(a, unit_regular_witness(LINE2, Q, a))
-        want = claims_to_json(claims)
+        path = tmp_path / "g.txt"
+        path.write_text(format_graph(LINE2))
         formatted = []
-        original = io.format_element
+        original = algebra._format_terms
 
         def counted(x):
             formatted.append(x)
             return original(x)
 
-        monkeypatch.setattr(io, "format_element", counted)
-        assert claims_to_json(claims) == want
-        assert len(formatted) == 4 and len({id(x) for x in formatted}) == 4
-        assert want[0] == claim_product_equals(*claims[0][1:])
+        monkeypatch.setattr(algebra, "_format_terms", counted)
+        assert main(["witness", "unit", str(path), "--field", "Q",
+                     "-e", "e1 + v2", "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert len({id(x) for x in formatted}) == len(formatted) == 4
+        texts = {out[key] for key in ("input", "u", "u_prime", "v")}
+        assert {format_element(x) for x in formatted} == texts
+        assert len(out["claims"]) == 5 and verify_claims(LINE2, Q, out["claims"])
+        a, u, u_prime, v = formatted
+        assert out["claims"][0] == claim_product_equals([u, u_prime], v)
+        assert out["claims"] == claims_to_json(
+            unit_regular_claims(a, UnitRegularCertificate(u, u_prime, v)))
+
+    def test_formatted_element_equals_and_hashes_like_a_fresh_one(self):
+        a = parse_element("e1 + 2*v2", LINE2, Q)
+        text = format_element(a)
+        fresh = parse_element("e1 + 2*v2", LINE2, Q)
+        assert a == fresh and fresh == a
+        assert hash(a) == hash(fresh)
+        assert format_element(a) is text
+        assert format_element(fresh) == text and {a: 1}[fresh] == 1
 
     def test_stops_at_first_false_claim(self):
         # a false claim ahead of an unparsable one decides the result

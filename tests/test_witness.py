@@ -236,6 +236,30 @@ class TestWorkGate:
             assert len(calls) == 2 * len(_phi_rows(a)), text
             assert verify_projection(a, cert)
 
+    def test_regular_multiplies_once_per_block(self, monkeypatch):
+        # B = Q^-1 (D P^-1), and D P^-1 is read off P^-1 without a product
+        from leavitt import parse_element, parse_field_spec
+        from leavitt.semisimple import _phi_rows
+
+        graphs = corpus()
+        cases = [(graphs[name], parse_field_spec(spec), text)
+                 for name, spec, text in self.CASES]
+        cases.append((LINE2, Q, "e1"))
+        calls = []
+        mul = witness._mul
+
+        def counted(*args):
+            calls.append(None)
+            return mul(*args)
+
+        monkeypatch.setattr(witness, "_mul", counted)
+        for g, k, text in cases:
+            a = parse_element(text, g, k)
+            calls.clear()
+            b = regular_witness(g, k, a)
+            assert len(calls) == len(_phi_rows(a)), text
+            assert verify_inner_inverse(a, b)
+
 
 class TestExtendToUnit:
     def test_full_identity_leaves_u(self):
