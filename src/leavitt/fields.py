@@ -8,20 +8,22 @@ Four families cover every behavior the decision procedures distinguish:
 * ``PrimeField(p)``               identity involution, 2-proper iff p = 3 mod 4
 * ``QuadraticExtField(p)``        Frobenius involution x -> x^p, never 2-proper
 
-Values are exact (fractions and residues) and always canonical, so equality
-is structural. On finite fields ``improper_tuple`` is in closed form: it
-returns the first improper tuple with x_1 = 1 in ``elements()`` order, built
-from square roots mod p (Euler's criterion, then a^((p+1)/4) or
-Tonelli-Shanks), so its cost is polylogarithmic in p. The exhaustive search
-it replaces is the oracle in ``tests/conftest.py``; the test suite checks
-the two against each other and against ``properness_level``.
+Values are exact and always canonical, so equality is structural: Q and
+Q[i] hold reduced integer tuples, GF(p) and GF(p,2) residues. On finite
+fields ``improper_tuple`` is in closed form: it returns the first improper
+tuple with x_1 = 1 in ``elements()`` order, built from square roots mod p
+(Euler's criterion, then a^((p+1)/4) or Tonelli-Shanks), so its cost is
+polylogarithmic in p. The exhaustive search it replaces is the oracle in
+``tests/conftest.py``; the test suite checks the two against each other and
+against ``properness_level``.
 
 The ``_add``/``_mul``/... methods act on raw payloads and are the kernels
-that ``algebra`` and ``linalg`` call directly. The Q[i] product works on
-the integer numerators and denominators and builds each component as one
-``Fraction``. Primality of p in GF(p) and GF(p,2) is decided by
-deterministic Miller-Rabin, which is proven only below ``PRIME_LIMIT``
-(about 3.3e24); a larger p is refused with a ``FieldError``.
+that ``algebra`` and ``linalg`` call directly. On Q and Q[i] each kernel is
+a few int operations and at most one ``math.gcd``, none when both
+denominators are 1; a ``Fraction`` is built only to parse a literal.
+Primality of p in GF(p) and GF(p,2) is decided by deterministic
+Miller-Rabin, which is proven only below ``PRIME_LIMIT`` (about 3.3e24); a
+larger p is refused with a ``FieldError``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
+from math import gcd
 
 from .omega import OMEGA
 
@@ -199,12 +202,14 @@ _UNSIGNED_RAT = re.compile(r"\d+(?:/\d+)?")
 _UNSIGNED_INT = re.compile(r"\d+")
 
 
-def _fraction(digits: str) -> Fraction:
-    """The Fraction of an "n" or "n/d" literal; d = 0 is a FieldError."""
+def _fraction(digits: str):
+    """The reduced int pair (n, d), d > 0, of an "n" or "n/d" literal;
+    d = 0 is a FieldError."""
     try:
-        return Fraction(digits)
+        value = Fraction(digits)
     except ZeroDivisionError:
         raise FieldError(f"zero denominator in literal {digits!r}") from None
+    return value.numerator, value.denominator
 
 
 def _scan_fraction(text, pos):
@@ -217,7 +222,8 @@ def _scan_fraction(text, pos):
 def _scan_part(text, pos, number, unit, *, explicit_sign):
     """One part of a two-part literal: [sign] (number [unit] | unit), with
     number matched by the regex ``number`` and ``unit`` a letter ("i", "t").
-    Returns ((value, has_unit), end) with value a Fraction, or None."""
+    Returns ((value, has_unit), end) with value a reduced pair (n, d) as
+    ``_fraction`` gives, or None."""
     sign = 1
     p = pos
     if p < len(text) and text[p] in "+-":
@@ -228,18 +234,30 @@ def _scan_part(text, pos, number, unit, *, explicit_sign):
         return None
     m = number.match(text, p)
     if m:
-        value = sign * _fraction(m.group())
+        n, d = _fraction(m.group())
+        value = (sign * n, d)
         p = m.end()
         if p < len(text) and text[p] == unit:
             return (value, True), p + 1
         return (value, False), p
     if p < len(text) and text[p] == unit:
-        return (Fraction(sign), True), p + 1
+        return ((sign, 1), True), p + 1
     return None
 
 
+def _rational_text(n, d):
+    """n/d (d > 0) as ``str(Fraction(n, d))`` prints it."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 class Rationals(Field):
-    """The rational numbers with the identity involution."""
+    """The rational numbers with the identity involution.
+
+    A payload is the int pair ``(n, d)`` of n/d in lowest terms with
+    ``d > 0``; zero is ``(0, 1)``.
+    """
 
     def _key(self):
         return ("Q",)
@@ -248,28 +266,46 @@ class Rationals(Field):
         return "Q"
 
     def _zero_payload(self):
-        return Fraction(0)
+        return (0, 1)
 
     def _is_zero(self, a):
-        return not a
+        return not a[0]
 
     def _from_int(self, n):
-        return Fraction(n)
+        return (int(n), 1)
 
     def _add(self, a, b):
-        return a + b
+        an, ad = a
+        bn, bd = b
+        if ad == bd:
+            n = an + bn
+            if ad == 1:
+                return (n, 1)
+        else:
+            n, ad = an * bd + bn * ad, ad * bd
+        g = gcd(n, ad)
+        return (n // g, ad // g)
 
     def _sub(self, a, b):
-        return a - b
+        return self._add(a, (-b[0], b[1]))
 
     def _mul(self, a, b):
-        return a * b
+        an, ad = a
+        bn, bd = b
+        n, d = an * bn, ad * bd
+        if d == 1:
+            return (n, 1)
+        g = gcd(n, d)
+        return (n // g, d // g)
 
     def _neg(self, a):
-        return -a
+        return (-a[0], a[1])
 
     def _inv(self, a):
-        return 1 / a
+        n, d = a
+        if not n:
+            raise ZeroDivisionError("division by zero in Q")
+        return (d, n) if n > 0 else (-d, -n)
 
     def _conj(self, a):
         return a
@@ -284,7 +320,7 @@ class Rationals(Field):
         return None
 
     def literal(self, payload):
-        return str(payload)
+        return _rational_text(*payload)
 
     def scan_literal(self, text, pos):
         scanned = _scan_fraction(text, pos)
@@ -294,11 +330,26 @@ class Rationals(Field):
         return FieldValue(self, value), end
 
     def sample(self, rng):
-        return FieldValue(self, Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+        n, d = rng.randint(-6, 6), rng.randint(1, 4)
+        g = gcd(n, d)
+        return FieldValue(self, (n // g, d // g))
+
+
+def _gaussian(re_, im):
+    """The payload of re_ + im*i, each part an int pair (n, d) with d > 0."""
+    (r, rd), (i, id_) = re_, im
+    r, i, d = r * id_, i * rd, rd * id_
+    g = gcd(r, i, d)
+    return (r // g, i // g, d // g)
 
 
 class GaussianRationals(Field):
-    """Q[i], with either complex conjugation or the identity involution."""
+    """Q[i], with either complex conjugation or the identity involution.
+
+    A payload is the int triple ``(r, i, d)`` of (r + i*i)/d with ``d > 0``
+    and ``gcd(r, i, d) = 1``, so each value has exactly one payload; zero is
+    ``(0, 0, 1)``.
+    """
 
     def __init__(self, conjugation: bool):
         self.conjugation = conjugation
@@ -310,43 +361,57 @@ class GaussianRationals(Field):
         return "Q[i]/conj" if self.conjugation else "Q[i]/id"
 
     def _zero_payload(self):
-        return (Fraction(0), Fraction(0))
+        return (0, 0, 1)
 
     def _is_zero(self, a):
         return not (a[0] or a[1])
 
     def _from_int(self, n):
-        return (Fraction(n), Fraction(0))
+        return (int(n), 0, 1)
 
     def _add(self, a, b):
-        return (a[0] + b[0], a[1] + b[1])
+        ar, ai, ad = a
+        br, bi, bd = b
+        if ad == bd:
+            r, i = ar + br, ai + bi
+            if ad == 1:
+                return (r, i, 1)
+        else:
+            r, i, ad = ar * bd + br * ad, ai * bd + bi * ad, ad * bd
+        g = gcd(r, i, ad)
+        return (r // g, i // g, ad // g)
 
     def _sub(self, a, b):
-        return (a[0] - b[0], a[1] - b[1])
+        return self._add(a, (-b[0], -b[1], b[2]))
 
     def _mul(self, a, b):
-        # Both components over the one denominator ad*bd of the four parts,
-        # in integers, so each Fraction is built (and reduced) once.
-        (ar, ai), (br, bi) = a, b
-        arn, ard, ain, aid = ar.numerator, ar.denominator, ai.numerator, ai.denominator
-        brn, brd, bin_, bid = br.numerator, br.denominator, bi.numerator, bi.denominator
-        den = ard * aid * brd * bid
-        return (Fraction(arn * brn * aid * bid - ain * bin_ * ard * brd, den),
-                Fraction(arn * bin_ * aid * brd + ain * brn * ard * bid, den))
+        ar, ai, ad = a
+        br, bi, bd = b
+        r, i, d = ar * br - ai * bi, ar * bi + ai * br, ad * bd
+        if d == 1:
+            return (r, i, 1)
+        g = gcd(r, i, d)
+        return (r // g, i // g, d // g)
 
     def _neg(self, a):
-        return (-a[0], -a[1])
+        return (-a[0], -a[1], a[2])
 
     def _inv(self, a):
-        norm = a[0] * a[0] + a[1] * a[1]
-        return (a[0] / norm, -a[1] / norm)
+        # d / (r + i*i) = d*(r - i*i) / (r^2 + i^2)
+        r, i, d = a
+        norm = r * r + i * i
+        if not norm:
+            raise ZeroDivisionError(f"division by zero in {self.spec_string()}")
+        r, i = d * r, -d * i
+        g = gcd(r, i, norm)
+        return (r // g, i // g, norm // g)
 
     def _conj(self, a):
-        return (a[0], -a[1]) if self.conjugation else a
+        return (a[0], -a[1], a[2]) if self.conjugation else a
 
     @property
     def i(self) -> FieldValue:
-        return FieldValue(self, (Fraction(0), Fraction(1)))
+        return FieldValue(self, (0, 1, 1))
 
     def properness_level(self):
         return OMEGA if self.conjugation else 1
@@ -360,14 +425,14 @@ class GaussianRationals(Field):
         return (self.one, self.i) + (self.zero,) * (n - 2)
 
     def literal(self, payload):
-        re_, im = payload
-        if im == 0:
-            return str(re_)
-        imag = "i" if abs(im) == 1 else f"{abs(im)}i"
-        if re_ == 0:
-            return imag if im > 0 else f"-{imag}"
-        sign = "+" if im > 0 else "-"
-        return f"{re_}{sign}{imag}"
+        r, i, d = payload
+        if i == 0:
+            return _rational_text(r, d)
+        imag = "i" if abs(i) == d else f"{_rational_text(abs(i), d)}i"
+        if r == 0:
+            return imag if i > 0 else f"-{imag}"
+        sign = "+" if i > 0 else "-"
+        return f"{_rational_text(r, d)}{sign}{imag}"
 
     def scan_literal(self, text, pos):
         first = _scan_part(text, pos, _UNSIGNED_RAT, "i", explicit_sign=False)
@@ -378,16 +443,14 @@ class GaussianRationals(Field):
             second = _scan_part(text, p1, _UNSIGNED_RAT, "i", explicit_sign=True)
             if second is not None and second[0][1]:
                 (v2, _), p2 = second
-                return FieldValue(self, (v1, v2)), p2
-            return FieldValue(self, (v1, Fraction(0))), p1
-        return FieldValue(self, (Fraction(0), v1)), p1
+                return FieldValue(self, _gaussian(v1, v2)), p2
+            return FieldValue(self, _gaussian(v1, (0, 1))), p1
+        return FieldValue(self, _gaussian((0, 1), v1)), p1
 
     def sample(self, rng):
-        return FieldValue(
-            self,
-            (Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-             Fraction(rng.randint(-4, 4), rng.randint(1, 3))),
-        )
+        re_ = (rng.randint(-4, 4), rng.randint(1, 3))
+        im = (rng.randint(-4, 4), rng.randint(1, 3))
+        return FieldValue(self, _gaussian(re_, im))
 
 
 # Miller-Rabin with the first 13 prime bases is deterministic below this
@@ -654,12 +717,12 @@ class QuadraticExtField(Field):
         first = _scan_part(text, pos, _UNSIGNED_INT, "t", explicit_sign=False)
         if first is None:
             return None
-        (v1, t1), p1 = first
-        v1 = int(v1) % self.p
+        ((v1, _), t1), p1 = first
+        v1 %= self.p
         second = _scan_part(text, p1, _UNSIGNED_INT, "t", explicit_sign=True)
         if second is not None and second[0][1] != t1:
-            (v2, _), p2 = second
-            v2 = int(v2) % self.p
+            ((v2, _), _), p2 = second
+            v2 %= self.p
             return FieldValue(self, (v2, v1) if t1 else (v1, v2)), p2
         return FieldValue(self, (0, v1) if t1 else (v1, 0)), p1
 

@@ -51,16 +51,6 @@ def identity(field: Field, n: int):
     return a
 
 
-def mat_from_rows(field: Field, rows):
-    out = []
-    for row in rows:
-        cooked = []
-        for x in row:
-            cooked.append(field.from_int(x) if isinstance(x, int) else x)
-        out.append(cooked)
-    return out
-
-
 def mat_shape(a):
     return (len(a), len(a[0]) if a else 0)
 
@@ -132,10 +122,6 @@ def mat_mul(a, b):
 def conj_transpose(a):
     m, n = mat_shape(a)
     return [[a[i][j].conj() for i in range(m)] for j in range(n)]
-
-
-def is_zero_matrix(a) -> bool:
-    return all(not x for row in a for x in row)
 
 
 @dataclass

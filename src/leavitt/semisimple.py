@@ -176,18 +176,6 @@ def phi_inv(image: MatrixImage) -> Element:
     return Element.from_terms(g, image.field, raw)
 
 
-def matrix_image_from_blocks(g: Graph, field: Field, blocks: dict) -> MatrixImage:
-    basis = sink_basis(g)
-    image = MatrixImage.zero(basis, field)
-    for v, b in blocks.items():
-        if v not in image.blocks:
-            raise ShapeError(f"{v} is not a sink")
-        if mat_shape(b) != mat_shape(image.blocks[v]):
-            raise ShapeError(f"block {v} has the wrong shape")
-        image.blocks[v] = [row[:] for row in b]
-    return image
-
-
 def dimension(g: Graph) -> int:
     """Sum of mu(v)^2 over the sinks of a finite acyclic graph."""
     check_acyclic(g)

@@ -140,6 +140,15 @@ def brute_paths_to(g, v, max_len=None):
     return [p for p in brute_paths(g, max_len) if path_range(g, p) == v]
 
 
+def mat_from_rows(field, rows):
+    """A dense matrix over ``field`` from rows of ints and FieldValues."""
+    return [[field.from_int(x) if isinstance(x, int) else x for x in row] for row in rows]
+
+
+def is_zero_matrix(a) -> bool:
+    return all(not x for row in a for x in row)
+
+
 def naive_mat_mul(a, b):
     """Dense triple loop: every scalar product is formed, zero factors too."""
     out = []

@@ -16,8 +16,11 @@ from leavitt import (
     QuadraticExtField,
     Rationals,
     parse_field_spec,
+    standard_graph,
 )
 from leavitt.fields import PRIME_LIMIT, FieldValue, _is_prime, _is_square, _sqrt_mod
+from leavitt.io import parse_element
+from leavitt.linalg import _factor
 
 from conftest import ALL_FIELDS, search_improper, trial_division_is_prime
 
@@ -370,3 +373,39 @@ class TestImproperTupleWork:
         path.write_text(LINE_TEXT["line3"])
         assert main(["decide", str(path), "--field", k.spec_string()]) == 0
         assert "proper_algebra: improper" in capsys.readouterr().out
+
+
+# (element, 3x3 block) over each characteristic-zero field, as text
+KERNEL_INPUTS = {
+    "Q": ("1/2*v1 - 2/3*e1 + 3/4*e1.e2.e2* + 5*e1.e1* - 1/3*v2",
+          [["1/2", "2/3", "0"], ["1", "-3/4", "5/2"], ["3/2", "-1/12", "7/2"]]),
+    "Q[i]": ("1/2+i*v1 - 2/3i*e1 + 3/4-2i*e1.e2.e2* + 5*e1.e1* - 1/3*v2",
+             [["1/2+i", "2/3i", "0"], ["1", "-3/4+i", "5/2"], ["3/2-i", "-1/12", "5/2i"]]),
+}
+
+
+class TestNoFractionsInKernels:
+    """Q and Q[i] arithmetic runs on int tuples: products, stars, sums and a
+    factorization build no Fraction (170, 369 and 364 when the payloads were
+    Fractions). Parsing the inputs is outside the count."""
+
+    @pytest.mark.parametrize("k", [Q, QI_CONJ, QI_ID], ids=lambda k: k.spec_string())
+    def test_zero_fractions_built(self, k, monkeypatch):
+        expr, block = KERNEL_INPUTS["Q" if k is Q else "Q[i]"]
+        g = standard_graph("toeplitz")
+        x = parse_element(expr, g, k)
+        rows = [{j: k.parse_literal(t).payload for j, t in enumerate(row) if t != "0"}
+                for row in block]
+        built = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        y = (x * x.star()) * x + x
+        factors = _factor(k, rows, 3, 3)
+        monkeypatch.undo()
+        assert not y.is_zero and factors[-1] == 3
+        assert built == []

@@ -10,16 +10,14 @@ from leavitt.fields import FieldMismatchError, FieldValue
 from leavitt.linalg import (
     ShapeError,
     identity,
-    is_zero_matrix,
     mat_eq,
-    mat_from_rows,
     mat_mul,
     rank_factorization,
     solve_linear,
     zeros,
 )
 
-from conftest import ALL_FIELDS, naive_mat_mul, naive_rank
+from conftest import ALL_FIELDS, is_zero_matrix, mat_from_rows, naive_mat_mul, naive_rank
 
 Q = Rationals()
 GF3 = PrimeField(3)

@@ -18,16 +18,29 @@ from leavitt import (
     sink_normal_form,
     standard_graph,
 )
-from leavitt.linalg import conj_transpose, is_zero_matrix, mat_from_rows, mat_mul
+from leavitt.linalg import ShapeError, conj_transpose, mat_mul, mat_shape
 from leavitt.semisimple import MatrixImage
 
-from conftest import acyclic_corpus, random_element
+from conftest import acyclic_corpus, is_zero_matrix, mat_from_rows, random_element
 
 Q = Rationals()
 LINE2 = standard_graph("line", 2)
 LINE3 = standard_graph("line", 3)
 
 PHI_FIELDS = (Q, PrimeField(3), GaussianRationals(conjugation=True))
+
+
+def matrix_image_from_blocks(g, field, blocks: dict) -> MatrixImage:
+    """The image with the given sink blocks and zero blocks elsewhere; a
+    ShapeError for a block at a non-sink or of the wrong shape."""
+    image = MatrixImage.zero(sink_basis(g), field)
+    for v, b in blocks.items():
+        if v not in image.blocks:
+            raise ShapeError(f"{v} is not a sink")
+        if mat_shape(b) != mat_shape(image.blocks[v]):
+            raise ShapeError(f"block {v} has the wrong shape")
+        image.blocks[v] = [row[:] for row in b]
+    return image
 
 
 class TestSinkBasis:
@@ -117,8 +130,6 @@ class TestPhi:
                 assert phi(phi_inv(image)) == image
 
     def test_phi_inv_examples(self):
-        from leavitt.semisimple import matrix_image_from_blocks
-
         basis = sink_basis(LINE2)
         ident = MatrixImage.identity(basis, Q)
         assert phi_inv(ident) == Element.one(LINE2, Q)
@@ -128,9 +139,6 @@ class TestPhi:
         assert phi_inv(unit12) == Element.ghost(LINE2, Q, "e1")
 
     def test_block_shape_errors(self):
-        from leavitt.linalg import ShapeError
-        from leavitt.semisimple import matrix_image_from_blocks
-
         with pytest.raises(ShapeError):
             matrix_image_from_blocks(LINE2, Q, {"v2": mat_from_rows(Q, [[1]])})
         with pytest.raises(ShapeError):
