@@ -19,17 +19,31 @@ act on them), never as an exact zero, so the arithmetic below builds no
 ``FieldValue``. Values of the field appear only at the public views:
 ``from_terms`` accepts ints and ``FieldValue``s and unwraps them once, and
 ``items``, ``coefficient`` and ``format_element`` wrap payloads on the way
-out. Products look up, for each left monomial p1.q1*, only the right
-monomials p2.q2* whose p2 starts at the base of q1, since the middle
-cancellation q1* p2 vanishes unless one path is a prefix of the other.
+out.
+
+Normalization is one filing pass (``_normalize_terms``): a term whose two
+paths do not end in the same special edge is already normal and goes
+straight into the result; only the others go through the CK2 worklist.
+Zero payloads are dropped once, on entry, and a sum is tested for zero only
+when two terms met on one monomial. Products skip the entry test, since a
+product of nonzero payloads is nonzero in every field here. Products look
+up, for each left monomial p1.q1*, only the right monomials p2.q2* whose p2
+starts at the base of q1, since the middle cancellation q1* p2 vanishes
+unless one path is a prefix of the other.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
+from itertools import chain
 
 from .fields import Field, FieldError, FieldMismatchError, FieldValue
 from .graphs import Graph, GraphError, Path, is_path, path_range
+
+
+# Path(base, edges) without the Python-level NamedTuple.__new__ frame
+_path = functools.partial(tuple.__new__, Path)
 
 
 class AlgebraError(ValueError):
@@ -50,39 +64,70 @@ def monomial_key(mono):
     return (len(p.edges) + len(q.edges), _path_key(p), _path_key(q))
 
 
-def _normalize_terms(g: Graph, field: Field, raw, schedule: str = "lifo") -> dict:
-    """Rewrite a raw (payload, p, q) stream into normal-form monomial -> payload.
+def _normalize_terms(g: Graph, field: Field, raw, schedule: str = "lifo", *,
+                     nonzero: bool = False) -> dict:
+    """File a raw (payload, p, q) stream into normal-form monomial -> payload.
+
+    One pass files every term whose p and q do not end in the same special
+    edge straight into the result; only the others go through the CK2
+    worklist, whose rewrites are filed by the same pass. No returned payload
+    is zero, which is the rule every ``Element._terms`` keeps; callers
+    (``from_terms``, the parser in ``io``, ``semisimple._from_rows``) may
+    pass zero coefficients. Zero payloads are dropped once, on entry, unless
+    ``nonzero`` says there are none: ``Element.__mul__`` passes it, since Q,
+    Q[i], GF(p) and GF(p,2) are fields, so a product of nonzero payloads is
+    nonzero, and so is the negation the rewrite applies. A sum is tested
+    for zero only when two terms met on one monomial.
 
     ``schedule`` picks the worklist order (lifo or fifo); both reach the same
     normal form, which the test suite checks as a confluence surrogate.
     """
     index = g.index
-    spec, emap, outs = index.special, index.edge_by_id, index.out_edges
-    add, neg, is_zero = field._add, field._neg, field._is_zero
+    special = index.special_ids
+    if not nonzero:
+        is_zero = field._is_zero
+        raw = [t for t in raw if not is_zero(t[0])]
+    add = field._add
     acc: dict = {}
-    work = deque(raw)
+    get = acc.get
+    work = deque()
+    summed = False
+    for t in chain(raw, _ck2_rewrites(index, field, work, schedule)):
+        c, p, q = t
+        pe, qe = p.edges, q.edges
+        if pe and qe and pe[-1] == qe[-1] and pe[-1] in special:
+            work.append(t)
+            continue
+        key = (p, q)
+        prev = get(key)
+        if prev is None:
+            acc[key] = c
+        else:
+            acc[key] = add(prev, c)
+            summed = True
+    if not summed:
+        return acc
+    is_zero = field._is_zero
+    return {m: c for m, c in acc.items() if not is_zero(c)}
+
+
+def _ck2_rewrites(index, field: Field, work: deque, schedule: str):
+    """Rewrite the terms of ``work``, each p.q* with p and q ending in the
+    same special edge f, by f f* -> s(f) - (the other e e* leaving s(f)),
+    and yield the results for filing; the filer pushes back any that still
+    end in a special edge. Starts once the raw stream is filed."""
+    emap, outs, neg = index.edge_by_id, index.out_edges, field._neg
     pop = work.pop if schedule == "lifo" else work.popleft
     while work:
         c, p, q = pop()
-        if is_zero(c):
-            continue
-        if p.edges and q.edges and p.edges[-1] == q.edges[-1]:
-            f = p.edges[-1]
-            w = emap[f].src
-            if spec[w] == f:
-                p0 = Path(p.base, p.edges[:-1])
-                q0 = Path(q.base, q.edges[:-1])
-                work.append((c, p0, q0))
-                minus = neg(c)
-                for e in outs[w]:
-                    if e.id != f:
-                        work.append((minus, Path(p0.base, p0.edges + (e.id,)),
-                                     Path(q0.base, q0.edges + (e.id,))))
-                continue
-        key = (p, q)
-        prev = acc.get(key)
-        acc[key] = c if prev is None else add(prev, c)
-    return {m: c for m, c in acc.items() if not is_zero(c)}
+        f = p.edges[-1]
+        p0, q0 = _path((p.base, p.edges[:-1])), _path((q.base, q.edges[:-1]))
+        minus = neg(c)
+        for e in outs[emap[f].src]:
+            if e.id != f:
+                yield (minus, _path((p0.base, p0.edges + (e.id,))),
+                       _path((q0.base, q0.edges + (e.id,))))
+        yield (c, p0, q0)
 
 
 def _check_monomial(g: Graph, p: Path, q: Path):
@@ -95,15 +140,18 @@ def _check_monomial(g: Graph, p: Path, q: Path):
 def _monomial_product(p1: Path, q1: Path, p2: Path, q2: Path):
     """(p1 q1*)(p2 q2*) as one monomial (p, q) before normalization, or None
     when it vanishes: p1.gamma q2* when p2 = q1.gamma, p1 (q2.gamma)* when
-    q1 = p2.gamma. The same rule as ``Element.__mul__``, which inlines it."""
+    q1 = p2.gamma. The same rule as ``Element.__mul__``, which inlines it:
+    when |p2| >= |q1| test whether q1 is a prefix of p2, else whether p2 is
+    a proper prefix of q1."""
     if p2.base != q1.base:
         return None
     qe, pe = q1.edges, p2.edges
-    n = len(qe)
-    if pe[:n] == qe:
-        return Path(p1.base, p1.edges + pe[n:]), q2
-    if qe[:len(pe)] == pe:
-        return p1, Path(q2.base, q2.edges + qe[len(pe):])
+    n, m = len(qe), len(pe)
+    if m >= n:
+        if pe[:n] == qe:
+            return _path((p1.base, p1.edges + pe[n:])), q2
+    elif qe[:m] == pe:
+        return p1, _path((q2.base, q2.edges + qe[m:]))
     return None
 
 
@@ -273,26 +321,31 @@ class Element:
         # operand by the base vertex of p2.
         by_base: dict = {}
         for (p2, q2), c2 in other._terms.items():
+            pe = p2.edges
             group = by_base.get(p2.base)
             if group is None:
-                by_base[p2.base] = [(p2.edges, q2, c2)]
+                by_base[p2.base] = [(pe, len(pe), q2, c2)]
             else:
-                group.append((p2.edges, q2, c2))
+                group.append((pe, len(pe), q2, c2))
         raw = []
+        append = raw.append
         for (p1, q1), c1 in self._terms.items():
             group = by_base.get(q1.base)
             if group is None:
                 continue
             qe = q1.edges
             n = len(qe)
-            for pe, q2, c2 in group:
-                if pe[:n] == qe:
-                    # q1 is a prefix of p2 = q1.gamma: p1.gamma (q2)*
-                    raw.append((mul(c1, c2), Path(p1.base, p1.edges + pe[n:]), q2))
-                elif qe[:len(pe)] == pe:
-                    # p2 is a prefix of q1 = p2.gamma: p1 (q2.gamma)*
-                    raw.append((mul(c1, c2), p1, Path(q2.base, q2.edges + qe[len(pe):])))
-        return Element(g, field, _normalize_terms(g, field, raw), _trusted=True)
+            for pe, m, q2, c2 in group:
+                if m >= n:
+                    if pe[:n] == qe:
+                        # q1 is a prefix of p2 = q1.gamma: p1.gamma (q2)*
+                        append((mul(c1, c2), _path((p1.base, p1.edges + pe[n:])), q2))
+                elif qe[:m] == pe:
+                    # p2 is a proper prefix of q1 = p2.gamma: p1 (q2.gamma)*
+                    append((mul(c1, c2), p1, _path((q2.base, q2.edges + qe[m:]))))
+        # products of nonzero payloads are nonzero in every field here
+        return Element(g, field, _normalize_terms(g, field, raw, nonzero=True),
+                       _trusted=True)
 
     def __rmul__(self, other):
         if isinstance(other, (FieldValue, int)):

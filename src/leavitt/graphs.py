@@ -89,10 +89,10 @@ class GraphIndex:
     Building it raises ``GraphError`` (the ``validate`` messages joined by
     "; ") on duplicate identifiers or dangling endpoints. Incidence lists are
     sorted by edge id; the special edge of a non-sink vertex is its greatest
-    outgoing edge id. ``mu``, ``acyclic``, ``sigma``, ``sinks`` and
-    ``sink_paths`` are computed on first use. The index keeps the graph's
-    vertex-order tuple, never the graph itself, so it forms no reference
-    cycle with the graph that memoizes it.
+    outgoing edge id. ``special_ids``, ``mu``, ``acyclic``, ``sigma``,
+    ``sinks`` and ``sink_paths`` are computed on first use. The index keeps
+    the graph's vertex-order tuple, never the graph itself, so it forms no
+    reference cycle with the graph that memoizes it.
     """
 
     def __init__(self, g: Graph):
@@ -113,6 +113,12 @@ class GraphIndex:
         self.out_edges = {v: tuple(es) for v, es in outs.items()}
         self.in_edges = {v: tuple(es) for v, es in ins.items()}
         self.special = {v: es[-1].id for v, es in self.out_edges.items() if es}
+
+    @functools.cached_property
+    def special_ids(self) -> frozenset:
+        """The special edge ids: f is in it exactly when special[src(f)] == f.
+        Built on first use, since most graph commands never normalize."""
+        return frozenset(self.special.values())
 
     @functools.cached_property
     def _path_counts(self) -> tuple[dict, bool]:

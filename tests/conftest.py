@@ -6,6 +6,7 @@ library's backward dynamic programming.
 """
 
 import random
+from collections import deque
 
 import pytest
 
@@ -200,9 +201,45 @@ def oracle_product_terms(x, y):
     return raw
 
 
+def oracle_normalize_terms(g, field, raw, schedule="lifo") -> dict:
+    """Rewrite a raw (payload, p, q) stream into normal-form monomial ->
+    payload the plain way: every term goes through one deque worklist, is
+    tested for zero when popped, and the sums are filtered at the end."""
+    index = g.index
+    spec, emap, outs = index.special, index.edge_by_id, index.out_edges
+    add, neg, is_zero = field._add, field._neg, field._is_zero
+    acc: dict = {}
+    work = deque(raw)
+    pop = work.pop if schedule == "lifo" else work.popleft
+    while work:
+        c, p, q = pop()
+        if is_zero(c):
+            continue
+        if p.edges and q.edges and p.edges[-1] == q.edges[-1]:
+            f = p.edges[-1]
+            w = emap[f].src
+            if spec[w] == f:
+                p0 = Path(p.base, p.edges[:-1])
+                q0 = Path(q.base, q.edges[:-1])
+                work.append((c, p0, q0))
+                minus = neg(c)
+                for e in outs[w]:
+                    if e.id != f:
+                        work.append((minus, Path(p0.base, p0.edges + (e.id,)),
+                                     Path(q0.base, q0.edges + (e.id,))))
+                continue
+        key = (p, q)
+        prev = acc.get(key)
+        acc[key] = c if prev is None else add(prev, c)
+    return {m: c for m, c in acc.items() if not is_zero(c)}
+
+
 def oracle_mul(x, y) -> Element:
-    """x * y through the all-pairs rule, normalized by from_terms."""
-    return Element.from_terms(x.graph, x.field, oracle_product_terms(x, y))
+    """x * y through the all-pairs rule, normalized by
+    ``oracle_normalize_terms``, not by the library's normalizer."""
+    raw = [(c.payload, p, q) for c, p, q in oracle_product_terms(x, y)]
+    return Element(x.graph, x.field, oracle_normalize_terms(x.graph, x.field, raw),
+                   _trusted=True)
 
 
 def trial_division_is_prime(n: int) -> bool:

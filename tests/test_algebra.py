@@ -19,6 +19,7 @@ from leavitt import (
 )
 from leavitt.fields import Field
 from leavitt.graphs import clock_graph, out_edges
+from leavitt.io import parse_element
 
 from conftest import corpus, oracle_product_terms, random_element, random_raw_terms
 
@@ -455,6 +456,21 @@ class TestWorkGate:
             for op in (lambda: x * y, x.star, lambda: x + y):
                 op()
                 assert (len(built), len(compared)) == (0, 0)
+
+    def test_zero_tests_in_a_triple_product(self, monkeypatch):
+        """(x x*) x tests a coefficient for zero only where two terms met on
+        one monomial: products skip the entry test. The bounds are the
+        counts of the one-pass filing; a worklist that tests every popped
+        term makes 63 and 93."""
+        cases = ((standard_graph("toeplitz"), "v1 + 2*e1 + 3*e1.e1* + e2*", 20),
+                 (standard_graph("rose", 3), "v + 2*e1 + 3*e2.e1* + e3.e3*", 29))
+        for k in map(parse_field_spec, ("Q", "Q[i]/conj", "GF(5)")):
+            xs = [(parse_element(text, g, k), bound) for g, text, bound in cases]
+            calls = self.counted(monkeypatch, type(k), "_is_zero")
+            for x, bound in xs:
+                calls.clear()
+                (x * x.star()) * x
+                assert len(calls) <= bound
 
     def test_coefficient_products_bounded_by_surviving_pairs(self, rng, monkeypatch):
         for k in map(parse_field_spec, self.SPECS):

@@ -1,5 +1,6 @@
-"""Property tests of element products on small corpus graphs, acyclic and
-cyclic, over six fields, checked against the all-pairs oracle of conftest."""
+"""Property tests of normalization and element products on small corpus
+graphs, acyclic and cyclic, over six fields, checked against the all-pairs
+product and the plain worklist normalizer of conftest."""
 
 import pytest
 
@@ -9,10 +10,45 @@ from hypothesis import given, strategies as st  # noqa: E402
 from leavitt import Element, Path  # noqa: E402
 from leavitt.graphs import in_edges  # noqa: E402
 
-from conftest import corpus, oracle_mul  # noqa: E402
+from conftest import corpus, oracle_mul, oracle_normalize_terms  # noqa: E402
 from test_linalg_properties import COEFFS, FIELDS, PROPERTY_SETTINGS  # noqa: E402
 
 GRAPHS = corpus()
+
+
+def _path_to(draw, g, v):
+    """A backward walk of at most three edges into v."""
+    edges = []
+    for _ in range(draw(st.integers(0, 3))):
+        ins = in_edges(g, v)
+        if not ins:
+            break
+        e = draw(st.sampled_from(ins))
+        edges.append(e.id)
+        v = e.src
+    return Path(v, tuple(reversed(edges)))
+
+
+@st.composite
+def raw_streams(draw):
+    """(g, field, raw): up to six (coeff, p, q) triples as in ``operands``,
+    some with a zero coefficient, some followed by a copy that cancels it or
+    by a second copy of the same monomial."""
+    g = GRAPHS[draw(st.sampled_from(sorted(GRAPHS)))]
+    field, gen = draw(st.sampled_from(FIELDS))
+
+    raw = []
+    for _ in range(draw(st.integers(0, 6))):
+        v = draw(st.sampled_from(g.vertices))
+        p, q = _path_to(draw, g, v), _path_to(draw, g, v)
+        c = field.from_int(draw(COEFFS)) + field.from_int(draw(COEFFS)) * gen
+        raw.append((c, p, q))
+        follow = draw(st.integers(0, 3))
+        if follow == 1:
+            raw.append((-c, p, q))
+        elif follow == 2:
+            raw.append((c, p, q))
+    return g, field, raw
 
 
 @st.composite
@@ -23,23 +59,12 @@ def operands(draw):
     g = GRAPHS[draw(st.sampled_from(sorted(GRAPHS)))]
     field, gen = draw(st.sampled_from(FIELDS))
 
-    def path_to(v):
-        edges = []
-        for _ in range(draw(st.integers(0, 3))):
-            ins = in_edges(g, v)
-            if not ins:
-                break
-            e = draw(st.sampled_from(ins))
-            edges.append(e.id)
-            v = e.src
-        return Path(v, tuple(reversed(edges)))
-
     def element():
         raw = []
         for _ in range(draw(st.integers(0, 4))):
             v = draw(st.sampled_from(g.vertices))
             c = field.from_int(draw(COEFFS)) + field.from_int(draw(COEFFS)) * gen
-            raw.append((c, path_to(v), path_to(v)))
+            raw.append((c, _path_to(draw, g, v), _path_to(draw, g, v)))
         return Element.from_terms(g, field, raw)
 
     return element(), element()
@@ -64,3 +89,23 @@ def test_star_reverses_products(pair):
 def test_additive_inverse(pair):
     x, _ = pair
     assert (x + (-x)).is_zero
+
+
+@PROPERTY_SETTINGS
+@given(raw_streams(), st.sampled_from(("lifo", "fifo")))
+def test_from_terms_matches_the_plain_normalizer(case, schedule):
+    g, field, raw = case
+    payloads = [(c.payload, p, q) for c, p, q in raw]
+    want = oracle_normalize_terms(g, field, payloads, schedule)
+    assert Element.from_terms(g, field, raw, schedule)._terms == want
+    assert oracle_normalize_terms(g, field, payloads, "fifo") == want
+
+
+@PROPERTY_SETTINGS
+@given(operands())
+def test_no_stored_coefficient_is_zero(pair):
+    x, y = pair
+    is_zero = x.field._is_zero
+    for z in (x, y, x * y, y * x, x * x.star(), x + y, x - x, -x, x.star(),
+              x.scale(0), x.scale(2)):
+        assert not any(is_zero(c) for c in z._terms.values())

@@ -161,13 +161,24 @@ class TestProperness:
             assert Q.improper_tuple(n) is None
 
     def test_rationals_bounded_height_oracle(self):
-        # no small-height rational tuple has vanishing sum of squares: each
-        # square is non-negative and positive unless the entry is zero
-        pool = [Fraction(a, b) for a in range(-2, 3) for b in (1, 2)]
-        for x in pool:
-            for y in pool:
-                if x * x + y * y == 0:
-                    assert x == 0 and y == 0
+        # Q and Q[i]/conj are positive definite: a sum of two star-squares
+        # of small-height values parsed from literals, computed by the int
+        # tuple kernels, equals the Fraction sum |x|^2 + |y|^2, so it
+        # vanishes only when both entries do
+        parts = [(a, b) for a in range(-2, 3) for b in (1, 2, 4)]
+        pools = {
+            Q: [(Q.parse_literal(f"{a}/{b}"), Fraction(a, b), Fraction(0)) for a, b in parts],
+            QI_CONJ: [(QI_CONJ.parse_literal(f"{a}/{b}{c:+}/{d}i"), Fraction(a, b),
+                       Fraction(c, d)) for a, b in parts for c, d in parts[::3]],
+        }
+        for k, pool in pools.items():
+            for x, xr, xi in pool:
+                for y, yr, yi in pool:
+                    total = x.conj() * x + y.conj() * y
+                    want = xr * xr + xi * xi + yr * yr + yi * yi
+                    assert total == k.parse_literal(str(want))
+                    if not total:
+                        assert not x and not y
 
 
 class TestLiterals:

@@ -1,7 +1,11 @@
 """Property tests of the expression parser on line, rose, toeplitz, clock
 and M_n graphs over six fields: it gives the element, or the ParseError
-text, of the multiply-as-you-go parser of conftest, and its monomial
-product rule agrees with ``Element.__mul__``."""
+text, of the multiply-as-you-go parser of conftest, its monomial product
+rule agrees with ``Element.__mul__``, and ``leavitt nf`` on the same
+expressions keeps the CLI's exit contract."""
+
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
 
@@ -11,7 +15,8 @@ from hypothesis import given, strategies as st  # noqa: E402
 from leavitt import Element, Path, Rationals, m_n_graph, standard_graph  # noqa: E402
 from leavitt.algebra import _monomial_product  # noqa: E402
 from leavitt.graphs import clock_graph, in_edges  # noqa: E402
-from leavitt.io import parse_element  # noqa: E402
+from leavitt.cli import main  # noqa: E402
+from leavitt.io import format_graph, parse_element  # noqa: E402
 
 from conftest import oracle_parse_element  # noqa: E402
 from test_linalg_properties import COEFFS, FIELDS, PROPERTY_SETTINGS  # noqa: E402
@@ -102,3 +107,36 @@ def test_monomial_product_matches_element_product(case):
     mono = _monomial_product(p1, q1, p2, q2)
     got = Element.zero(g, k) if mono is None else Element.from_terms(g, k, [(1, *mono)])
     assert got == want
+
+
+@pytest.fixture(scope="module")
+def graph_files(tmp_path_factory):
+    """One graph file per entry of GRAPHS, in the same order."""
+    root = tmp_path_factory.mktemp("graphs")
+    files = []
+    for i, g in enumerate(GRAPHS):
+        path = root / f"g{i}.txt"
+        path.write_text(format_graph(g), encoding="utf-8")
+        files.append(str(path))
+    return files
+
+
+@PROPERTY_SETTINGS
+@given(case=expressions())
+def test_nf_exit_contract(graph_files, case):
+    """Exit 0 printing an element that parses back to the expression's, or
+    exit 1 with one ``error:`` line; never a traceback."""
+    g, k, text = case
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(["nf", graph_files[GRAPHS.index(g)], "--field", k.spec_string(),
+                   "-e", text])
+    assert rc in (0, 1)
+    assert "Traceback" not in err.getvalue()
+    if rc == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert out.getvalue() == ""
+    else:
+        assert err.getvalue() == ""
+        assert parse_element(out.getvalue().strip(), g, k) == parse_element(text, g, k)
