@@ -4,14 +4,20 @@ Exit codes: 0 for a decided result, 1 for usage or input errors and for a
 certificate that fails its own claims (``CertificateError``), 2 when a
 decision is honestly unknown (properness over a cyclic graph and a field
 that is proper but not positive definite). Every exit 1 writes one line to
-stderr.
+stderr, ``error: `` and the message, argparse's usage errors included.
+
+Every command takes one path through ``main``: parse the arguments, check
+the number of ``-e`` expressions against ``_EXPR_COUNTS`` (one for ``nf``,
+``star``, ``phi`` and ``witness regular|projection|unit``, two for ``mul``,
+none for ``witness improper``), load the graph and the field the command
+names, parse the expressions, compute, and print only the output form asked
+for, JSON under ``--json`` and text otherwise. An ``-e``/``--expr`` value is
+always an expression, also when it starts with ``-``.
 
 ``main(argv)`` may be called any number of times in one process. It parses
 with one parser, built by ``build_parser`` on the first call and shared by
 every later one: argparse gives each parse a fresh namespace and copies
-``append`` defaults, so no state carries over from call to call. Each
-command renders only the output form asked for, JSON under ``--json`` and
-text otherwise.
+``append`` defaults, so no state carries over from call to call.
 
 ``construct`` refuses, before building anything, an output larger than
 ``MAX_CONSTRUCT_SIZE`` (see that constant for how size is counted).
@@ -74,57 +80,46 @@ MAX_CONSTRUCT_SIZE = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems are exit code 1, not argparse's default 2, and one line
-    # like every other error
+    # usage problems are exit code 1, not argparse's default 2, and one
+    # ``error:`` line like every other error
     def error(self, message):
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"error: {message}\n")
+
+
+# How many -e expressions each command takes, keyed by its name as typed.
+_EXPR_COUNTS = {"nf": 1, "star": 1, "phi": 1, "mul": 2, "witness regular": 1,
+                "witness projection": 1, "witness unit": 1, "witness improper": 0}
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", dest="as_json",
                         help="emit structured JSON instead of text")
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--field", required=True, metavar="SPEC",
+                       help="Q, Q[i]/id, Q[i]/conj, GF(p), GF(p,2)")
+    exprs = argparse.ArgumentParser(add_help=False)
+    exprs.add_argument("-e", "--expr", action="append", metavar="EXPR",
+                       help="element expression; mul takes two, left factor "
+                            "first, and witness improper none")
 
     parser = _Parser(prog="leavitt",
                      description="exact computation in path algebras with "
                                  "Cuntz-Krieger relations")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", parents=[common],
-                       help="structural facts about a graph")
-    p.add_argument("graph", help="graph file, or - for stdin")
-
-    p = sub.add_parser("decide", parents=[common],
-                       help="regularity, *-regularity, and properness verdicts")
-    p.add_argument("graph")
-    p.add_argument("--field", required=True, metavar="SPEC",
-                   help="Q, Q[i]/id, Q[i]/conj, GF(p), GF(p,2)")
-
-    for name, help_text in (("nf", "normal form of an expression"),
-                            ("star", "adjoint of an expression")):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("graph")
-        p.add_argument("--field", required=True)
-        p.add_argument("-e", "--expr", required=True)
-
-    p = sub.add_parser("mul", parents=[common], help="product of two expressions")
-    p.add_argument("graph")
-    p.add_argument("--field", required=True)
-    p.add_argument("-e", "--expr", action="append", required=True,
-                   help="give twice, left factor first")
-
-    p = sub.add_parser("phi", parents=[common],
-                       help="matrix image over the sinks (acyclic graphs)")
-    p.add_argument("graph")
-    p.add_argument("--field", required=True)
-    p.add_argument("-e", "--expr", required=True)
-
-    p = sub.add_parser("witness", parents=[common],
-                       help="constructive certificates")
-    p.add_argument("kind", choices=["regular", "projection", "improper", "unit"])
-    p.add_argument("graph")
-    p.add_argument("--field", required=True)
-    p.add_argument("-e", "--expr")
+    for name, parents, help_text in (
+        ("analyze", [common], "structural facts about a graph"),
+        ("decide", [common, field], "regularity, *-regularity, and properness verdicts"),
+        ("nf", [common, field, exprs], "normal form of an expression"),
+        ("star", [common, field, exprs], "adjoint of an expression"),
+        ("mul", [common, field, exprs], "product of two expressions"),
+        ("phi", [common, field, exprs], "matrix image over the sinks (acyclic graphs)"),
+        ("witness", [common, field, exprs], "constructive certificates"),
+    ):
+        p = sub.add_parser(name, parents=parents, help=help_text)
+        if name == "witness":
+            p.add_argument("kind", choices=["regular", "projection", "improper", "unit"])
+        p.add_argument("graph", help="graph file, or - for stdin")
 
     p = sub.add_parser("construct", parents=[common],
                        help="build standard and derived graphs")
@@ -151,13 +146,15 @@ def _load_graph(source: str):
     return parse_graph_any(text)
 
 
-def _emit(as_json: bool, obj, to_json, to_text) -> None:
-    """Print ``to_json(obj)`` as JSON under ``--json``, else ``to_text(obj)``;
-    only the renderer asked for runs."""
-    if as_json:
-        print(json.dumps(to_json(obj), indent=2, sort_keys=False))
-    else:
-        print(to_text(obj))
+def _expressions(args) -> list:
+    """The -e values, refused unless there are as many as the command takes."""
+    name = f"witness {args.kind}" if args.command == "witness" else args.command
+    want = _EXPR_COUNTS.get(name, 0)
+    exprs = getattr(args, "expr", None) or []
+    if len(exprs) != want:
+        raise ParseError(f"{name} takes exactly {want} -e expression"
+                         f"{'' if want == 1 else 's'}, got {len(exprs)}")
+    return exprs
 
 
 def _analyze_json(g) -> dict:
@@ -186,134 +183,93 @@ def _analyze_text(g) -> str:
     return "\n".join(lines)
 
 
-def _cmd_analyze(args) -> int:
-    _emit(args.as_json, _load_graph(args.graph), _analyze_json, _analyze_text)
-    return 0
+def _run(args, g, k, xs):
+    """The command's result with its JSON and its text renderer; ``main``
+    calls only the one asked for."""
+    command = args.command
+    if command == "analyze":
+        return g, _analyze_json, _analyze_text
+    if command == "decide":
+        return full_report(g, k), report_to_json, format_report
+    if command == "phi":
+        return phi(xs[0]), matrix_image_to_json, format_matrix_image
+    if command == "witness":
+        head, claims, text = _witness(args.kind, g, k, xs)
+        # The builders check their own claims and raise CertificateError when
+        # one fails, so whatever reaches this line is verified.
+        return (head,
+                lambda head: {**head, "claims": claims_to_json(claims), "verified": True},
+                lambda head: text)
+    if command == "construct":
+        return (_construct(args.kind, args.params), graph_to_json,
+                lambda g: format_graph(g).rstrip("\n"))
+    x = xs[0] * xs[1] if command == "mul" else xs[0].star() if command == "star" else xs[0]
+    return format_element(x), lambda text: {"element": text}, str
 
 
-def _cmd_decide(args) -> int:
-    g = _load_graph(args.graph)
-    k = parse_field_spec(args.field)
-    report = full_report(g, k)
-    _emit(args.as_json, report, report_to_json, format_report)
-    return 2 if report.proper_algebra == UNKNOWN else 0
+def _witness(kind, g, k, xs):
+    """The payload head, the claims and the text for one witness kind. The
+    text lists the head's certificate elements as ``key: element`` lines in
+    the head's order, then the identities the claims verify. Each element
+    keeps the text ``format_element`` gives it, so the claims reuse the
+    head's strings."""
+    if kind == "improper":
+        c = improper_element(g, k)
+        if c is None:
+            return {"kind": kind, "certificate": None}, [], "none"
+        text = format_element(c)
+        return ({"kind": kind, "certificate": text}, improper_claims(c),
+                f"{text}\nverified: a != 0 and star(a).a = 0")
 
-
-def _cmd_expr(args) -> int:
-    g = _load_graph(args.graph)
-    k = parse_field_spec(args.field)
-    if args.command == "mul":
-        if len(args.expr) != 2:
-            raise ParseError("mul needs exactly two -e expressions")
-        x = parse_element(args.expr[0], g, k)
-        y = parse_element(args.expr[1], g, k)
-        result = x * y
-    else:
-        x = parse_element(args.expr, g, k)
-        result = x.star() if args.command == "star" else x
-    _emit(args.as_json, format_element(result), lambda text: {"element": text}, str)
-    return 0
-
-
-def _cmd_phi(args) -> int:
-    g = _load_graph(args.graph)
-    k = parse_field_spec(args.field)
-    x = parse_element(args.expr, g, k)
-    _emit(args.as_json, phi(x), matrix_image_to_json, format_matrix_image)
-    return 0
-
-
-def _cmd_witness(args) -> int:
-    g = _load_graph(args.graph)
-    k = parse_field_spec(args.field)
-    payload, claims, text = _witness(args, g, k)
-    # The builders check their own claims and raise CertificateError when one
-    # fails, so whatever reaches this line is verified.
-    _emit(args.as_json, payload,
-          lambda head: {**head, "claims": claims_to_json(claims), "verified": True},
-          lambda head: text)
-    return 0
-
-
-def _witness(args, g, k):
-    """The payload head, the claims and the text for one witness kind. Each
-    element keeps the text ``format_element`` gives it, so the claims reuse
-    the payload's strings."""
-    if args.kind == "improper":
-        cert = improper_element(g, k)
-        payload = {"kind": "improper", "certificate": None}
-        claims, text = [], "none"
-        if cert is not None:
-            payload["certificate"] = format_element(cert)
-            claims = improper_claims(cert)
-            text = f"{payload['certificate']}\nverified: a != 0 and star(a).a = 0"
-        return payload, claims, text
-
-    if not args.expr:
-        raise ParseError(f"witness {args.kind} needs -e EXPR")
-    a = parse_element(args.expr, g, k)
-    payload = {"kind": args.kind, "input": format_element(a)}
-
-    if args.kind == "regular":
+    a = xs[0]
+    lead = ""
+    if kind == "regular":
         b = regular_witness(g, k, a)
-        payload["inverse"] = format_element(b)
-        claims = inner_inverse_claims(a, b)
-        text = f"inverse: {payload['inverse']}\nverified: a.b.a = a"
-    elif args.kind == "projection":
+        pairs, claims = [("inverse", b)], inner_inverse_claims(a, b)
+        verified = "a.b.a = a"
+    elif kind == "projection":
         try:
             cert = projection_generator(g, k, a)
         except NotStarRegularError as exc:
-            c = exc.certificate
-            payload["kind"] = "not_star_regular"
-            payload["certificate"] = format_element(c)
-            claims = improper_claims(c)
-            text = (f"not *-regular; certificate: {payload['certificate']}\n"
-                    f"verified: c != 0 and star(c).c = 0")
+            kind, lead = "not_star_regular", "not *-regular; "
+            pairs = [("certificate", exc.certificate)]
+            claims = improper_claims(exc.certificate)
+            verified = "c != 0 and star(c).c = 0"
         else:
-            payload["projection"] = format_element(cert.p)
-            payload["factor"] = format_element(cert.factor)
+            pairs = [("projection", cert.p), ("factor", cert.factor)]
             claims = projection_claims(a, cert)
-            text = (f"projection: {payload['projection']}\n"
-                    f"factor: {payload['factor']}\n"
-                    f"verified: p* = p = p.p, p.a = a, a.factor = p")
+            verified = "p* = p = p.p, p.a = a, a.factor = p"
     else:
         cert = unit_regular_witness(g, k, a)
-        payload["u"] = format_element(cert.u)
-        payload["u_prime"] = format_element(cert.u_prime)
-        payload["v"] = format_element(cert.v)
+        pairs = [("u", cert.u), ("u_prime", cert.u_prime), ("v", cert.v)]
         claims = unit_regular_claims(a, cert)
-        text = (f"u: {payload['u']}\n"
-                f"u_prime: {payload['u_prime']}\n"
-                f"v: {payload['v']}\n"
-                f"verified: u.u' = v = u'.u, v.a = a.v = a, a.u.a = a")
-    return payload, claims, text
+        verified = "u.u' = v = u'.u, v.a = a.v = a, a.u.a = a"
+    head = {"kind": kind, "input": format_element(a)}
+    head.update((key, format_element(x)) for key, x in pairs)
+    lines = [f"{key}: {head[key]}" for key, _ in pairs]
+    return head, claims, lead + "\n".join(lines + [f"verified: {verified}"])
 
 
-def _cmd_construct(args) -> int:
-    kind = args.kind
-    params = args.params
+def _construct(kind: str, params: list):
     if kind in ("line", "rose", "toeplitz"):
         if len(params) > 1:
             raise ParseError(f"construct {kind} takes at most one size")
         n = _positive_int(params[0], "size") if params else 1
         _check_construct_size(kind, n)
-        g = standard_graph(kind, n)
-    elif kind == "mn":
+        return standard_graph(kind, n)
+    if kind == "mn":
         if len(params) != 2:
             raise ParseError("construct mn needs GRAPH N")
         base = _load_graph(params[0])
         n = _positive_int(params[1], "N")
         _check_construct_size(kind, n * len(base.vertices))
-        g = m_n_graph(base, n)
-    else:
-        if len(params) < 2:
-            raise ParseError("construct ef needs GRAPH EDGE[,EDGE...]")
-        base = _load_graph(params[0])
-        f_ids = [e for chunk in params[1:] for e in chunk.split(",") if e]
-        _check_construct_size(kind, e_f_edge_count(base, f_ids))
-        g = e_f_graph(base, f_ids)
-    _emit(args.as_json, g, graph_to_json, lambda g: format_graph(g).rstrip("\n"))
-    return 0
+        return m_n_graph(base, n)
+    if len(params) < 2:
+        raise ParseError("construct ef needs GRAPH EDGE[,EDGE...]")
+    base = _load_graph(params[0])
+    f_ids = [e for chunk in params[1:] for e in chunk.split(",") if e]
+    _check_construct_size(kind, e_f_edge_count(base, f_ids))
+    return e_f_graph(base, f_ids)
 
 
 def _positive_int(text: str, name: str) -> int:
@@ -330,18 +286,6 @@ def _check_construct_size(kind: str, size: int) -> None:
     if size > MAX_CONSTRUCT_SIZE:
         raise ParseError(f"construct {kind}: output size {size} exceeds "
                          f"MAX_CONSTRUCT_SIZE = {MAX_CONSTRUCT_SIZE}")
-
-
-_DISPATCH = {
-    "analyze": _cmd_analyze,
-    "decide": _cmd_decide,
-    "nf": _cmd_expr,
-    "mul": _cmd_expr,
-    "star": _cmd_expr,
-    "phi": _cmd_phi,
-    "witness": _cmd_witness,
-    "construct": _cmd_construct,
-}
 
 
 def _bind_expressions(argv: list) -> list:
@@ -365,11 +309,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return _DISPATCH[args.command](args)
+        exprs = _expressions(args)
+        g = _load_graph(args.graph) if "graph" in args else None
+        k = parse_field_spec(args.field) if "field" in args else None
+        result, to_json, to_text = _run(args, g, k, [parse_element(e, g, k) for e in exprs])
+        print(json.dumps(to_json(result), indent=2) if args.as_json else to_text(result))
     except (ParseError, GraphError, FieldError, AlgebraError, ShapeError,
             CertificateError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 2 if args.command == "decide" and result.proper_algebra == UNKNOWN else 0
 
 
 if __name__ == "__main__":

@@ -147,7 +147,7 @@ class Field:
 
     @property
     def zero(self) -> FieldValue:
-        return FieldValue(self, self._zero_payload())
+        return FieldValue(self, self._from_int(0))
 
     @property
     def one(self) -> FieldValue:
@@ -155,6 +155,11 @@ class Field:
 
     def from_int(self, n: int) -> FieldValue:
         return FieldValue(self, self._from_int(n))
+
+    # --- payload kernels (each field defines the rest) ---------------
+
+    def _sub(self, a, b):
+        return self._add(a, self._neg(b))
 
     # --- involution and properness ------------------------------------
 
@@ -265,9 +270,6 @@ class Rationals(Field):
     def spec_string(self):
         return "Q"
 
-    def _zero_payload(self):
-        return (0, 1)
-
     def _is_zero(self, a):
         return not a[0]
 
@@ -285,9 +287,6 @@ class Rationals(Field):
             n, ad = an * bd + bn * ad, ad * bd
         g = gcd(n, ad)
         return (n // g, ad // g)
-
-    def _sub(self, a, b):
-        return self._add(a, (-b[0], b[1]))
 
     def _mul(self, a, b):
         an, ad = a
@@ -360,9 +359,6 @@ class GaussianRationals(Field):
     def spec_string(self):
         return "Q[i]/conj" if self.conjugation else "Q[i]/id"
 
-    def _zero_payload(self):
-        return (0, 0, 1)
-
     def _is_zero(self, a):
         return not (a[0] or a[1])
 
@@ -380,9 +376,6 @@ class GaussianRationals(Field):
             r, i, ad = ar * bd + br * ad, ai * bd + bi * ad, ad * bd
         g = gcd(r, i, ad)
         return (r // g, i // g, ad // g)
-
-    def _sub(self, a, b):
-        return self._add(a, (-b[0], -b[1], b[2]))
 
     def _mul(self, a, b):
         ar, ai, ad = a
@@ -533,9 +526,6 @@ class PrimeField(Field):
     def spec_string(self):
         return f"GF({self.p})"
 
-    def _zero_payload(self):
-        return 0
-
     def _is_zero(self, a):
         return not a
 
@@ -544,9 +534,6 @@ class PrimeField(Field):
 
     def _add(self, a, b):
         return (a + b) % self.p
-
-    def _sub(self, a, b):
-        return (a - b) % self.p
 
     def _mul(self, a, b):
         return (a * b) % self.p
@@ -625,9 +612,6 @@ class QuadraticExtField(Field):
     def spec_string(self):
         return f"GF({self.p},2)"
 
-    def _zero_payload(self):
-        return (0, 0)
-
     def _is_zero(self, a):
         return not (a[0] or a[1])
 
@@ -636,9 +620,6 @@ class QuadraticExtField(Field):
 
     def _add(self, a, b):
         return ((a[0] + b[0]) % self.p, (a[1] + b[1]) % self.p)
-
-    def _sub(self, a, b):
-        return ((a[0] - b[0]) % self.p, (a[1] - b[1]) % self.p)
 
     def _mul(self, a, b):
         # (a0 + a1 t)(b0 + b1 t) with t^2 = u t + w
@@ -651,18 +632,13 @@ class QuadraticExtField(Field):
     def _neg(self, a):
         return ((-a[0]) % self.p, (-a[1]) % self.p)
 
-    def _pow(self, a, k):
-        result = self._from_int(1)
-        base = a
-        while k:
-            if k & 1:
-                result = self._mul(result, base)
-            base = self._mul(base, base)
-            k >>= 1
-        return result
-
     def _conj(self, a):
-        return self._pow(a, self.p)
+        # x^p in closed form: (a + bt)^p = a + b t^p. For odd p,
+        # t^p = t * c^((p-1)/2) = -t since c is a non-residue; for p = 2,
+        # t^2 = t + 1.
+        if self.p == 2:
+            return ((a[0] + a[1]) % 2, a[1])
+        return (a[0], (-a[1]) % self.p)
 
     def _inv(self, a):
         # x^{-1} = conj(x) / N(x) with N(x) = x * x^p landing in GF(p)

@@ -1,0 +1,69 @@
+"""Property test of the CLI's exit contract on the commands that take -e
+expressions: any count of expressions, spelled any of the three ways, with
+or without --field, ends in exit 0, 1 or 2 with no traceback; exit 1 is one
+``error:`` line on stderr, and exit 0 needs the command's own count."""
+
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+
+from leavitt import standard_graph  # noqa: E402
+from leavitt.cli import main  # noqa: E402
+from leavitt.io import format_graph  # noqa: E402
+
+from test_linalg_properties import PROPERTY_SETTINGS  # noqa: E402
+
+# the number of -e expressions each command takes, as documented
+EXPR_COUNTS = {"nf": 1, "star": 1, "phi": 1, "mul": 2, "witness regular": 1,
+               "witness projection": 1, "witness unit": 1, "witness improper": 0}
+# well-formed, negated and malformed expressions over line 2
+EXPRS = ("v1", "-v1", "e1.e1*", "v2 + 2*e1", "-e1*", "1+2i*e1", "e1..e2", "", "q1",
+         "1/0*e1", "-e")
+SPECS = (None, "Q", "GF(5)", "Q[i]/conj", "GF(3,2)")
+
+
+@pytest.fixture(scope="module")
+def line2_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("graphs") / "line2.txt"
+    path.write_text(format_graph(standard_graph("line", 2)))
+    return str(path)
+
+
+def expression_args(text, spelling):
+    return {"short": ["-e", text], "long": ["--expr", text],
+            "joined": [f"--expr={text}"]}[spelling]
+
+
+@PROPERTY_SETTINGS
+@given(command=st.sampled_from(sorted(EXPR_COUNTS)),
+       exprs=st.lists(st.tuples(st.sampled_from(EXPRS),
+                                st.sampled_from(("short", "long", "joined"))),
+                      max_size=3),
+       spec=st.sampled_from(SPECS),
+       field_first=st.booleans(),
+       as_json=st.booleans())
+def test_expression_count_exit_contract(line2_file, command, exprs, spec, field_first,
+                                        as_json):
+    field = [] if spec is None else ["--field", spec]
+    expr_args = [a for text, spelling in exprs for a in expression_args(text, spelling)]
+    argv = command.split() + [line2_file]
+    argv += field + expr_args if field_first else expr_args + field
+    argv += ["--json"] if as_json else []
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if len(exprs) != EXPR_COUNTS[command] or spec is None:
+        assert rc == 1
+    if rc == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and err.getvalue() == lines[0] + "\n"
+        assert lines[0].startswith("error: ")
+        assert out.getvalue() == ""
+    else:
+        assert err.getvalue() == ""

@@ -87,6 +87,16 @@ class TestConjugation:
             cube = x * x * x
             assert x.conj() == cube
 
+    @pytest.mark.parametrize("p", [p for p in range(2, 50) if trial_division_is_prime(p)])
+    def test_frobenius_is_the_pth_power(self, p):
+        # conj is in closed form; x^p here is p - 1 products, on every element
+        k = QuadraticExtField(p)
+        for x in ((a, b) for a in range(p) for b in range(p)):
+            power = x
+            for _ in range(p - 1):
+                power = k._mul(power, x)
+            assert k._conj(x) == power, x
+
     def test_frobenius_is_involution(self):
         for k in (GF4, GF9, GF25):
             for x in k.elements():
