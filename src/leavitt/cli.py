@@ -289,16 +289,19 @@ def _check_construct_size(kind: str, size: int) -> None:
 
 
 def _bind_expressions(argv: list) -> list:
-    """Join each -e/--expr to its value as --expr=VALUE, so that an expression
-    starting with '-' (such as -v1) is not taken for an option."""
+    """Join -e/--expr to a value starting with '-' (such as -v1) as
+    --expr=VALUE, so that argparse does not take the value for an option;
+    every other token is left as typed."""
     out = []
     tokens = iter(argv)
     for token in tokens:
-        if token in ("-e", "--expr"):
-            value = next(tokens, None)
-            if value is not None:
-                token = f"--expr={value}"
-        out.append(token)
+        value = next(tokens, None) if token in ("-e", "--expr") else None
+        if value is None:
+            out.append(token)
+        elif value.startswith("-"):
+            out.append(f"--expr={value}")
+        else:
+            out += [token, value]
     return out
 
 

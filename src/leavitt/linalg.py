@@ -18,10 +18,13 @@ row lists compare equal with ``==``. Every scalar operation goes through
 the field's payload methods (``_add``, ``_mul``, ``_neg``, ``_inv``,
 ``_is_zero``, ``_conj``), read once per kernel call. Products are row by
 row (Gustavson, ACM TOMS 1978) and form a scalar product only for two
-nonzero factors, and the Gauss-Jordan updates touch only the nonzero
-positions of the pivot row and column, so the work is proportional to the
-nonzeros. The blocks of phi(a) are mostly zero. Skipped terms are exact
-zeros, so every value is the one the full dense loops would give.
+nonzero factors. ``_factor`` stores P and Q^-1, which take only column
+operations, by columns, so each of their swaps, pivot scalings and
+elimination steps touches one or two columns. What still costs Θ(m) per
+pivot is M's column swap and the scans for the first nonempty row and for
+the rows holding column k. The blocks of phi(a) are mostly zero. Skipped
+terms are exact zeros, so every value is the one the full dense loops
+would give.
 
 The factorization A = P D Q with invertible P, Q and a 0/1 diagonal D is
 the workhorse behind inner inverses, projections, and invertible-factor
@@ -147,38 +150,30 @@ def _factor(field: Field, M, m: int, n: int):
 
     The pivot is the first nonzero entry of the remaining block in
     row-major order, so the output is deterministic. Rows from k on have no
-    entry left of column k, because every earlier pivot column was cleared.
+    entry left of column k, and rows above k are ``{r: 1}``, because every
+    earlier pivot column was cleared. P and Q^-1 take only column
+    operations, so they are built as lists of columns (``Pc[c]`` is column c
+    of P) and transposed at the end.
     """
     add, mul, neg, inv, is_zero = (
         field._add, field._mul, field._neg, field._inv, field._is_zero)
     one = field._from_int(1)
     A = [dict(row) for row in M]
-    P, Pinv = _identity(field, m), _identity(field, m)
-    Q, Qinv = _identity(field, n), _identity(field, n)
+    Pc, Pinv = _identity(field, m), _identity(field, m)
+    Q, Qinvc = _identity(field, n), _identity(field, n)
 
-    def add_term(row, j, term):
-        """row[j] <- row[j] + term, dropping the entry if the sum vanishes."""
-        if j in row:
-            total = add(row[j], term)
-            if is_zero(total):
-                del row[j]
-            else:
-                row[j] = total
-        else:
-            row[j] = term
-
-    def add_multiple(row, c, entries):
-        """row <- row + c * v, in place, for v given by its nonzero entries."""
+    def add_multiple(vec, c, entries):
+        """vec <- vec + c * entries, in place, dropping sums that vanish."""
         for j, y in entries:
-            add_term(row, j, mul(c, y))
-
-    def swap_keys(rows, i, j):
-        for row in rows:
-            x, y = row.pop(i, None), row.pop(j, None)
-            if x is not None:
-                row[j] = x
-            if y is not None:
-                row[i] = y
+            term = mul(c, y)
+            if j in vec:
+                total = add(vec[j], term)
+                if is_zero(total):
+                    del vec[j]
+                else:
+                    vec[j] = total
+            else:
+                vec[j] = term
 
     rank = 0
     for k in range(min(m, n)):
@@ -188,45 +183,45 @@ def _factor(field: Field, M, m: int, n: int):
         j = min(M[i])
         if i != k:
             M[i], M[k] = M[k], M[i]
-            swap_keys(P, i, k)       # P <- P * S^-1 with S the row swap
+            Pc[i], Pc[k] = Pc[k], Pc[i]     # P <- P * S^-1 with S the row swap
             Pinv[i], Pinv[k] = Pinv[k], Pinv[i]
         if j != k:
-            swap_keys(M, j, k)
+            for row in M[k:]:
+                x, y = row.pop(j, None), row.pop(k, None)
+                if x is not None:
+                    row[k] = x
+                if y is not None:
+                    row[j] = y
             Q[j], Q[k] = Q[k], Q[j]
-            swap_keys(Qinv, j, k)
+            Qinvc[j], Qinvc[k] = Qinvc[k], Qinvc[j]
         piv = M[k][k]
         if piv != one:
             scale = inv(piv)
             M[k] = {j2: mul(scale, x) for j2, x in M[k].items()}
-            for row in P:            # column k of P picks up the pivot
-                if k in row:
-                    row[k] = mul(row[k], piv)
+            Pc[k] = {r: mul(x, piv) for r, x in Pc[k].items()}
             Pinv[k] = {j2: mul(scale, x) for j2, x in Pinv[k].items()}
         # The pivot is now one, so eliminating it leaves column k empty in
         # every other row without forming c - c * 1.
         pivot_row = [(j2, x) for j2, x in M[k].items() if j2 != k]
         pinv_row = list(Pinv[k].items())
-        for i2 in range(m):
-            c = M[i2].get(k) if i2 != k else None
+        for i2 in range(k + 1, m):
+            c = M[i2].get(k)
             if c is None:
                 continue
             del M[i2][k]
             add_multiple(M[i2], neg(c), pivot_row)
-            for row in P:            # P <- P * (I + c E_{i2,k})
-                if i2 in row:
-                    add_term(row, k, mul(c, row[i2]))
+            add_multiple(Pc[k], c, Pc[i2].items())  # P <- P (I + c E_{i2,k})
             add_multiple(Pinv[i2], neg(c), pinv_row)
         # Column k of M is now zero off the pivot, so clearing column j2
         # with column k changes only M[k][j2].
-        qinv_rows = [row for row in Qinv if k in row]
         for j2, c in pivot_row:
             del M[k][j2]
             add_multiple(Q[k], c, Q[j2].items())
-            minus_c = neg(c)
-            for row in qinv_rows:    # Qinv <- Qinv * (I - c E_{k,j2})
-                add_term(row, j2, mul(minus_c, row[k]))
+            # Qinv <- Qinv (I - c E_{k,j2})
+            add_multiple(Qinvc[j2], neg(c), Qinvc[k].items())
         rank = k + 1
 
+    P, Qinv = _transpose(Pc, m), _transpose(Qinvc, n)
     if not (_mul(field, P, Pinv) == _identity(field, m)
             and _mul(field, Q, Qinv) == _identity(field, n)
             and _mul(field, _mul(field, P, M), Q) == A):
@@ -243,14 +238,19 @@ def rank_factorization(field: Field, a) -> RankFactorization:
                              _dense(field, Qinv, n), rank)
 
 
-def _conj_transpose(field: Field, rows, n: int):
-    """The conjugate transpose of payload rows with ``n`` columns."""
-    conj = field._conj
+def _transpose(rows, n: int):
+    """The transpose of payload rows with ``n`` columns."""
     out = [{} for _ in range(n)]
     for i, row in enumerate(rows):
         for j, x in row.items():
-            out[j][i] = conj(x)
+            out[j][i] = x
     return out
+
+
+def _conj_transpose(field: Field, rows, n: int):
+    """The conjugate transpose of payload rows with ``n`` columns."""
+    conj = field._conj
+    return [{i: conj(x) for i, x in row.items()} for row in _transpose(rows, n)]
 
 
 def _solve(field: Field, a_rows, m: int, n: int, b_rows, side: str):

@@ -23,6 +23,7 @@ from leavitt import (
     standard_graph,
 )
 from leavitt.graphs import in_edges, out_edges, path_range
+from leavitt.linalg import _identity, _mul
 
 
 def binary_in_tree() -> Graph:
@@ -180,6 +181,102 @@ def naive_rank(a):
             rows[r] = [x - c * y for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def oracle_factor(field, M, m, n):
+    """The factorization ``linalg._factor`` computes, with P and Q^-1 kept
+    as rows: every row or column swap, pivot scaling and elimination walks
+    all rows of P or Q^-1. Gauss-Jordan with full pivoting on the payload
+    rows M (consumed: M ends as D); returns P, P^-1, D, Q, Q^-1 as payload
+    rows and the rank.
+
+    The pivot is the first nonzero entry of the remaining block in
+    row-major order, so the output is deterministic. Rows from k on have no
+    entry left of column k, because every earlier pivot column was cleared.
+    """
+    add, mul, neg, inv, is_zero = (
+        field._add, field._mul, field._neg, field._inv, field._is_zero)
+    one = field._from_int(1)
+    A = [dict(row) for row in M]
+    P, Pinv = _identity(field, m), _identity(field, m)
+    Q, Qinv = _identity(field, n), _identity(field, n)
+
+    def add_term(row, j, term):
+        """row[j] <- row[j] + term, dropping the entry if the sum vanishes."""
+        if j in row:
+            total = add(row[j], term)
+            if is_zero(total):
+                del row[j]
+            else:
+                row[j] = total
+        else:
+            row[j] = term
+
+    def add_multiple(row, c, entries):
+        """row <- row + c * v, in place, for v given by its nonzero entries."""
+        for j, y in entries:
+            add_term(row, j, mul(c, y))
+
+    def swap_keys(rows, i, j):
+        for row in rows:
+            x, y = row.pop(i, None), row.pop(j, None)
+            if x is not None:
+                row[j] = x
+            if y is not None:
+                row[i] = y
+
+    rank = 0
+    for k in range(min(m, n)):
+        i = next((r for r in range(k, m) if M[r]), None)
+        if i is None:
+            break
+        j = min(M[i])
+        if i != k:
+            M[i], M[k] = M[k], M[i]
+            swap_keys(P, i, k)       # P <- P * S^-1 with S the row swap
+            Pinv[i], Pinv[k] = Pinv[k], Pinv[i]
+        if j != k:
+            swap_keys(M, j, k)
+            Q[j], Q[k] = Q[k], Q[j]
+            swap_keys(Qinv, j, k)
+        piv = M[k][k]
+        if piv != one:
+            scale = inv(piv)
+            M[k] = {j2: mul(scale, x) for j2, x in M[k].items()}
+            for row in P:            # column k of P picks up the pivot
+                if k in row:
+                    row[k] = mul(row[k], piv)
+            Pinv[k] = {j2: mul(scale, x) for j2, x in Pinv[k].items()}
+        # The pivot is now one, so eliminating it leaves column k empty in
+        # every other row without forming c - c * 1.
+        pivot_row = [(j2, x) for j2, x in M[k].items() if j2 != k]
+        pinv_row = list(Pinv[k].items())
+        for i2 in range(m):
+            c = M[i2].get(k) if i2 != k else None
+            if c is None:
+                continue
+            del M[i2][k]
+            add_multiple(M[i2], neg(c), pivot_row)
+            for row in P:            # P <- P * (I + c E_{i2,k})
+                if i2 in row:
+                    add_term(row, k, mul(c, row[i2]))
+            add_multiple(Pinv[i2], neg(c), pinv_row)
+        # Column k of M is now zero off the pivot, so clearing column j2
+        # with column k changes only M[k][j2].
+        qinv_rows = [row for row in Qinv if k in row]
+        for j2, c in pivot_row:
+            del M[k][j2]
+            add_multiple(Q[k], c, Q[j2].items())
+            minus_c = neg(c)
+            for row in qinv_rows:    # Qinv <- Qinv * (I - c E_{k,j2})
+                add_term(row, j2, mul(minus_c, row[k]))
+        rank = k + 1
+
+    if not (_mul(field, P, Pinv) == _identity(field, m)
+            and _mul(field, Q, Qinv) == _identity(field, n)
+            and _mul(field, _mul(field, P, M), Q) == A):
+        raise AssertionError("rank factorization failed self-check")
+    return P, Pinv, M, Q, Qinv, rank
 
 
 def oracle_product_terms(x, y):

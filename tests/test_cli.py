@@ -139,6 +139,12 @@ class TestExpressions:
         assert err.count("\n") == 1 and err.startswith("error:")
         assert "zero denominator" in err
 
+    def test_expr_to_a_command_without_one_is_reported_as_typed(self, capsys,
+                                                               line2_file):
+        code, out, err = run(capsys, "decide", line2_file, "--field", "Q", "-e", "v1")
+        assert code == 1 and out == ""
+        assert err == "error: unrecognized arguments: -e v1\n"
+
     def test_phi(self, capsys, line2_file):
         code, out, _ = run(capsys, "phi", line2_file, "--field", "Q", "-e", "v2",
                            "--json")

@@ -2,6 +2,7 @@ import itertools
 import json
 import pathlib
 import random
+import sys
 
 import pytest
 
@@ -9,6 +10,7 @@ from leavitt import PrimeField, Rationals, parse_field_spec
 from leavitt.fields import FieldMismatchError, FieldValue
 from leavitt.linalg import (
     ShapeError,
+    _factor,
     identity,
     mat_eq,
     mat_mul,
@@ -276,6 +278,27 @@ class TestWorkGate:
         fact = rank_factorization(field, a)
         assert fact.rank == 40
         assert zero_tests[0] <= 1600 + calls[0] <= 1877
+
+    def test_row_swaps_move_no_entries(self):
+        # 128 empty rows over [I | 0]: every pivot is a row swap and none is
+        # a column swap, so P and Q^-1, kept by columns, swap two list
+        # slots; swapping keys in every row of P would pop 2 * 256 per pivot
+        field = Rationals()
+        one = field._from_int(1)
+        rows = [{} for _ in range(128)] + [{i: one} for i in range(128)]
+        pops = [0]
+
+        def profile(frame, event, arg):
+            if event == "c_call" and arg.__name__ == "pop" and type(arg.__self__) is dict:
+                pops[0] += 1
+
+        sys.setprofile(profile)
+        try:
+            rank = _factor(field, rows, 256, 256)[-1]
+        finally:
+            sys.setprofile(None)
+        assert rank == 128
+        assert pops[0] == 0
 
     def test_bad_side_forms_no_product(self):
         field, calls = counting_rationals()

@@ -1,5 +1,6 @@
 """Property tests of the linalg contracts on small sparse matrices over six
-fields, checked through the dense oracles of conftest."""
+fields, checked through the dense oracles of conftest, and of ``_factor``
+against the row-stored factorization ``oracle_factor`` over eight."""
 
 import pytest
 
@@ -7,9 +8,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from leavitt import parse_field_spec  # noqa: E402
-from leavitt.linalg import identity, rank_factorization, solve_linear  # noqa: E402
+from leavitt.linalg import (  # noqa: E402
+    _factor,
+    _sparse,
+    identity,
+    rank_factorization,
+    solve_linear,
+)
 
-from conftest import naive_mat_mul, naive_rank  # noqa: E402
+from conftest import naive_mat_mul, naive_rank, oracle_factor  # noqa: E402
 
 
 def _fields():
@@ -28,6 +35,8 @@ def _fields():
 
 
 FIELDS = _fields()
+GF2, GF7_2 = parse_field_spec("GF(2)"), parse_field_spec("GF(7,2)")
+FACTOR_FIELDS = FIELDS + [(GF2, GF2.one), (GF7_2, GF7_2.t)]
 COEFFS = st.integers(-3, 3)
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=100, database=None,
                              deadline=None)
@@ -95,3 +104,26 @@ def test_solve_linear_right(system):
 @given(systems("left"))
 def test_solve_linear_left(system):
     check_solve("left", system)
+
+
+@st.composite
+def factor_inputs(draw):
+    """(field, a, m, n) with a as payload rows: leading empty rows force row
+    swaps, zero entries force column swaps, and duplicated rows empty out
+    during elimination."""
+    field, g = draw(st.sampled_from(FACTOR_FIELDS))
+    n = draw(st.integers(0, 6))
+    rows = [[draw(entries(field, g)) for _ in range(n)]
+            for _ in range(draw(st.integers(0, 5)))]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    rows = [[field.zero] * n for _ in range(draw(st.integers(0, 2)))] + rows
+    return field, _sparse(field, rows), len(rows), n
+
+
+@PROPERTY_SETTINGS
+@given(factor_inputs())
+def test_factor_equals_row_oracle(inputs):
+    field, a, m, n = inputs
+    got = _factor(field, [dict(row) for row in a], m, n)
+    assert got == oracle_factor(field, [dict(row) for row in a], m, n)
