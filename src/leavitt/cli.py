@@ -29,6 +29,8 @@ import argparse
 import functools
 import json
 import sys
+from itertools import repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .algebra import AlgebraError, format_element
 from .decide import UNKNOWN, full_report
@@ -288,6 +290,47 @@ def _check_construct_size(kind: str, size: int) -> None:
                          f"MAX_CONSTRUCT_SIZE = {MAX_CONSTRUCT_SIZE}")
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _indent(level: int) -> tuple:
+    """The C encoder, the item pad and the closing pad of a container at
+    indent ``level``. The encoder writes a container that holds no other
+    container in one call, its items joined by a comma and the item pad (a
+    newline and the next level's indent)."""
+    inner = "\n" + "  " * (level + 1)
+    return (c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                           None, ": ", "," + inner, False, False, True),
+            inner, "\n" + "  " * level)
+
+
+def _json_text(obj, level: int = 0) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte. With an indent the
+    stdlib encodes in pure Python, one generator per value; here a scalar
+    or a container that holds no other container is one call of the C
+    encoder, with the newlines after the opening and before the closing
+    bracket spliced in, and only containers of containers are walked in
+    Python."""
+    if c_make_encoder is None:  # no _json accelerator
+        return json.dumps(obj, indent=2)
+    encode, inner, outer = _indent(level)
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return "".join(encode(obj, 0))
+    is_dict = isinstance(obj, dict)
+    if not any(map(isinstance, obj.values() if is_dict else obj, repeat(_CONTAINERS))):
+        text = "".join(encode(obj, 0))
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if is_dict:
+        # a key that is not a string is spelled as the C encoder spells it
+        parts = [(encode_basestring_ascii(k) if isinstance(k, str)
+                  else "".join(encode({k: 0}, 0))[1:-4])
+                 + ": " + _json_text(v, level + 1) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(parts) + outer + "}"
+    parts = [_json_text(v, level + 1) for v in obj]
+    return "[" + inner + ("," + inner).join(parts) + outer + "]"
+
+
 def _bind_expressions(argv: list) -> list:
     """Join -e/--expr to a value starting with '-' (such as -v1) as
     --expr=VALUE, so that argparse does not take the value for an option;
@@ -316,7 +359,7 @@ def main(argv=None) -> int:
         g = _load_graph(args.graph) if "graph" in args else None
         k = parse_field_spec(args.field) if "field" in args else None
         result, to_json, to_text = _run(args, g, k, [parse_element(e, g, k) for e in exprs])
-        print(json.dumps(to_json(result), indent=2) if args.as_json else to_text(result))
+        print(_json_text(to_json(result)) if args.as_json else to_text(result))
     except (ParseError, GraphError, FieldError, AlgebraError, ShapeError,
             CertificateError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,6 +6,10 @@ and all functions here are pure. Every derived table of a graph (vertex
 set, edge lookup, incidence lists, special edges, sinks, path counts, the
 sink-basis paths) lives in one ``GraphIndex``, reached as ``g.index``: it is
 built the first time it is asked for and memoized on that graph object.
+Building it makes only what validation and the verdicts read: the vertex
+set, the edge lookup and the out-edge lists. Every other table is built on
+first use; the in-edge lists when paths are enumerated or a vertex is
+classified, the special edges when an element is normalized.
 Sharing a graph across threads is safe; ``cached_property`` may build a
 table twice under a race, and both results are equal.
 
@@ -89,8 +93,10 @@ class GraphIndex:
     Building it raises ``GraphError`` (the ``validate`` messages joined by
     "; ") on duplicate identifiers or dangling endpoints. Incidence lists are
     sorted by edge id; the special edge of a non-sink vertex is its greatest
-    outgoing edge id. ``special_ids``, ``mu``, ``acyclic``, ``sigma``,
-    ``sinks`` and ``sink_paths`` are computed on first use. The index keeps
+    outgoing edge id. ``order``, ``vertices``, ``edge_by_id`` and
+    ``out_edges`` are built eagerly; ``in_edges``, ``special``,
+    ``special_ids``, ``mu``, ``acyclic``, ``sigma``, ``sinks`` and
+    ``sink_paths`` are computed on first use. The index keeps
     the graph's vertex-order tuple, never the graph itself, so it forms no
     reference cycle with the graph that memoizes it.
     """
@@ -99,20 +105,32 @@ class GraphIndex:
         self.order = g.vertices
         self.vertices = frozenset(g.vertices)
         self.edge_by_id = {e.id: e for e in g.edges}
-        if len(self.vertices) < len(g.vertices) or len(self.edge_by_id) < len(g.edges):
+        if (len(self.vertices) < len(g.vertices) or len(self.edge_by_id) < len(g.edges)
+                or not self.vertices.issuperset([e.dst for e in g.edges])):
             raise _invalid(g)
         outs = {v: [] for v in g.vertices}
-        ins = {v: [] for v in g.vertices}
         try:
             # with unique ids, tuple order is edge-id order
             for e in sorted(g.edges):
                 outs[e.src].append(e)
-                ins[e.dst].append(e)
         except KeyError:
             raise _invalid(g) from None
         self.out_edges = {v: tuple(es) for v, es in outs.items()}
-        self.in_edges = {v: tuple(es) for v, es in ins.items()}
-        self.special = {v: es[-1].id for v, es in self.out_edges.items() if es}
+
+    @functools.cached_property
+    def in_edges(self) -> dict:
+        """The in-edges of each vertex, sorted by edge id. Built on first
+        use: only path enumeration and vertex classification read it."""
+        ins = {v: [] for v in self.order}
+        for e in sorted(self.edge_by_id.values()):
+            ins[e.dst].append(e)
+        return {v: tuple(es) for v, es in ins.items()}
+
+    @functools.cached_property
+    def special(self) -> dict:
+        """The special (greatest-id outgoing) edge id of each non-sink
+        vertex. Built on first use: only element normalization reads it."""
+        return {v: es[-1].id for v, es in self.out_edges.items() if es}
 
     @functools.cached_property
     def special_ids(self) -> frozenset:
@@ -132,7 +150,9 @@ class GraphIndex:
         """
         vertices = self.order
         out_edges = self.out_edges
-        pending = {v: len(es) for v, es in self.in_edges.items()}
+        pending = dict.fromkeys(vertices, 0)
+        for e in self.edge_by_id.values():
+            pending[e.dst] += 1
         counts = dict.fromkeys(vertices, 1)
         ready = [v for v in vertices if not pending[v]]
         popped = 0

@@ -148,7 +148,10 @@ def parse_graph_json(obj) -> Graph:
 
 
 def parse_graph_any(text: str) -> Graph:
-    """Sniff the format: JSON if the first non-space character is '{'."""
+    """Sniff the format: JSON if the first non-space character is '{'. One
+    leading byte order mark (U+FEFF), as some editors write, is dropped
+    first."""
+    text = text.removeprefix("\ufeff")
     if text.lstrip().startswith("{"):
         return parse_graph_json(text)
     return parse_graph(text)

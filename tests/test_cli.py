@@ -1,3 +1,5 @@
+import codecs
+import io
 import json
 import os
 import pathlib
@@ -10,7 +12,8 @@ import pytest
 import leavitt
 from leavitt import Graph, cli, format_element, parse_graph, standard_graph
 from leavitt.cli import main
-from leavitt.io import format_graph, verify_claims
+from leavitt.graphs import clock_graph
+from leavitt.io import format_graph, graph_to_json, verify_claims
 
 from conftest import FIVE_FIELDS, acyclic_corpus, random_element
 
@@ -414,6 +417,99 @@ class TestGoldens:
         code, out, err = run(capsys, *argv + (["--json"] if suffix == "json" else []))
         assert (code, err) == (0, "")
         assert out == (GOLDEN / f"phi_line2_{slug}.{suffix}").read_text()
+
+
+class TestByteOrderMark:
+    """A graph may start with one UTF-8 byte order mark, as some editors
+    write; the verdict is the one for the same graph without it."""
+
+    def expected(self):
+        return 0, (GOLDEN / "decide_line2_Q.txt").read_text(), ""
+
+    def test_text_file(self, capsys, tmp_path):
+        path = tmp_path / "line2.txt"
+        path.write_bytes(codecs.BOM_UTF8
+                         + format_graph(standard_graph("line", 2)).encode())
+        assert run(capsys, "decide", str(path), "--field", "Q") == self.expected()
+
+    def test_json_file(self, capsys, tmp_path):
+        path = tmp_path / "line2.json"
+        path.write_bytes(codecs.BOM_UTF8
+                         + json.dumps(graph_to_json(standard_graph("line", 2))).encode())
+        assert run(capsys, "decide", str(path), "--field", "Q") == self.expected()
+
+    def test_stdin(self, capsys, monkeypatch):
+        text = "\ufeff" + format_graph(standard_graph("line", 2))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert run(capsys, "decide", "-", "--field", "Q") == self.expected()
+
+    def test_only_one_mark_is_dropped(self, capsys, monkeypatch):
+        text = "\ufeff\ufeff" + format_graph(standard_graph("line", 2))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run(capsys, "decide", "-", "--field", "Q")
+        assert (code, out) == (1, "") and err.startswith("error: line 1: ")
+
+
+class TestJsonOutput:
+    """``--json`` prints exactly ``json.dumps(value, indent=2)``, written
+    without the stdlib's pure-Python indenting encoder."""
+
+    def test_is_stdlib_indent_2_without_the_python_encoder(self, capsys, monkeypatch,
+                                                           line2_file):
+        q, gf5, a = ["--field", "Q"], ["--field", "GF(5)"], ["-e", "v2 + 2*e1"]
+        expected = {}
+        for argv in (["analyze", line2_file], ["decide", line2_file, *gf5],
+                     ["nf", line2_file, *q, "-e", "e1.e1*"], ["star", line2_file, *q, *a],
+                     ["mul", line2_file, *q, "-e", "e1*", "-e", "e1"],
+                     ["phi", line2_file, *q, *a], ["witness", "regular", line2_file, *q, *a],
+                     ["witness", "projection", line2_file, *gf5, *a],
+                     ["witness", "unit", line2_file, *q, *a],
+                     ["witness", "improper", line2_file, *gf5],
+                     ["construct", "mn", line2_file, "2"]):
+            code, out, err = expected[tuple(argv)] = run(capsys, *argv, "--json")
+            assert (code, err) == (0, ""), argv
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+        monkeypatch.setattr(json.encoder, "_make_iterencode", _raise)
+        for argv, result in expected.items():
+            assert run(capsys, *argv, "--json") == result, argv
+
+    def test_without_the_c_accelerator(self, monkeypatch):
+        value = {"a": [1, {"b": ()}], "c": "\u00e9"}
+        expected = json.dumps(value, indent=2)
+        monkeypatch.setattr(cli, "c_make_encoder", None)
+        assert cli._json_text(value) == expected
+
+
+class TestVerdictGraphTables:
+    """``decide --json`` and ``analyze --json`` build only the graph tables
+    their verdict reads: no in-edge table and no special edges, unless
+    ``decide`` builds an improper certificate, whose paths are enumerated
+    along in-edges and then normalized."""
+
+    GRAPHS = {"line3": standard_graph("line", 3), "rose1": standard_graph("rose", 1),
+              "toeplitz": standard_graph("toeplitz"), "clock": clock_graph(2, 2)}
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    @pytest.mark.parametrize("argv", [["analyze"], ["decide", "--field", "Q"],
+                                      ["decide", "--field", "Q[i]/id"],
+                                      ["decide", "--field", "GF(3)"]])
+    def test_builds_no_in_edges_or_special(self, capsys, monkeypatch, tmp_path, name,
+                                           argv):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(format_graph(self.GRAPHS[name]))
+        loaded = []
+        real_load = cli._load_graph
+        monkeypatch.setattr(cli, "_load_graph",
+                            lambda source: loaded.append(real_load(source)) or loaded[-1])
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:], "--json")
+        assert code in (0, 2) and err == "", (name, argv)
+        (g,) = loaded
+        tables = set(vars(g.index))
+        if json.loads(out).get("improper_certificate") is None:
+            assert not tables & {"in_edges", "special"}, (name, argv)
+        else:
+            # the certificate reads both, so the check above can see them
+            assert tables >= {"in_edges", "special"}, (name, argv)
 
 
 def _raise(*args, **kwargs):

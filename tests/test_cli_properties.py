@@ -1,18 +1,24 @@
-"""Property test of the CLI's exit contract on the commands that take -e
-expressions: any count of expressions, spelled any of the three ways, with
-or without --field, ends in exit 0, 1 or 2 with no traceback; exit 1 is one
-``error:`` line on stderr, and exit 0 needs the command's own count."""
+"""Property tests of the CLI.
 
+The exit contract on the commands that take -e expressions: any count of
+expressions, spelled any of the three ways, with or without --field, ends in
+exit 0, 1 or 2 with no traceback; exit 1 is one ``error:`` line on stderr,
+and exit 0 needs the command's own count.
+
+The ``--json`` writer: ``_json_text(v)`` is ``json.dumps(v, indent=2)`` for
+any JSON value, tuples and non-string keys included."""
+
+import json
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
 from leavitt import standard_graph  # noqa: E402
-from leavitt.cli import main  # noqa: E402
+from leavitt.cli import _json_text, main  # noqa: E402
 from leavitt.io import format_graph  # noqa: E402
 
 from test_linalg_properties import PROPERTY_SETTINGS  # noqa: E402
@@ -67,3 +73,28 @@ def test_expression_count_exit_contract(line2_file, command, exprs, spec, field_
         assert out.getvalue() == ""
     else:
         assert err.getvalue() == ""
+
+
+# text with the characters JSON escapes or spells as \\u sequences
+JSON_TEXT = st.one_of(st.text(), st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f'
+                                                  '\u00e9\u2028\U0001f600 a'))
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.sampled_from((0, 1, -1)),
+                         st.integers(), st.integers(min_value=2 ** 64), st.floats(),
+                         JSON_TEXT)
+JSON_KEYS = st.one_of(JSON_TEXT, st.integers(), st.booleans(), st.none())
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(JSON_KEYS, inner, max_size=4)),
+    max_leaves=24)
+
+
+@PROPERTY_SETTINGS
+@given(value=JSON_VALUES)
+@example(value={})
+@example(value=[[], {}, ()])
+@example(value={"a": {"b": [1, (True, None)]}, 2: [], True: "\u00e9"})
+@example(value=[{"id": "e1", "src": "v1", "dst": "v2"}, [10 ** 30]])
+def test_json_text_is_stdlib_indent_2(value):
+    assert _json_text(value) == json.dumps(value, indent=2)

@@ -468,26 +468,40 @@ class TestGraphIndex:
             assert ref() is None
 
     def test_cli_leaves_no_cyclic_garbage(self, tmp_path, capsys):
-        from leavitt.cli import main
+        # nothing a command builds, its --json output included, waits for
+        # the cycle collector: with the collector off and DEBUG_SAVEALL, a
+        # final collection finds no garbage from any module
+        from leavitt.cli import _parser, main
         from leavitt.io import format_graph
+
+        _parser()  # built once per process; argparse's formatters are cyclic
 
         line3 = tmp_path / "line3.txt"
         line3.write_text(format_graph(standard_graph("line", 3)))
         rose1 = tmp_path / "rose1.txt"
         rose1.write_text(format_graph(standard_graph("rose", 1)))
+        a = ["--field", "Q", "-e", "v3 + e2"]
         runs = [
             (["analyze", line3], 0),
             (["analyze", rose1, "--json"], 0),
+            (["analyze", line3, "--json"], 0),
             (["decide", line3, "--field", "GF(3)"], 0),
             (["decide", rose1, "--field", "Q", "--json"], 0),
+            (["decide", line3, "--field", "GF(3)", "--json"], 0),
             (["nf", line3, "--field", "Q", "-e", "e1.e2.e2* + v3"], 0),
             (["mul", line3, "--field", "Q", "-e", "e1", "-e", "e2"], 0),
             (["star", line3, "--field", "Q[i]/conj", "-e", "i*e2"], 0),
-            (["phi", line3, "--field", "Q", "-e", "v3 + e2"], 0),
-            (["witness", "regular", line3, "--field", "Q", "-e", "v3 + e2"], 0),
+            (["phi", line3, *a], 0),
+            (["phi", line3, *a, "--json"], 0),
+            (["witness", "regular", line3, *a], 0),
             (["witness", "unit", line3, "--field", "Q", "-e", "v3 + 2*e2"], 0),
-            (["witness", "projection", line3, "--field", "Q", "-e", "v3 + e2"], 0),
+            (["witness", "projection", line3, *a], 0),
             (["witness", "improper", line3, "--field", "GF(3)"], 0),
+            (["witness", "regular", line3, *a, "--json"], 0),
+            (["witness", "unit", line3, "--field", "Q", "-e", "v3 + 2*e2", "--json"], 0),
+            (["witness", "projection", line3, *a, "--json"], 0),
+            (["witness", "projection", line3, "--field", "GF(3)", "-e", "e2", "--json"], 0),
+            (["witness", "improper", line3, "--field", "GF(3)", "--json"], 0),
             (["witness", "regular", rose1, "--field", "Q", "-e", "v"], 1),
         ]
         with collector_off(gc.DEBUG_SAVEALL):
@@ -495,8 +509,8 @@ class TestGraphIndex:
                 assert main([str(a) for a in argv]) == code, argv
             capsys.readouterr()
             gc.collect()
-            kept = sorted({type(o).__qualname__ for o in gc.garbage
-                           if type(o).__module__.startswith("leavitt")})
+            kept = sorted({f"{type(o).__module__}.{type(o).__qualname__}"
+                           for o in gc.garbage})
         assert kept == []
 
     def test_image_keeps_its_graph(self):
