@@ -303,14 +303,16 @@ def parse_element(text: str, g: Graph, k: Field) -> Element:
 
 
 def matrix_image_to_json(image: MatrixImage) -> list:
+    literal = image.field.literal
+    zero = literal(image.field.zero.payload)
     out = []
     for v in image.basis.sinks:
-        block = image.blocks[v]
-        out.append({
-            "sink": v,
-            "size": len(block),
-            "rows": [[image.field.literal(x.payload) for x in row] for row in block],
-        })
+        rows = image.rows[v]
+        dense = [[zero] * len(rows) for _ in rows]
+        for out_row, row in zip(dense, rows):
+            for j, x in row.items():
+                out_row[j] = literal(x)
+        out.append({"sink": v, "size": len(rows), "rows": dense})
     return out
 
 

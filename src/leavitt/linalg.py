@@ -1,30 +1,28 @@
 """Exact linear algebra over the coefficient fields, on sparse payload rows.
 
-At the boundary matrices are dense: a list of rows, every entry a
-FieldValue of the operands' field, and every result has the same form (no
-int 0, no None, no sparse rows), because callers index, compare and
-serialize entries freely.
-
-Inside, ``mat_mul``, ``rank_factorization`` and ``solve_linear`` convert
-each operand once, at entry, into payload rows: one ``{column: payload}``
-dict per row holding only the nonzero payloads, and the result once, at
-exit. The payload-row kernels behind them, ``_mul``, ``_factor``,
-``_solve`` and ``_conj_transpose``, are what the witness builders call
-directly, so a certificate never goes through dense matrices. ``_factor``
-(and so ``_solve``) consumes the rows it factors: a caller that needs a
-block again passes a copy. No exact zero is ever stored: a sum that
-vanishes is dropped, so two payload matrices are equal exactly when their
-row lists compare equal with ``==``. Every scalar operation goes through
-the field's payload methods (``_add``, ``_mul``, ``_neg``, ``_inv``,
-``_is_zero``, ``_conj``), read once per kernel call. Products are row by
-row (Gustavson, ACM TOMS 1978) and form a scalar product only for two
-nonzero factors. ``_factor`` stores P and Q^-1, which take only column
-operations, by columns, so each of their swaps, pivot scalings and
-elimination steps touches one or two columns. What still costs Θ(m) per
-pivot is M's column swap and the scans for the first nonempty row and for
-the rows holding column k. The blocks of phi(a) are mostly zero. Skipped
-terms are exact zeros, so every value is the one the full dense loops
-would give.
+The dense entry points are ``zeros``, ``identity``, ``mat_mul``,
+``rank_factorization`` and ``solve_linear``: a matrix there is a list of
+rows of FieldValues of one field (an int entry is read as a field element),
+and so is every result, because callers index, compare and serialize
+entries freely. They convert each operand once, at entry, into payload
+rows, one ``{column: payload}`` dict per row holding only the nonzero
+payloads, and the result once, at exit. The payload-row kernels behind
+them, ``_mul``, ``_factor``, ``_solve`` and ``_conj_transpose``, are what
+``MatrixImage`` and the witness builders call directly. ``_factor`` (and
+so ``_solve``) consumes the rows it factors: a caller that needs a block
+again passes a copy. No exact zero is ever stored: a sum that vanishes is
+dropped, so two payload matrices are equal exactly when their row lists
+compare equal with ``==``. Every scalar operation goes through the field's
+payload methods (``_add``, ``_mul``, ``_neg``, ``_inv``, ``_is_zero``,
+``_conj``), read once per kernel call. Products are row by row (Gustavson,
+ACM TOMS 1978) and form a scalar product only for two nonzero factors.
+``_factor`` stores P and Q^-1, which take only column operations, by
+columns, so each of their swaps, pivot scalings and elimination steps
+touches one or two columns, and its scans for the pivot row and for the
+rows holding column k skip the rows it knows to be empty. What still costs
+Θ(m) per pivot is M's column swap, which pops two keys from every row below
+the last one scanned. The blocks of phi(a) are mostly zero. Skipped terms
+are exact zeros, so every value is the one the full dense loops would give.
 
 The factorization A = P D Q with invertible P, Q and a 0/1 diagonal D is
 the workhorse behind inner inverses, projections, and invertible-factor
@@ -58,24 +56,25 @@ def mat_shape(a):
     return (len(a), len(a[0]) if a else 0)
 
 
-def mat_eq(a, b) -> bool:
-    return mat_shape(a) == mat_shape(b) and all(
-        x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)
-    )
-
-
 def _sparse(field: Field, a):
-    """Payload rows of a dense matrix over ``field``: one zero test per entry."""
-    is_zero = field._is_zero
+    """Payload rows of a dense matrix of FieldValues of ``field`` or ints:
+    one zero test per entry."""
+    is_zero, from_int = field._is_zero, field._from_int
     rows = []
     for row in a:
         sparse = {}
         for j, x in enumerate(row):
-            if x.field is not field and x.field != field:
-                raise FieldMismatchError(
-                    f"mixed fields: {field.spec_string()} and {x.field.spec_string()}")
-            if not is_zero(x.payload):
-                sparse[j] = x.payload
+            if isinstance(x, FieldValue):
+                if x.field is not field and x.field != field:
+                    raise FieldMismatchError(
+                        f"mixed fields: {field.spec_string()} and {x.field.spec_string()}")
+                x = x.payload
+            elif isinstance(x, int):
+                x = from_int(x)
+            else:
+                raise FieldMismatchError(f"entry {x!r} is not in {field.spec_string()}")
+            if not is_zero(x):
+                sparse[j] = x
         rows.append(sparse)
     return rows
 
@@ -120,11 +119,6 @@ def mat_mul(a, b):
         return [[] for _ in range(m)]
     field = a[0][0].field
     return _dense(field, _mul(field, _sparse(field, a), _sparse(field, b)), n)
-
-
-def conj_transpose(a):
-    m, n = mat_shape(a)
-    return [[a[i][j].conj() for i in range(m)] for j in range(n)]
 
 
 @dataclass
@@ -175,18 +169,21 @@ def _factor(field: Field, M, m: int, n: int):
             else:
                 vec[j] = term
 
-    rank = 0
+    rank = start = 0
     for k in range(min(m, n)):
-        i = next((r for r in range(k, m) if M[r]), None)
+        # rows k..start-1 are empty: elimination never writes into an empty
+        # row, and a row swap below only moves the empty row k to i
+        i = next((r for r in range(start, m) if M[r]), None)
         if i is None:
             break
         j = min(M[i])
+        start = i + 1
         if i != k:
             M[i], M[k] = M[k], M[i]
             Pc[i], Pc[k] = Pc[k], Pc[i]     # P <- P * S^-1 with S the row swap
             Pinv[i], Pinv[k] = Pinv[k], Pinv[i]
         if j != k:
-            for row in M[k:]:
+            for row in (M[k], *M[start:]):
                 x, y = row.pop(j, None), row.pop(k, None)
                 if x is not None:
                     row[k] = x
@@ -204,7 +201,7 @@ def _factor(field: Field, M, m: int, n: int):
         # every other row without forming c - c * 1.
         pivot_row = [(j2, x) for j2, x in M[k].items() if j2 != k]
         pinv_row = list(Pinv[k].items())
-        for i2 in range(k + 1, m):
+        for i2 in range(start, m):
             c = M[i2].get(k)
             if c is None:
                 continue

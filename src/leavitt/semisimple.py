@@ -7,19 +7,20 @@ isomorphism has one working form, on payload rows (see ``linalg``):
 coefficient under its row and column in the ordered path basis, giving one
 ``{column: payload}`` dict per row of each block; ``_from_rows`` reads only
 the nonzero entries back onto path monomials and normalizes them once.
-The witness builders work in this form. ``phi`` and ``phi_inv`` are the
-dense views of it, a ``MatrixImage`` of ``FieldValue`` entries, for the
-``phi`` command and for callers that index or print blocks.
+``phi`` and ``phi_inv`` are these two wrapped in a ``MatrixImage``, which
+stores the same rows; its ``blocks`` is a read-only dense view of
+``FieldValue`` entries, built on first use for callers that index blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from types import MappingProxyType
 
 from .algebra import Element, _normalize_terms
-from .fields import Field
+from .fields import Field, FieldMismatchError
 from .graphs import Graph, Path, SinkBasis, check_acyclic, mu, path_range, sinks
-from .linalg import ShapeError, _dense, conj_transpose, mat_eq, mat_mul, mat_shape, zeros
+from .linalg import ShapeError, _conj_transpose, _dense, _identity, _mul, _sparse
 
 
 def sink_basis(g: Graph) -> SinkBasis:
@@ -58,39 +59,55 @@ def sink_normal_form(x: Element) -> Element:
     return Element(x.graph, x.field, _sink_expand(x.graph, x.field, x._terms), _trusted=True)
 
 
-@dataclass
 class MatrixImage:
-    """Per-sink square blocks over the coefficient field."""
+    """Per-sink square blocks over the coefficient field, stored as payload
+    ``rows``: built from dense blocks (a sink left out is a zero block), and
+    read back through ``blocks``, their read-only dense view."""
 
-    field: Field
-    basis: SinkBasis
-    blocks: dict
+    def __init__(self, field: Field, basis: SinkBasis, blocks: dict):
+        rows = {v: [{} for _ in range(basis.size(v))] for v in basis.sinks}
+        for v, b in blocks.items():
+            if v not in rows:
+                raise ShapeError(f"{v} is not a sink")
+            n = len(rows[v])
+            if len(b) != n or any(len(row) != n for row in b):
+                raise ShapeError(f"block {v} is not {n}x{n}")
+            rows[v] = _sparse(field, b)
+        self.field, self.basis, self.rows = field, basis, rows
+
+    @functools.cached_property
+    def blocks(self):
+        return MappingProxyType({v: _dense(self.field, rows, len(rows))
+                                 for v, rows in self.rows.items()})
+
+    def __repr__(self):
+        return (f"MatrixImage(field={self.field!r}, basis={self.basis!r}, "
+                f"blocks={dict(self.blocks)!r})")
 
     def is_zero(self) -> bool:
-        return all(not x for b in self.blocks.values() for row in b for x in row)
+        return not any(any(rows) for rows in self.rows.values())
 
     def __eq__(self, other):
         if not isinstance(other, MatrixImage):
             return NotImplemented
         return (self.field == other.field
                 and self.basis.graph == other.basis.graph
-                and all(mat_eq(self.blocks[v], other.blocks[v]) for v in self.blocks))
+                and self.rows == other.rows)
 
     def __mul__(self, other):
         if not isinstance(other, MatrixImage):
             return NotImplemented
-        blocks = {v: mat_mul(self.blocks[v], other.blocks[v]) for v in self.blocks}
-        return MatrixImage(self.field, self.basis, blocks)
+        if other.field != self.field:
+            raise FieldMismatchError("images over different fields")
+        return _of_rows(self.field, self.basis, {
+            v: _mul(self.field, rows, other.rows[v]) for v, rows in self.rows.items()})
 
     def __add__(self, other):
         if not isinstance(other, MatrixImage):
             return NotImplemented
-        blocks = {
-            v: [[x + y for x, y in zip(ra, rb)]
-                for ra, rb in zip(self.blocks[v], other.blocks[v])]
-            for v in self.blocks
-        }
-        return MatrixImage(self.field, self.basis, blocks)
+        return MatrixImage(self.field, self.basis, {
+            v: [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(b, other.blocks[v])]
+            for v, b in self.blocks.items()})
 
     def scale(self, c):
         return MatrixImage(self.field, self.basis,
@@ -98,22 +115,24 @@ class MatrixImage:
                             for v, b in self.blocks.items()})
 
     def star(self) -> "MatrixImage":
-        return MatrixImage(self.field, self.basis,
-                           {v: conj_transpose(b) for v, b in self.blocks.items()})
+        return _of_rows(self.field, self.basis, {
+            v: _conj_transpose(self.field, rows, len(rows)) for v, rows in self.rows.items()})
 
     @staticmethod
     def zero(basis: SinkBasis, field: Field) -> "MatrixImage":
-        return MatrixImage(field, basis,
-                           {v: zeros(field, basis.size(v), basis.size(v))
-                            for v in basis.sinks})
+        return MatrixImage(field, basis, {})
 
     @staticmethod
     def identity(basis: SinkBasis, field: Field) -> "MatrixImage":
-        image = MatrixImage.zero(basis, field)
-        for v in basis.sinks:
-            for i in range(basis.size(v)):
-                image.blocks[v][i][i] = field.one
-        return image
+        return _of_rows(field, basis, {v: _identity(field, basis.size(v))
+                                       for v in basis.sinks})
+
+
+def _of_rows(field: Field, basis: SinkBasis, rows: dict) -> MatrixImage:
+    """The image with these payload rows, one list per sink, taken as is."""
+    image = object.__new__(MatrixImage)
+    image.field, image.basis, image.rows = field, basis, rows
+    return image
 
 
 def _phi_rows(x: Element) -> dict:
@@ -150,30 +169,12 @@ def phi(x: Element) -> MatrixImage:
     Linear, multiplicative, and star-compatible: the image of star(x) is the
     blockwise conjugate transpose.
     """
-    basis = sink_basis(x.graph)
-    field = x.field
-    return MatrixImage(field, basis,
-                       {v: _dense(field, rows, len(rows))
-                        for v, rows in _phi_rows(x).items()})
+    return _of_rows(x.field, sink_basis(x.graph), _phi_rows(x))
 
 
 def phi_inv(image: MatrixImage) -> Element:
-    """Matrix entries back to path monomials: entry (i, j) of block v rides
-    on alpha_i alpha_j* for the ordered paths into v."""
-    basis = image.basis
-    g = basis.graph
-    raw = []
-    for v in basis.sinks:
-        block = image.blocks[v]
-        n = basis.size(v)
-        if mat_shape(block) != (n, n):
-            raise ShapeError(f"block {v} is {mat_shape(block)}, expected {n}x{n}")
-        paths = basis.paths[v]
-        for i in range(n):
-            for j in range(n):
-                if block[i][j]:
-                    raw.append((block[i][j], paths[i], paths[j]))
-    return Element.from_terms(g, image.field, raw)
+    """Matrix entries back to path monomials (see ``_from_rows``)."""
+    return _from_rows(image.basis.graph, image.field, image.rows)
 
 
 def dimension(g: Graph) -> int:

@@ -37,6 +37,13 @@ def binary_in_tree() -> Graph:
     return Graph.build(vertices, edges)
 
 
+def ladder(n: int) -> Graph:
+    """Vertices v0..vn and edges a_i, b_i from v_i to v_{i+1}: 2^(i+1) - 1
+    paths end at v_i."""
+    edges = [(f"{c}{i}", f"v{i}", f"v{i + 1}") for i in range(n) for c in "ab"]
+    return Graph.build([f"v{i}" for i in range(n + 1)], edges)
+
+
 def corpus() -> dict:
     graphs = {f"line{n}": standard_graph("line", n) for n in range(1, 6)}
     graphs["union_2_1"] = graph_union(standard_graph("line", 2),
@@ -149,6 +156,11 @@ def mat_from_rows(field, rows):
 
 def is_zero_matrix(a) -> bool:
     return all(not x for row in a for x in row)
+
+
+def naive_conj_transpose(a):
+    """Entry by entry: the conjugate of a[i][j] at (j, i)."""
+    return [[a[i][j].conj() for i in range(len(a))] for j in range(len(a[0]) if a else 0)]
 
 
 def naive_mat_mul(a, b):

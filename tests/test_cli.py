@@ -10,12 +10,21 @@ import sys
 import pytest
 
 import leavitt
-from leavitt import Graph, cli, format_element, parse_graph, standard_graph
+from leavitt import (
+    Element,
+    Graph,
+    Rationals,
+    cli,
+    format_element,
+    parse_graph,
+    phi,
+    standard_graph,
+)
 from leavitt.cli import main
 from leavitt.graphs import clock_graph
 from leavitt.io import format_graph, graph_to_json, verify_claims
 
-from conftest import FIVE_FIELDS, acyclic_corpus, random_element
+from conftest import FIVE_FIELDS, acyclic_corpus, ladder, random_element
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -155,6 +164,27 @@ class TestExpressions:
         assert json.loads(out) == [
             {"sink": "v2", "size": 2, "rows": [["1", "0"], ["0", "0"]]}
         ]
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_phi_makes_one_literal_per_nonzero(self, capsys, tmp_path, monkeypatch, fmt):
+        # phi(a7) on the 8-rung ladder is one matrix unit of a 511 x 511
+        # block: a literal per entry would be 261,121 calls
+        g = ladder(8)
+        path = tmp_path / "ladder8.txt"
+        path.write_text(format_graph(g))
+        blocks = phi(Element.edge(g, Rationals(), "a7")).blocks
+        nonzeros = sum(1 for b in blocks.values() for row in b for x in row if x)
+        calls = [0]
+        literal = Rationals.literal
+
+        def counted(self, x):
+            calls[0] += 1
+            return literal(self, x)
+
+        monkeypatch.setattr(Rationals, "literal", counted)
+        code, out, _ = run(capsys, "phi", str(path), "--field", "Q", "-e", "a7", *fmt)
+        assert code == 0 and nonzeros == 1
+        assert calls[0] <= nonzeros + 1
 
     def test_phi_cyclic_is_exit_1(self, capsys, rose1_file):
         code, _, err = run(capsys, "phi", rose1_file, "--field", "Q", "-e", "v")

@@ -6,20 +6,27 @@ import sys
 
 import pytest
 
-from leavitt import PrimeField, Rationals, parse_field_spec
+from leavitt import Element, PrimeField, Rationals, parse_field_spec
 from leavitt.fields import FieldMismatchError, FieldValue
 from leavitt.linalg import (
     ShapeError,
     _factor,
     identity,
-    mat_eq,
     mat_mul,
     rank_factorization,
     solve_linear,
     zeros,
 )
+from leavitt.semisimple import _phi_rows
 
-from conftest import ALL_FIELDS, is_zero_matrix, mat_from_rows, naive_mat_mul, naive_rank
+from conftest import (
+    ALL_FIELDS,
+    is_zero_matrix,
+    ladder,
+    mat_from_rows,
+    naive_mat_mul,
+    naive_rank,
+)
 
 Q = Rationals()
 GF3 = PrimeField(3)
@@ -34,9 +41,9 @@ class TestRankFactorization:
     def test_identity(self):
         fact = rank_factorization(Q, identity(Q, 3))
         assert fact.rank == 3
-        assert mat_eq(fact.p, identity(Q, 3))
-        assert mat_eq(fact.q, identity(Q, 3))
-        assert mat_eq(fact.d, identity(Q, 3))
+        assert fact.p == identity(Q, 3)
+        assert fact.q == identity(Q, 3)
+        assert fact.d == identity(Q, 3)
 
     def test_zero(self):
         fact = rank_factorization(Q, zeros(Q, 2, 2))
@@ -47,7 +54,7 @@ class TestRankFactorization:
         a = mat_from_rows(GF5, [[1, 2], [2, 4]])  # second row doubles the first
         fact = rank_factorization(GF5, a)
         assert fact.rank == 1
-        assert mat_eq(mat_mul(mat_mul(fact.p, fact.d), fact.q), a)
+        assert mat_mul(mat_mul(fact.p, fact.d), fact.q) == a
 
     def test_random(self, rng):
         for field in ALL_FIELDS:
@@ -56,9 +63,9 @@ class TestRankFactorization:
                 n = rng.randint(1, 5)
                 a = random_matrix(field, rng, m, n)
                 fact = rank_factorization(field, a)
-                assert mat_eq(mat_mul(mat_mul(fact.p, fact.d), fact.q), a)
-                assert mat_eq(mat_mul(fact.p, fact.p_inv), identity(field, m))
-                assert mat_eq(mat_mul(fact.q, fact.q_inv), identity(field, n))
+                assert mat_mul(mat_mul(fact.p, fact.d), fact.q) == a
+                assert mat_mul(fact.p, fact.p_inv) == identity(field, m)
+                assert mat_mul(fact.q, fact.q_inv) == identity(field, n)
                 for i in range(m):
                     for j in range(n):
                         want = field.one if (i == j and i < fact.rank) else field.zero
@@ -76,7 +83,7 @@ class TestRankFactorization:
 class TestSolveLinear:
     def test_identity_system(self, rng):
         b = random_matrix(Q, rng, 3, 2)
-        assert mat_eq(solve_linear(Q, identity(Q, 3), b, "right"), b)
+        assert solve_linear(Q, identity(Q, 3), b, "right") == b
 
     def test_zero_inconsistent(self):
         b = mat_from_rows(Q, [[1, 0], [0, 0]])
@@ -86,7 +93,7 @@ class TestSolveLinear:
     def test_gf3_left_example(self):
         a = mat_from_rows(GF3, [[1, 1], [0, 0]])
         x = solve_linear(GF3, a, a, "left")
-        assert x is not None and mat_eq(mat_mul(x, a), a)
+        assert x is not None and mat_mul(x, a) == a
 
     def test_consistent_systems_solve(self, rng):
         for field in (Q, GF3, GF5):
@@ -98,12 +105,12 @@ class TestSolveLinear:
                         x0 = random_matrix(field, rng, n, q)
                         b = mat_mul(a, x0)
                         x = solve_linear(field, a, b, side)
-                        assert x is not None and mat_eq(mat_mul(a, x), b)
+                        assert x is not None and mat_mul(a, x) == b
                     else:
                         x0 = random_matrix(field, rng, q, m)
                         b = mat_mul(x0, a)
                         x = solve_linear(field, a, b, side)
-                        assert x is not None and mat_eq(mat_mul(x, a), b)
+                        assert x is not None and mat_mul(x, a) == b
 
     def test_none_means_inconsistent_small_gf2(self):
         # exhaustive cross-check on 2x2 systems over GF(2)
@@ -116,11 +123,11 @@ class TestSolveLinear:
         for a in mats:
             for b in mats:
                 got = solve_linear(gf2, a, b, "right")
-                brute = any(mat_eq(mat_mul(a, x), b) for x in mats)
+                brute = any(mat_mul(a, x) == b for x in mats)
                 if got is None:
                     assert not brute
                 else:
-                    assert mat_eq(mat_mul(a, got), b)
+                    assert mat_mul(a, got) == b
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
@@ -188,6 +195,17 @@ class TestKernelContract:
     def test_mixed_fields_rejected(self):
         with pytest.raises(FieldMismatchError):
             mat_mul(zeros(Q, 2, 2), identity(GF5, 2))
+
+    def test_int_entries_are_field_elements(self):
+        assert rank_factorization(Q, [[1]]).p == identity(Q, 1)
+        assert rank_factorization(GF5, [[6, 0], [0, 5]]).d == mat_from_rows(GF5, [[1, 0], [0, 0]])
+        assert solve_linear(Q, [[2]], [[4]], "right") == mat_from_rows(Q, [[2]])
+        assert mat_mul(identity(Q, 2), [[1, 2], [3, 4]]) == mat_from_rows(Q, [[1, 2], [3, 4]])
+
+    @pytest.mark.parametrize("entry", [1.0, "1", None])
+    def test_other_entries_rejected(self, entry):
+        with pytest.raises(FieldMismatchError):
+            rank_factorization(Q, [[entry]])
 
 
 def counting_rationals():
@@ -299,6 +317,32 @@ class TestWorkGate:
             sys.setprofile(None)
         assert rank == 128
         assert pops[0] == 0
+
+    def test_scans_skip_rows_known_empty(self):
+        # phi(v0 + 2*a0) at the sink of the 8-rung ladder: 511 rows, 256 of
+        # them nonempty, rank 256, and every pivot a column swap. Per pivot
+        # the column swap pops two keys and elimination reads column k in at
+        # most each nonempty row; walking every row from k down instead
+        # costs 196,352 pops and 97,920 gets
+        field = Rationals()
+        g = ladder(8)
+        x = Element.vertex(g, field, "v0") + Element.edge(g, field, "a0").scale(2)
+        rows = _phi_rows(x)["v8"]
+        nonempty = sum(1 for row in rows if row)
+        counts = {"pop": 0, "get": 0}
+
+        def profile(frame, event, arg):
+            if event == "c_call" and arg.__name__ in counts and type(arg.__self__) is dict:
+                counts[arg.__name__] += 1
+
+        sys.setprofile(profile)
+        try:
+            rank = _factor(field, rows, 511, 511)[-1]
+        finally:
+            sys.setprofile(None)
+        assert (rank, nonempty) == (256, 256)
+        assert counts["pop"] <= 2 * rank * nonempty
+        assert counts["get"] <= rank * nonempty
 
     def test_bad_side_forms_no_product(self):
         field, calls = counting_rationals()

@@ -18,29 +18,23 @@ from leavitt import (
     sink_normal_form,
     standard_graph,
 )
-from leavitt.linalg import ShapeError, conj_transpose, mat_mul, mat_shape
+from leavitt.fields import FieldMismatchError
+from leavitt.linalg import ShapeError, mat_mul
 from leavitt.semisimple import MatrixImage
 
-from conftest import acyclic_corpus, is_zero_matrix, mat_from_rows, random_element
+from conftest import (
+    acyclic_corpus,
+    is_zero_matrix,
+    mat_from_rows,
+    naive_conj_transpose,
+    random_element,
+)
 
 Q = Rationals()
 LINE2 = standard_graph("line", 2)
 LINE3 = standard_graph("line", 3)
 
 PHI_FIELDS = (Q, PrimeField(3), GaussianRationals(conjugation=True))
-
-
-def matrix_image_from_blocks(g, field, blocks: dict) -> MatrixImage:
-    """The image with the given sink blocks and zero blocks elsewhere; a
-    ShapeError for a block at a non-sink or of the wrong shape."""
-    image = MatrixImage.zero(sink_basis(g), field)
-    for v, b in blocks.items():
-        if v not in image.blocks:
-            raise ShapeError(f"{v} is not a sink")
-        if mat_shape(b) != mat_shape(image.blocks[v]):
-            raise ShapeError(f"block {v} has the wrong shape")
-        image.blocks[v] = [row[:] for row in b]
-    return image
 
 
 class TestSinkBasis:
@@ -123,10 +117,10 @@ class TestPhi:
         for g in acyclic_corpus().values():
             basis = sink_basis(g)
             for _ in range(10):
-                image = MatrixImage.zero(basis, Q)
-                for v in basis.sinks:
-                    n = basis.size(v)
-                    image.blocks[v] = [[Q.sample(rng) for _ in range(n)] for _ in range(n)]
+                image = MatrixImage(Q, basis, {
+                    v: [[Q.sample(rng) for _ in range(basis.size(v))]
+                        for _ in range(basis.size(v))]
+                    for v in basis.sinks})
                 assert phi(phi_inv(image)) == image
 
     def test_phi_inv_examples(self):
@@ -134,18 +128,52 @@ class TestPhi:
         ident = MatrixImage.identity(basis, Q)
         assert phi_inv(ident) == Element.one(LINE2, Q)
         assert phi_inv(MatrixImage.zero(basis, Q)).is_zero
-        unit12 = matrix_image_from_blocks(
-            LINE2, Q, {"v2": mat_from_rows(Q, [[0, 1], [0, 0]])})
+        unit12 = MatrixImage(Q, basis, {"v2": mat_from_rows(Q, [[0, 1], [0, 0]])})
         assert phi_inv(unit12) == Element.ghost(LINE2, Q, "e1")
 
     def test_block_shape_errors(self):
-        with pytest.raises(ShapeError):
-            matrix_image_from_blocks(LINE2, Q, {"v2": mat_from_rows(Q, [[1]])})
-        with pytest.raises(ShapeError):
-            matrix_image_from_blocks(LINE2, Q, {"v1": mat_from_rows(Q, [[1]])})
-        bad = MatrixImage(Q, sink_basis(LINE2), {"v2": mat_from_rows(Q, [[1]])})
-        with pytest.raises(ShapeError):
-            phi_inv(bad)
+        # the constructor checks every block: at a sink, and n x n
+        basis = sink_basis(LINE2)
+        for blocks in ({"v2": mat_from_rows(Q, [[1]])},
+                       {"v1": mat_from_rows(Q, [[1]])},
+                       {"v2": mat_from_rows(Q, [[1, 0], [0]])}):
+            with pytest.raises(ShapeError):
+                MatrixImage(Q, basis, blocks)
+
+    def test_missing_sinks_are_zero_blocks(self):
+        g = graph_union(LINE2, relabel_graph(standard_graph("line", 1), "u"))
+        image = MatrixImage(Q, sink_basis(g), {"uv1": mat_from_rows(Q, [[3]])})
+        assert image.blocks["v2"] == mat_from_rows(Q, [[0, 0], [0, 0]])
+        assert phi_inv(image) == Element.vertex(g, Q, "uv1").scale(3)
+
+    def test_int_entries_are_field_elements(self):
+        basis = sink_basis(LINE2)
+        x = Element.edge(LINE2, Q, "e1")
+        image = MatrixImage(Q, basis, {"v2": [[1, 0], [0, 2]]})
+        assert image * phi(x) == phi(x).scale(Q.from_int(2))
+        assert image == MatrixImage(Q, basis, {"v2": mat_from_rows(Q, [[1, 0], [0, 2]])})
+        for entry in (PrimeField(3).one, 1.0, "1", None):
+            with pytest.raises(FieldMismatchError):
+                MatrixImage(Q, basis, {"v2": [[entry, 0], [0, 1]]})
+
+    def test_mixed_field_product_raises(self):
+        x = Element.vertex(LINE2, Q, "v1")
+        y = Element.vertex(LINE2, PrimeField(3), "v1")
+        with pytest.raises(FieldMismatchError):
+            phi(x) * phi(y)
+
+    def test_blocks_are_a_read_only_view(self):
+        image = phi(Element.edge(LINE2, Q, "e1"))
+        with pytest.raises(TypeError):
+            image.blocks["v2"] = mat_from_rows(Q, [[1, 0], [0, 1]])
+        assert image == phi(Element.edge(LINE2, Q, "e1"))
+        assert image.blocks is image.blocks
+
+    def test_repr_shows_the_dense_blocks(self):
+        image = phi(Element.edge(LINE2, Q, "e1"))
+        assert repr(image) == (
+            f"MatrixImage(field={Q!r}, basis={image.basis!r}, "
+            f"blocks={{'v2': {mat_from_rows(Q, [[0, 0], [1, 0]])!r}}})")
 
     def test_cyclic_rejected(self):
         with pytest.raises(CyclicGraphError):
@@ -183,4 +211,4 @@ class TestColumnConstruction:
             for i, x in enumerate(tup):
                 a[i][0] = x
             assert not is_zero_matrix(a)
-            assert is_zero_matrix(mat_mul(conj_transpose(a), a))
+            assert is_zero_matrix(mat_mul(naive_conj_transpose(a), a))

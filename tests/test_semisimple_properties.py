@@ -1,0 +1,34 @@
+"""Property tests of phi on small random acyclic graphs over every field of
+conftest: block by block, the images of products, stars and sums are the
+ones the dense entry-by-entry loops of conftest give, and phi_inv reads a
+dense image back to its element."""
+
+import random
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+
+from leavitt import phi, phi_inv, sink_basis  # noqa: E402
+from leavitt.semisimple import MatrixImage  # noqa: E402
+
+from conftest import ALL_FIELDS, naive_conj_transpose, naive_mat_mul, random_element  # noqa: E402
+from test_linalg_properties import PROPERTY_SETTINGS  # noqa: E402
+from test_witness_properties import acyclic_graphs  # noqa: E402
+
+
+@PROPERTY_SETTINGS
+@given(acyclic_graphs(), st.sampled_from(ALL_FIELDS), st.integers(0, 2**32 - 1))
+def test_phi_matches_the_dense_loops(g, k, seed):
+    rng = random.Random(seed)
+    x, y = (random_element(g, k, rng, max_terms=4, max_len=3) for _ in range(2))
+    px, py = phi(x), phi(y)
+    basis = sink_basis(g)
+    for v in basis.sinks:
+        a, b = px.blocks[v], py.blocks[v]
+        assert (px * py).blocks[v] == naive_mat_mul(a, b)
+        assert phi(x.star()).blocks[v] == px.star().blocks[v] == naive_conj_transpose(a)
+        assert (px + py).blocks[v] == [[s + t for s, t in zip(ra, rb)]
+                                       for ra, rb in zip(a, b)]
+    assert phi_inv(MatrixImage(k, basis, px.blocks)) == x

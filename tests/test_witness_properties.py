@@ -34,18 +34,24 @@ from test_linalg_properties import PROPERTY_SETTINGS  # noqa: E402
 
 
 @st.composite
-def cases(draw):
-    """(g, k, a): up to 7 vertices, up to 8 edges each from a lower to a
-    higher vertex (so the graph is acyclic), parallel edges included; a has
-    up to four monomials with paths of at most three edges, or is an
-    improper element of (g, k) when there is one, so that the projection
-    construction meets its inconsistent solves too."""
+def acyclic_graphs(draw):
+    """Up to 7 vertices, up to 8 edges each from a lower to a higher vertex
+    (so the graph is acyclic), parallel edges included."""
     n = draw(st.integers(1, 7))
     ends = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(ends, ends), max_size=8))
     edges = [(f"e{j}", f"v{min(s, d)}", f"v{max(s, d)}")
              for j, (s, d) in enumerate(pairs) if s != d]
-    g = Graph.build([f"v{i}" for i in range(n)], edges)
+    return Graph.build([f"v{i}" for i in range(n)], edges)
+
+
+@st.composite
+def cases(draw):
+    """(g, k, a): g from ``acyclic_graphs``; a has up to four monomials with
+    paths of at most three edges, or is an improper element of (g, k) when
+    there is one, so that the projection construction meets its
+    inconsistent solves too."""
+    g = draw(acyclic_graphs())
     k = draw(st.sampled_from(ALL_FIELDS))
     if draw(st.integers(0, 3)) == 0:
         a = improper_element(g, k)
