@@ -16,13 +16,12 @@ compare equal with ``==``. Every scalar operation goes through the field's
 payload methods (``_add``, ``_mul``, ``_neg``, ``_inv``, ``_is_zero``,
 ``_conj``), read once per kernel call. Products are row by row (Gustavson,
 ACM TOMS 1978) and form a scalar product only for two nonzero factors.
-``_factor`` stores P and Q^-1, which take only column operations, by
-columns, so each of their swaps, pivot scalings and elimination steps
-touches one or two columns, and its scans for the pivot row and for the
-rows holding column k skip the rows it knows to be empty. What still costs
-Θ(m) per pivot is M's column swap, which pops two keys from every row below
-the last one scanned. The blocks of phi(a) are mostly zero. Skipped terms
-are exact zeros, so every value is the one the full dense loops would give.
+``_factor`` reduces each row once, when the pivot search reaches it, keeps
+column swaps as a relabelling and P and Q^-1 by columns: past O(m + n)
+set-up it costs its scalar operations, a heap step per entry they touch in
+a pivot column, and its self-check's products. The blocks of phi(a) are
+mostly zero. Skipped terms are exact zeros, so every value is the one the
+full dense loops would give.
 
 The factorization A = P D Q with invertible P, Q and a 0/1 diagonal D is
 the workhorse behind inner inverses, projections, and invertible-factor
@@ -32,6 +31,7 @@ witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .fields import Field, FieldMismatchError, FieldValue
 
@@ -117,7 +117,9 @@ def mat_mul(a, b):
         raise ShapeError(f"cannot multiply {m}x{k} by {k2}x{n}")
     if not (m and k and n):
         return [[] for _ in range(m)]
-    field = a[0][0].field
+    field = next((x.field for row in (*a, *b) for x in row if isinstance(x, FieldValue)), None)
+    if field is None:
+        raise FieldMismatchError("mat_mul needs a FieldValue entry to know the field")
     return _dense(field, _mul(field, _sparse(field, a), _sparse(field, b)), n)
 
 
@@ -139,15 +141,20 @@ class RankFactorization:
 
 
 def _factor(field: Field, M, m: int, n: int):
-    """Gauss-Jordan with full pivoting on the payload rows M (consumed: M
-    ends as D); returns P, P^-1, D, Q, Q^-1 as payload rows and the rank.
+    """Gauss-Jordan with full pivoting on the payload rows M (consumed);
+    returns P, P^-1, D, Q, Q^-1 as payload rows and the rank.
 
-    The pivot is the first nonzero entry of the remaining block in
-    row-major order, so the output is deterministic. Rows from k on have no
-    entry left of column k, and rows above k are ``{r: 1}``, because every
-    earlier pivot column was cleared. P and Q^-1 take only column
-    operations, so they are built as lists of columns (``Pc[c]`` is column c
-    of P) and transposed at the end.
+    Left-looking: each row is reduced once, when the pivot search reaches
+    it, by the earlier pivots in pivot order, with the scalar operations
+    eager elimination would apply to it. The pivot is the first row that is
+    nonempty after its reduction, in its column of least current position,
+    so the output is deterministic. M keeps A's column labels: a column
+    swap swaps two entries of ``at`` (the label at each position) and of
+    ``pos`` (its inverse), so positions below the rank hold the pivot
+    labels. Q and Q^-1 are kept by label and put in position order at the
+    end. P and Q^-1 take only column operations, so they are built as lists
+    of columns (``Pc[c]`` is column c of P) and transposed. D is the
+    identity of the rank over empty rows.
     """
     add, mul, neg, inv, is_zero = (
         field._add, field._mul, field._neg, field._inv, field._is_zero)
@@ -155,6 +162,8 @@ def _factor(field: Field, M, m: int, n: int):
     A = [dict(row) for row in M]
     Pc, Pinv = _identity(field, m), _identity(field, m)
     Q, Qinvc = _identity(field, n), _identity(field, n)
+    at, pos = list(range(n)), list(range(n))
+    prows = []  # pivot k's row without its pivot entry, scaled
 
     def add_multiple(vec, c, entries):
         """vec <- vec + c * entries, in place, dropping sums that vanish."""
@@ -169,61 +178,51 @@ def _factor(field: Field, M, m: int, n: int):
             else:
                 vec[j] = term
 
-    rank = start = 0
-    for k in range(min(m, n)):
-        # rows k..start-1 are empty: elimination never writes into an empty
-        # row, and a row swap below only moves the empty row k to i
-        i = next((r for r in range(start, m) if M[r]), None)
-        if i is None:
-            break
-        j = min(M[i])
-        start = i + 1
-        if i != k:
-            M[i], M[k] = M[k], M[i]
-            Pc[i], Pc[k] = Pc[k], Pc[i]     # P <- P * S^-1 with S the row swap
-            Pinv[i], Pinv[k] = Pinv[k], Pinv[i]
-        if j != k:
-            for row in (M[k], *M[start:]):
-                x, y = row.pop(j, None), row.pop(k, None)
-                if x is not None:
-                    row[k] = x
-                if y is not None:
-                    row[j] = y
-            Q[j], Q[k] = Q[k], Q[j]
-            Qinvc[j], Qinvc[k] = Qinvc[k], Qinvc[j]
-        piv = M[k][k]
+    rank = 0
+    for i, row in enumerate(M):
+        todo = [pos[j] for j in row if pos[j] < rank]
+        heapify(todo)
+        while todo:
+            k = heappop(todo)
+            if at[k] not in row:  # pushed twice, or cancelled since
+                continue
+            c = row.pop(at[k])
+            add_multiple(row, neg(c), prows[k])
+            add_multiple(Pc[k], c, Pc[i].items())  # P <- P (I + c E_{i,k})
+            add_multiple(Pinv[i], neg(c), Pinv[k].items())
+            for j, _ in prows[k]:  # fill-in: columns of pivots after k only
+                if pos[j] < rank:
+                    heappush(todo, pos[j])
+        if not row:
+            continue
+        j = min(row, key=pos.__getitem__)
+        Pc[i], Pc[rank] = Pc[rank], Pc[i]  # P <- P * S^-1 with S the row swap
+        Pinv[i], Pinv[rank] = Pinv[rank], Pinv[i]
+        p = pos[j]
+        at[p], at[rank] = at[rank], j
+        pos[at[p]], pos[j] = p, rank
+        piv = row[j]
+        prow = [(j2, x) for j2, x in row.items() if j2 != j]
         if piv != one:
             scale = inv(piv)
-            M[k] = {j2: mul(scale, x) for j2, x in M[k].items()}
-            Pc[k] = {r: mul(x, piv) for r, x in Pc[k].items()}
-            Pinv[k] = {j2: mul(scale, x) for j2, x in Pinv[k].items()}
-        # The pivot is now one, so eliminating it leaves column k empty in
-        # every other row without forming c - c * 1.
-        pivot_row = [(j2, x) for j2, x in M[k].items() if j2 != k]
-        pinv_row = list(Pinv[k].items())
-        for i2 in range(start, m):
-            c = M[i2].get(k)
-            if c is None:
-                continue
-            del M[i2][k]
-            add_multiple(M[i2], neg(c), pivot_row)
-            add_multiple(Pc[k], c, Pc[i2].items())  # P <- P (I + c E_{i2,k})
-            add_multiple(Pinv[i2], neg(c), pinv_row)
-        # Column k of M is now zero off the pivot, so clearing column j2
-        # with column k changes only M[k][j2].
-        for j2, c in pivot_row:
-            del M[k][j2]
-            add_multiple(Q[k], c, Q[j2].items())
-            # Qinv <- Qinv (I - c E_{k,j2})
-            add_multiple(Qinvc[j2], neg(c), Qinvc[k].items())
-        rank = k + 1
+            prow = [(j2, mul(scale, x)) for j2, x in prow]
+            Pc[rank] = {r: mul(x, piv) for r, x in Pc[rank].items()}
+            Pinv[rank] = {j2: mul(scale, x) for j2, x in Pinv[rank].items()}
+        prows.append(prow)
+        rank += 1
+        # Column operations clear the rest of the pivot row; once reduced, no
+        # other row has the pivot column, so only Q and Q^-1 record them.
+        for j2, c in prow:
+            add_multiple(Q[j], c, Q[j2].items())
+            add_multiple(Qinvc[j2], neg(c), Qinvc[j].items())  # Qinv (I - c E_{j,j2})
 
-    P, Qinv = _transpose(Pc, m), _transpose(Qinvc, n)
+    P, Qinv = _transpose(Pc, m), _transpose([Qinvc[j] for j in at], n)
+    Q, D = [Q[j] for j in at], _identity(field, rank) + [{} for _ in range(m - rank)]
     if not (_mul(field, P, Pinv) == _identity(field, m)
             and _mul(field, Q, Qinv) == _identity(field, n)
-            and _mul(field, _mul(field, P, M), Q) == A):
+            and _mul(field, _mul(field, P, D), Q) == A):
         raise AssertionError("rank factorization failed self-check")
-    return P, Pinv, M, Q, Qinv, rank
+    return P, Pinv, D, Q, Qinv, rank
 
 
 def rank_factorization(field: Field, a) -> RankFactorization:

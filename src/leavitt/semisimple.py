@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 from types import MappingProxyType
 
-from .algebra import Element, _normalize_terms
+from .algebra import AlgebraError, Element, _normalize_terms
 from .fields import Field, FieldMismatchError
 from .graphs import Graph, Path, SinkBasis, check_acyclic, mu, path_range, sinks
 from .linalg import ShapeError, _conj_transpose, _dense, _identity, _mul, _sparse
@@ -94,17 +94,24 @@ class MatrixImage:
                 and self.basis.graph == other.basis.graph
                 and self.rows == other.rows)
 
+    def _check_compatible(self, other: "MatrixImage"):
+        g, h = self.basis.graph, other.basis.graph
+        if g is not h and g != h:
+            raise AlgebraError("images over different graphs")
+        if self.field is not other.field and self.field != other.field:
+            raise FieldMismatchError("images over different fields")
+
     def __mul__(self, other):
         if not isinstance(other, MatrixImage):
             return NotImplemented
-        if other.field != self.field:
-            raise FieldMismatchError("images over different fields")
+        self._check_compatible(other)
         return _of_rows(self.field, self.basis, {
             v: _mul(self.field, rows, other.rows[v]) for v, rows in self.rows.items()})
 
     def __add__(self, other):
         if not isinstance(other, MatrixImage):
             return NotImplemented
+        self._check_compatible(other)
         return MatrixImage(self.field, self.basis, {
             v: [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(b, other.blocks[v])]
             for v, b in self.blocks.items()})

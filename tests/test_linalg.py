@@ -196,6 +196,12 @@ class TestKernelContract:
         with pytest.raises(FieldMismatchError):
             mat_mul(zeros(Q, 2, 2), identity(GF5, 2))
 
+    def test_mat_mul_takes_the_field_from_either_operand(self):
+        assert mat_mul([[1]], identity(Q, 1)) == mat_from_rows(Q, [[1]])
+        assert mat_mul([[2, 0]], mat_from_rows(GF5, [[1], [3]])) == mat_from_rows(GF5, [[2]])
+        with pytest.raises(FieldMismatchError):
+            mat_mul([[1]], [[1]])
+
     def test_int_entries_are_field_elements(self):
         assert rank_factorization(Q, [[1]]).p == identity(Q, 1)
         assert rank_factorization(GF5, [[6, 0], [0, 5]]).d == mat_from_rows(GF5, [[1, 0], [0, 0]])
@@ -234,6 +240,23 @@ def count_zero_tests(field):
 
     field._is_zero = counted
     return calls
+
+
+def count_dict_calls(field, rows, m, n):
+    """The rank, and the ``dict.pop`` and ``dict.get`` calls of one
+    ``_factor`` call on ``rows``."""
+    counts = {"pop": 0, "get": 0}
+
+    def profile(frame, event, arg):
+        if event == "c_call" and arg.__name__ in counts and type(arg.__self__) is dict:
+            counts[arg.__name__] += 1
+
+    sys.setprofile(profile)
+    try:
+        rank = _factor(field, rows, m, n)[-1]
+    finally:
+        sys.setprofile(None)
+    return rank, counts
 
 
 def permutation_matrix(field, n):
@@ -304,45 +327,39 @@ class TestWorkGate:
         field = Rationals()
         one = field._from_int(1)
         rows = [{} for _ in range(128)] + [{i: one} for i in range(128)]
-        pops = [0]
-
-        def profile(frame, event, arg):
-            if event == "c_call" and arg.__name__ == "pop" and type(arg.__self__) is dict:
-                pops[0] += 1
-
-        sys.setprofile(profile)
-        try:
-            rank = _factor(field, rows, 256, 256)[-1]
-        finally:
-            sys.setprofile(None)
+        rank, counts = count_dict_calls(field, rows, 256, 256)
         assert rank == 128
-        assert pops[0] == 0
+        assert counts["pop"] == 0
 
     def test_scans_skip_rows_known_empty(self):
         # phi(v0 + 2*a0) at the sink of the 8-rung ladder: 511 rows, 256 of
-        # them nonempty, rank 256, and every pivot a column swap. Per pivot
-        # the column swap pops two keys and elimination reads column k in at
-        # most each nonempty row; walking every row from k down instead
-        # costs 196,352 pops and 97,920 gets
+        # them nonempty, rank 256, and every pivot a column swap. No
+        # nonempty row holds an earlier pivot's column, so no row needs
+        # reducing, and a column swap is a relabelling; eager elimination
+        # instead pops two keys from each later row per column swap and
+        # reads column k in each later row, 65,792 pops and 32,640 gets
         field = Rationals()
         g = ladder(8)
         x = Element.vertex(g, field, "v0") + Element.edge(g, field, "a0").scale(2)
         rows = _phi_rows(x)["v8"]
         nonempty = sum(1 for row in rows if row)
-        counts = {"pop": 0, "get": 0}
-
-        def profile(frame, event, arg):
-            if event == "c_call" and arg.__name__ in counts and type(arg.__self__) is dict:
-                counts[arg.__name__] += 1
-
-        sys.setprofile(profile)
-        try:
-            rank = _factor(field, rows, 511, 511)[-1]
-        finally:
-            sys.setprofile(None)
+        rank, counts = count_dict_calls(field, rows, 511, 511)
         assert (rank, nonempty) == (256, 256)
-        assert counts["pop"] <= 2 * rank * nonempty
-        assert counts["get"] <= rank * nonempty
+        assert counts == {"pop": 0, "get": 0}
+
+    def test_arrow_reduces_each_row_once(self):
+        # row 0 is e_0 and row i is e_0 + e_i: each later row takes one
+        # elimination step, by pivot 0, so one pop each and no read of a
+        # later row per pivot; eager elimination reads column k of every
+        # later row for each pivot k, 130,816 gets
+        field = Rationals()
+        one = field._from_int(1)
+        m = 512
+        rows = [{0: one}] + [{0: one, i: one} for i in range(1, m)]
+        rank, counts = count_dict_calls(field, rows, m, m)
+        assert rank == m
+        assert counts["pop"] <= m - 1
+        assert counts["get"] == 0
 
     def test_bad_side_forms_no_product(self):
         field, calls = counting_rationals()

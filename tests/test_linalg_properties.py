@@ -5,7 +5,7 @@ against the row-stored factorization ``oracle_factor`` over eight."""
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from leavitt import parse_field_spec  # noqa: E402
 from leavitt.linalg import (  # noqa: E402
@@ -109,8 +109,8 @@ def test_solve_linear_left(system):
 @st.composite
 def factor_inputs(draw):
     """(field, a, m, n) with a as payload rows: leading empty rows force row
-    swaps, zero entries force column swaps, and duplicated rows empty out
-    during elimination."""
+    swaps, zero entries move pivots off their position (a relabelling of
+    the columns), and duplicated rows reduce to empty rows."""
     field, g = draw(st.sampled_from(FACTOR_FIELDS))
     n = draw(st.integers(0, 6))
     rows = [[draw(entries(field, g)) for _ in range(n)]
@@ -121,8 +121,18 @@ def factor_inputs(draw):
     return field, _sparse(field, rows), len(rows), n
 
 
+def _q_rows(rows):
+    q = parse_field_spec("Q")
+    return [{j: q._from_int(x) for j, x in row.items()} for row in rows]
+
+
 @PROPERTY_SETTINGS
 @given(factor_inputs())
+# tall: the rank reaches n before the last row, whose reduction P and P^-1
+# still record
+@example((parse_field_spec("Q"), _q_rows([{1: 2}, {}, {0: 1, 1: -1}, {1: -2}]), 4, 2))
+# fill-in: reducing row 2 by pivot 0 puts an entry in pivot 1's column
+@example((parse_field_spec("Q"), _q_rows([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}]), 3, 3))
 def test_factor_equals_row_oracle(inputs):
     field, a, m, n = inputs
     got = _factor(field, [dict(row) for row in a], m, n)

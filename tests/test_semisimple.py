@@ -1,9 +1,11 @@
 import pytest
 
 from leavitt import (
+    AlgebraError,
     CyclicGraphError,
     Element,
     GaussianRationals,
+    Graph,
     Path,
     PrimeField,
     QuadraticExtField,
@@ -161,6 +163,16 @@ class TestPhi:
         y = Element.vertex(LINE2, PrimeField(3), "v1")
         with pytest.raises(FieldMismatchError):
             phi(x) * phi(y)
+
+    def test_images_over_different_graphs_refused(self):
+        # v2 is a sink of both graphs, with blocks of sizes 2 and 3
+        two_edges = Graph.build(["v1", "v2"], [("e1", "v1", "v2"), ("f1", "v1", "v2")])
+        x = phi(Element.vertex(LINE2, Q, "v2"))
+        y = phi(Element.vertex(two_edges, Q, "v2"))
+        with pytest.raises(AlgebraError):
+            x + y
+        with pytest.raises(AlgebraError):
+            x * y
 
     def test_blocks_are_a_read_only_view(self):
         image = phi(Element.edge(LINE2, Q, "e1"))
