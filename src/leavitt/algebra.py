@@ -83,7 +83,7 @@ def _normalize_terms(g: Graph, field: Field, raw, schedule: str = "lifo", *,
     normal form, which the test suite checks as a confluence surrogate.
     """
     index = g.index
-    special = index.special_ids
+    special = None  # read only if some p and q end in the same edge
     if not nonzero:
         is_zero = field._is_zero
         raw = [t for t in raw if not is_zero(t[0])]
@@ -95,9 +95,12 @@ def _normalize_terms(g: Graph, field: Field, raw, schedule: str = "lifo", *,
     for t in chain(raw, _ck2_rewrites(index, field, work, schedule)):
         c, p, q = t
         pe, qe = p.edges, q.edges
-        if pe and qe and pe[-1] == qe[-1] and pe[-1] in special:
-            work.append(t)
-            continue
+        if pe and qe and pe[-1] == qe[-1]:
+            if special is None:
+                special = index.special_ids
+            if pe[-1] in special:
+                work.append(t)
+                continue
         key = (p, q)
         prev = get(key)
         if prev is None:
@@ -293,15 +296,7 @@ class Element:
 
     def scale(self, c) -> "Element":
         field = self.field
-        if isinstance(c, int):
-            c = field._from_int(c)
-        elif isinstance(c, FieldValue):
-            if c.field is not field and c.field != field:
-                raise FieldMismatchError(
-                    f"mixed fields: {c.field.spec_string()} and {field.spec_string()}")
-            c = c.payload
-        else:
-            raise TypeError(f"cannot scale an element by {type(c).__name__}")
+        c = field._scalar(c, "an element")
         if field._is_zero(c):
             return Element.zero(self.graph, field)
         mul = field._mul

@@ -29,7 +29,7 @@ import argparse
 import functools
 import json
 import sys
-from itertools import repeat
+from itertools import chain, compress, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .algebra import AlgebraError, format_element
@@ -60,7 +60,7 @@ from .io import (
     report_to_json,
 )
 from .linalg import ShapeError
-from .omega import extnat_to_json
+from .omega import extnat_to_json, is_finite
 from .semisimple import phi
 from .witness import (
     CertificateError,
@@ -79,6 +79,11 @@ from .witness import (
 # Largest output graph ``construct`` builds: n for line, rose and toeplitz,
 # N times the base graph's vertex count for mn, the edge count for ef.
 MAX_CONSTRUCT_SIZE = 100_000
+
+# Most decimal digits of a path count ``decide`` and ``analyze`` print. It is
+# CPython's default limit on writing an int as text, so every count that
+# CPython prints by default is printed, and a larger one is refused here.
+MAX_MU_DIGITS = 4300
 
 
 class _Parser(argparse.ArgumentParser):
@@ -189,6 +194,8 @@ def _run(args, g, k, xs):
     """The command's result with its JSON and its text renderer; ``main``
     calls only the one asked for."""
     command = args.command
+    if command in ("analyze", "decide"):
+        _check_mu_digits(g)
     if command == "analyze":
         return g, _analyze_json, _analyze_text
     if command == "decide":
@@ -250,6 +257,27 @@ def _witness(kind, g, k, xs):
     head.update((key, format_element(x)) for key, x in pairs)
     lines = [f"{key}: {head[key]}" for key, _ in pairs]
     return head, claims, lead + "\n".join(lines + [f"verified: {verified}"])
+
+
+def _check_mu_digits(g) -> None:
+    """Refuse a graph with a finite path count of more than
+    ``MAX_MU_DIGITS`` digits, before anything is printed. A count below
+    2 ** (3 * MAX_MU_DIGITS) is below 10 ** MAX_MU_DIGITS, so only a larger
+    one is compared in full."""
+    index = g.index
+    mu = index.mu
+    if index.acyclic:
+        top = index.sigma
+    else:
+        counts = mu.values()
+        top = max(compress(counts, map(isinstance, counts, repeat(int))), default=0)
+    if top.bit_length() <= 3 * MAX_MU_DIGITS:
+        return
+    bound = 10 ** MAX_MU_DIGITS
+    if top < bound:
+        return
+    v = next(v for v in g.vertices if is_finite(mu[v]) and mu[v] >= bound)
+    raise GraphError(f"mu({v}) has more than MAX_MU_DIGITS = {MAX_MU_DIGITS} digits")
 
 
 def _construct(kind: str, params: list):
@@ -321,6 +349,17 @@ def _json_text(obj, level: int = 0) -> str:
     if not any(map(isinstance, obj.values() if is_dict else obj, repeat(_CONTAINERS))):
         text = "".join(encode(obj, 0))
         return text[0] + inner + text[1:-1] + outer + text[-1]
+    if (not is_dict and all(map(isinstance, obj, repeat(dict))) and all(obj)
+            and not any(map(isinstance, chain.from_iterable(map(dict.values, obj)),
+                            repeat(_CONTAINERS)))):
+        # non-empty dicts of scalars: one call at the items' indent, then a
+        # newline and pad around each brace. "}," and the items' pad occur
+        # together only between two items, as the pad's newline is escaped
+        # inside any string and every item starts with "{".
+        encode, inner2, _ = _indent(level + 1)
+        text = "".join(encode(obj, 0)).replace(
+            "}," + inner2 + "{", inner + "}," + inner + "{" + inner2)
+        return "[" + inner + "{" + inner2 + text[2:-2] + inner + "}" + outer + "]"
     if is_dict:
         # a key that is not a string is spelled as the C encoder spells it
         parts = [(encode_basestring_ascii(k) if isinstance(k, str)

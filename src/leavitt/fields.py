@@ -161,6 +161,18 @@ class Field:
     def _sub(self, a, b):
         return self._add(a, self._neg(b))
 
+    def _scalar(self, c, what: str):
+        """The payload of a scalar c, an int or a value of this field, that
+        scales ``what`` (named in the errors)."""
+        if isinstance(c, int):
+            return self._from_int(c)
+        if isinstance(c, FieldValue):
+            if c.field is not self and c.field != self:
+                raise FieldMismatchError(
+                    f"mixed fields: {c.field.spec_string()} and {self.spec_string()}")
+            return c.payload
+        raise TypeError(f"cannot scale {what} by {type(c).__name__}")
+
     # --- involution and properness ------------------------------------
 
     def properness_level(self):

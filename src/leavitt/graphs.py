@@ -8,8 +8,9 @@ sink-basis paths) lives in one ``GraphIndex``, reached as ``g.index``: it is
 built the first time it is asked for and memoized on that graph object.
 Building it makes only what validation and the verdicts read: the vertex
 set, the edge lookup and the out-edge lists. Every other table is built on
-first use; the in-edge lists when paths are enumerated or a vertex is
-classified, the special edges when an element is normalized.
+first use; the in-edge lists when all paths into a vertex are enumerated or
+a vertex is classified, the special edges when an element is normalized
+that has a monomial whose paths end in the same edge.
 Sharing a graph across threads is safe; ``cached_property`` may build a
 table twice under a race, and both results are equal.
 
@@ -29,6 +30,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .omega import OMEGA, is_finite
@@ -50,6 +53,9 @@ class Edge(NamedTuple):
     id: str
     src: str
     dst: str
+
+
+_DST = itemgetter(2)  # an Edge's dst, read in C
 
 
 class Path(NamedTuple):
@@ -96,7 +102,9 @@ class GraphIndex:
     outgoing edge id. ``order``, ``vertices``, ``edge_by_id`` and
     ``out_edges`` are built eagerly; ``in_edges``, ``special``,
     ``special_ids``, ``mu``, ``acyclic``, ``sigma``, ``sinks`` and
-    ``sink_paths`` are computed on first use. The index keeps
+    ``sink_paths`` are computed on first use. A bounded enumeration
+    (``enumerate_paths_to`` with a ``limit``) scans the in-edges it needs
+    without building ``in_edges``. The index keeps
     the graph's vertex-order tuple, never the graph itself, so it forms no
     reference cycle with the graph that memoizes it.
     """
@@ -120,7 +128,8 @@ class GraphIndex:
     @functools.cached_property
     def in_edges(self) -> dict:
         """The in-edges of each vertex, sorted by edge id. Built on first
-        use: only path enumeration and vertex classification read it."""
+        use: only the enumeration of all paths into a vertex and vertex
+        classification read it."""
         ins = {v: [] for v in self.order}
         for e in sorted(self.edge_by_id.values()):
             ins[e.dst].append(e)
@@ -129,7 +138,8 @@ class GraphIndex:
     @functools.cached_property
     def special(self) -> dict:
         """The special (greatest-id outgoing) edge id of each non-sink
-        vertex. Built on first use: only element normalization reads it."""
+        vertex. Built on first use: only element normalization reads it,
+        and only for a monomial whose two paths end in the same edge."""
         return {v: es[-1].id for v, es in self.out_edges.items() if es}
 
     @functools.cached_property
@@ -197,7 +207,8 @@ class GraphIndex:
         each of those paths."""
         if not self.acyclic:
             raise CyclicGraphError("graph has a cycle")
-        paths = {v: tuple(_paths_to(self.in_edges, v)) for v in self.sinks}
+        ins = self.in_edges
+        paths = {v: tuple(_paths_to(lambda level: ins, v)) for v in self.sinks}
         position = {}
         for v, ps in paths.items():
             if len(ps) != self.mu[v]:
@@ -326,23 +337,42 @@ def enumerate_paths_to(g: Graph, v: str, limit: int | None = None) -> list:
     The list always starts with the trivial path and has exactly mu(g, v)
     entries; when that count is infinite the enumeration is refused. With
     ``limit``, only the first ``limit`` paths of that order are built and
-    returned.
+    returned, and the in-edges of each path length's start vertices come
+    from one scan of the edges, so the graph's in-edge table is not built.
     """
     if not is_finite(mu(g, v)):
         raise InfinitePathSetError(f"infinitely many paths end at {v}")
-    return _paths_to(g.index.in_edges, v, limit)
+    if limit is None:
+        ins = g.index.in_edges
+        return _paths_to(lambda level: ins, v)
+    edges = g.edges
+    return _paths_to(lambda level: _in_edges_among(edges, {p.base for p in level}), v, limit)
 
 
-def _paths_to(ins: dict, v: str, limit: int | None = None) -> list:
-    """``enumerate_paths_to`` over the in-edge table of a graph in which
-    finitely many paths end at v."""
+def _paths_to(in_edges_of, v: str, limit: int | None = None) -> list:
+    """``enumerate_paths_to`` in a graph in which finitely many paths end at
+    v. ``in_edges_of(level)`` maps the start vertex of each path of a level
+    to its in-edges, in any order (a vertex without any may be left out);
+    the next level is sorted once built."""
     found = []
     level = [Path(v, ())]
-    while level and (limit is None or len(found) < limit):
+    while level:
         found.extend(level)
-        level = sorted((Path(e.src, (e.id,) + p.edges) for p in level for e in ins[p.base]),
+        if limit is not None and len(found) >= limit:
+            return found[:limit]
+        ins = in_edges_of(level)
+        level = sorted((Path(e.src, (e.id,) + p.edges) for p in level for e in ins.get(p.base, ())),
                        key=lambda p: p.edges)
-    return found if limit is None else found[:limit]
+    return found
+
+
+def _in_edges_among(edges: tuple, bases: set) -> dict:
+    """The in-edges of the vertices in ``bases``, by vertex: one C-level
+    pass over ``edges`` picks them out."""
+    ins = {}
+    for e in compress(edges, map(bases.__contains__, map(_DST, edges))):
+        ins.setdefault(e.dst, []).append(e)
+    return ins
 
 
 class SinkBasis:

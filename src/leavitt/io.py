@@ -5,6 +5,11 @@ Graph text format, one declaration per line, '#' starts a comment:
     vertex <id>
     edge <id> <source-id> <range-id>
 
+Text in the layout ``format_graph`` writes (vertex lines, then edge lines,
+a newline after every line) is read in whole-text passes: one ``split``
+and C-level counts that prove the layout. Any other text is read line by
+line, with the same graph or the same error.
+
 The structured (JSON) graph format is an object with "vertices" and "edges"
 keys only; edges are {"id","src","dst"} objects. Both parsers build the
 graph's index, which rejects duplicate identifiers and dangling endpoints
@@ -32,6 +37,7 @@ normalized once, at the end.
 from __future__ import annotations
 
 import json
+from itertools import islice, repeat
 
 from .algebra import Element, _monomial_product, _normalize_terms, format_element
 from .fields import Field
@@ -69,7 +75,41 @@ class ParseError(ValueError):
 
 def parse_graph(text: str) -> Graph:
     """The line-oriented text format; raises with line numbers on bad syntax
-    and with offending identifiers on broken invariants."""
+    and with offending identifiers on broken invariants.
+
+    Text in ``format_graph``'s layout (vertex lines, then edge lines, a
+    newline after every line, only ``_IDENT_CHARS`` and spaces between)
+    is read with one ``split`` of the whole text. C-level counts prove that
+    layout before the tokens are read by position: every newline ends a
+    line that starts ``vertex `` or ``edge ``, and once each keyword is
+    spelled as a character no id has, the keywords sit where lines of two
+    and of four tokens put them. Any other text is read line by line by
+    ``_parse_lines``; both give the same graph and the same errors."""
+    lines = text.count("\n")
+    nv = text.startswith("vertex ") + text.count("\nvertex ")
+    ne = text.startswith("edge ") + text.count("\nedge ")
+    if (nv + ne != lines or not text.endswith("\n") or not text.isascii()
+            or text.encode().translate(None, _LAYOUT_CHARS)):
+        return _parse_lines(text)
+    # "<" and ">" for the keywords: split returns one shared object for a
+    # one-character token, so the keywords cost no memory. A tuple, not a
+    # list: the collector untracks a tuple of strings once, so the
+    # collections that building the edges triggers do not walk the tokens.
+    tokens = tuple(("\n" + text).replace("\nvertex ", "\n< ").replace("\nedge ", "\n> ")
+                   .split())
+    cut = 2 * nv
+    if (len(tokens) != cut + 4 * ne or tokens[0:cut:2].count("<") != nv
+            or tokens[cut::4].count(">") != ne):
+        return _parse_lines(text)
+    vertices = tokens[1:cut:2]
+    edges = tuple(map(tuple.__new__, repeat(Edge), zip(
+        *(islice(tokens, start, None, 4) for start in range(cut + 1, cut + 4)))))
+    del tokens  # freed before the index is built
+    return _indexed(Graph(vertices, edges))
+
+
+def _parse_lines(text: str) -> Graph:
+    """``parse_graph`` one line at a time, for text in any layout."""
     vertices = []
     edges = []
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -176,6 +216,8 @@ def graph_to_json(g: Graph) -> dict:
 _IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_:@(),")
 # the characters of _IDENT_CHARS that are not ASCII letters or digits
 _IDENT_PUNCT = b"_:@(),"
+# the bytes of text in ``format_graph``'s layout: id characters, space, newline
+_LAYOUT_CHARS = "".join(sorted(_IDENT_CHARS)).encode() + b" \n"
 
 
 class _ExprParser:

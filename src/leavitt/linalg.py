@@ -6,9 +6,9 @@ rows of FieldValues of one field (an int entry is read as a field element),
 and so is every result, because callers index, compare and serialize
 entries freely. They convert each operand once, at entry, into payload
 rows, one ``{column: payload}`` dict per row holding only the nonzero
-payloads, and the result once, at exit. The payload-row kernels behind
-them, ``_mul``, ``_factor``, ``_solve`` and ``_conj_transpose``, are what
-``MatrixImage`` and the witness builders call directly. ``_factor`` (and
+payloads, and the result once, at exit. The payload-row kernels
+``_add``, ``_mul``, ``_factor``, ``_solve`` and ``_conj_transpose`` are
+what ``MatrixImage`` and the witness builders call directly. ``_factor`` (and
 so ``_solve``) consumes the rows it factors: a caller that needs a block
 again passes a copy. No exact zero is ever stored: a sum that vanishes is
 dropped, so two payload matrices are equal exactly when their row lists
@@ -93,6 +93,23 @@ def _dense(field: Field, rows, n: int):
 def _identity(field: Field, n: int):
     one = field._from_int(1)
     return [{i: one} for i in range(n)]
+
+
+def _add(field: Field, a_rows, b_rows):
+    """Entrywise sum: one scalar sum and one zero test per entry that is
+    nonzero in both operands."""
+    add, is_zero = field._add, field._is_zero
+    out = []
+    for row_a, row_b in zip(a_rows, b_rows):
+        row = {**row_a, **row_b}
+        for j in row_a.keys() & row_b.keys():
+            s = add(row_a[j], row_b[j])
+            if is_zero(s):
+                del row[j]
+            else:
+                row[j] = s
+        out.append(row)
+    return out
 
 
 def _mul(field: Field, a_rows, b_rows):

@@ -20,7 +20,7 @@ from types import MappingProxyType
 from .algebra import AlgebraError, Element, _normalize_terms
 from .fields import Field, FieldMismatchError
 from .graphs import Graph, Path, SinkBasis, check_acyclic, mu, path_range, sinks
-from .linalg import ShapeError, _conj_transpose, _dense, _identity, _mul, _sparse
+from .linalg import ShapeError, _add, _conj_transpose, _dense, _identity, _mul, _sparse
 
 
 def sink_basis(g: Graph) -> SinkBasis:
@@ -112,14 +112,20 @@ class MatrixImage:
         if not isinstance(other, MatrixImage):
             return NotImplemented
         self._check_compatible(other)
-        return MatrixImage(self.field, self.basis, {
-            v: [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(b, other.blocks[v])]
-            for v, b in self.blocks.items()})
+        return _of_rows(self.field, self.basis, {
+            v: _add(self.field, rows, other.rows[v]) for v, rows in self.rows.items()})
 
     def scale(self, c):
-        return MatrixImage(self.field, self.basis,
-                           {v: [[c * x for x in row] for row in b]
-                            for v, b in self.blocks.items()})
+        """c times the image, for an int or a value of the image's field."""
+        field = self.field
+        c = field._scalar(c, "an image")
+        if field._is_zero(c):
+            return MatrixImage.zero(self.basis, field)
+        # a product of nonzero payloads is nonzero in every field here
+        mul = field._mul
+        return _of_rows(field, self.basis, {
+            v: [{j: mul(c, x) for j, x in row.items()} for row in rows]
+            for v, rows in self.rows.items()})
 
     def star(self) -> "MatrixImage":
         return _of_rows(self.field, self.basis, {

@@ -512,12 +512,24 @@ class TestJsonOutput:
 
 class TestVerdictGraphTables:
     """``decide --json`` and ``analyze --json`` build only the graph tables
-    their verdict reads: no in-edge table and no special edges, unless
-    ``decide`` builds an improper certificate, whose paths are enumerated
-    along in-edges and then normalized."""
+    their verdict reads: no in-edge table and no special edges, also when
+    ``decide`` builds an improper certificate, whose few paths are found by
+    scanning the edges and whose terms end in no common edge."""
 
     GRAPHS = {"line3": standard_graph("line", 3), "rose1": standard_graph("rose", 1),
               "toeplitz": standard_graph("toeplitz"), "clock": clock_graph(2, 2)}
+
+    def tables(self, capsys, monkeypatch, *argv):
+        """The tables built on the graph that ``main`` loaded, with the
+        exit code and the output."""
+        loaded = []
+        real_load = cli._load_graph
+        monkeypatch.setattr(cli, "_load_graph",
+                            lambda source: loaded.append(real_load(source)) or loaded[-1])
+        code, out, err = run(capsys, *argv)
+        assert err == "", argv
+        (g,) = loaded
+        return set(vars(g.index)), code, out
 
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     @pytest.mark.parametrize("argv", [["analyze"], ["decide", "--field", "Q"],
@@ -527,19 +539,68 @@ class TestVerdictGraphTables:
                                            argv):
         path = tmp_path / f"{name}.txt"
         path.write_text(format_graph(self.GRAPHS[name]))
-        loaded = []
-        real_load = cli._load_graph
-        monkeypatch.setattr(cli, "_load_graph",
-                            lambda source: loaded.append(real_load(source)) or loaded[-1])
-        code, out, err = run(capsys, argv[0], str(path), *argv[1:], "--json")
-        assert code in (0, 2) and err == "", (name, argv)
-        (g,) = loaded
-        tables = set(vars(g.index))
-        if json.loads(out).get("improper_certificate") is None:
-            assert not tables & {"in_edges", "special"}, (name, argv)
+        tables, code, _ = self.tables(capsys, monkeypatch, argv[0], str(path), *argv[1:],
+                                      "--json")
+        assert code in (0, 2), (name, argv)
+        assert not tables & {"in_edges", "special", "special_ids"}, (name, argv)
+
+    def test_improper_certificate_builds_neither(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "line3.txt"
+        path.write_text(format_graph(self.GRAPHS["line3"]))
+        tables, code, out = self.tables(capsys, monkeypatch, "decide", str(path),
+                                        "--field", "Q[i]/id", "--json")
+        assert (code, json.loads(out)["improper_certificate"]) == (0, "v2 + i*e1")
+        assert not tables & {"in_edges", "special", "special_ids"}
+
+    def test_control_witness_regular_builds_in_edges(self, capsys, monkeypatch, tmp_path):
+        # the sink basis enumerates every path along the in-edge table, so
+        # the check above can see a table that is built
+        path = tmp_path / "line3.txt"
+        path.write_text(format_graph(self.GRAPHS["line3"]))
+        tables, code, _ = self.tables(capsys, monkeypatch, "witness", "regular", str(path),
+                                      "--field", "Q", "-e", "e1", "--json")
+        assert code == 0 and "in_edges" in tables
+
+
+class TestMuDigitLimit:
+    """``decide`` and ``analyze`` refuse, in one line that names
+    ``MAX_MU_DIGITS``, a graph with a finite path count of more digits,
+    before anything is printed: CPython would refuse to write it as text."""
+
+    ARGVS = [["decide", "--field", "Q"], ["decide", "--field", "GF(3)", "--json"],
+             ["analyze"], ["analyze", "--json"]]
+
+    @pytest.fixture(scope="class")
+    def ladder_15000(self, tmp_path_factory):
+        # mu(v_i) = 2^(i+1) - 1, so mu(v14284) is the first with 4301 digits
+        path = tmp_path_factory.mktemp("ladder") / "ladder.txt"
+        path.write_text(format_graph(ladder(15_000)))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", ARGVS)
+    def test_refused_over_the_limit(self, capsys, ladder_15000, argv):
+        code, out, err = run(capsys, argv[0], ladder_15000, *argv[1:])
+        assert (code, out) == (1, "")
+        assert err == "error: mu(v14284) has more than MAX_MU_DIGITS = 4300 digits\n"
+
+    @pytest.mark.parametrize("argv", ARGVS)
+    @pytest.mark.parametrize("rungs, cycle", [(15, False), (16, False), (16, True)])
+    def test_boundary(self, capsys, monkeypatch, tmp_path, argv, rungs, cycle):
+        # 2^16 - 1 = 65535 has five digits and is the first count of more
+        # than 15 bits, so it is compared in full; 2^17 - 1 has six
+        monkeypatch.setattr(cli, "MAX_MU_DIGITS", 5)
+        g = ladder(rungs)
+        if cycle:
+            # a loop elsewhere: mu is omega there, and finite on the ladder
+            g = Graph.build(g.vertices + ("w",), [*g.edges, ("l", "w", "w")])
+        path = tmp_path / "g.txt"
+        path.write_text(format_graph(g))
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        if rungs == 15:
+            assert code == 0 and err == "" and "65535" in out
         else:
-            # the certificate reads both, so the check above can see them
-            assert tables >= {"in_edges", "special"}, (name, argv)
+            assert (code, out) == (1, "")
+            assert err == "error: mu(v16) has more than MAX_MU_DIGITS = 5 digits\n"
 
 
 def _raise(*args, **kwargs):

@@ -96,5 +96,12 @@ JSON_VALUES = st.recursive(
 @example(value=[[], {}, ()])
 @example(value={"a": {"b": [1, (True, None)]}, 2: [], True: "\u00e9"})
 @example(value=[{"id": "e1", "src": "v1", "dst": "v2"}, [10 ** 30]])
+# lists of non-empty dicts of scalars are one encoder call and a replace
+@example(value=[{"a": "},\n    {", "b": "[x]"}, {"c": "},{\n", "d": "}, {"}])
+@example(value=({"id": "}", "n": 1}, {"id": "{", "n": None}))
+@example(value=[{1: "a", None: "b"}, {True: 2.5, 0: None, 1.5: False}])
+@example(value=[{}, {"a": 1}, {}])
+@example(value=[{"a": 1}, {}])
+@example(value={"edges": [{"id": "e1", "src": "v1", "dst": "v2"}], "x": [[{"a": [1]}]]})
 def test_json_text_is_stdlib_indent_2(value):
     assert _json_text(value) == json.dumps(value, indent=2)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -68,6 +69,39 @@ class TestGraphText:
     def test_round_trip(self):
         for g in corpus().values():
             assert parse_graph(format_graph(g)) == g
+
+
+class TestGraphTextWorkGate:
+    """Text in ``format_graph``'s layout is read with one ``split`` of the
+    whole text; any other layout, line by line."""
+
+    G = e_f_graph(standard_graph("line", 6), ["e1", "e2", "e3", "e4", "e5"])
+
+    @staticmethod
+    def str_splits(text):
+        calls = []
+
+        def profile(frame, event, arg):
+            if (event == "c_call" and arg.__name__ in ("split", "splitlines")
+                    and type(arg.__self__) is str):
+                calls.append(arg.__name__)
+
+        sys.setprofile(profile)
+        try:
+            g = parse_graph(text)
+        finally:
+            sys.setprofile(None)
+        return g, calls
+
+    def test_layout_is_split_once(self):
+        g, calls = self.str_splits(format_graph(self.G))
+        assert g == self.G and calls == ["split"]
+
+    def test_control_other_layouts_split_each_line(self):
+        # the counter sees the per-line reader's calls
+        g, calls = self.str_splits("# a comment\n" + format_graph(self.G))
+        assert g == self.G
+        assert calls.count("split") >= 1 + len(self.G.vertices) + len(self.G.edges)
 
 
 _EXPECTED = "expected 'vertex <id>' or 'edge <id> <src> <dst>', got "

@@ -27,6 +27,7 @@ from leavitt.semisimple import MatrixImage
 from conftest import (
     acyclic_corpus,
     is_zero_matrix,
+    ladder,
     mat_from_rows,
     naive_conj_transpose,
     random_element,
@@ -173,6 +174,25 @@ class TestPhi:
             x + y
         with pytest.raises(AlgebraError):
             x * y
+
+    def test_sum_and_scale_build_no_dense_view(self):
+        # on the 8-rung ladder the block is 511 x 511 with one nonzero
+        x = phi(Element.edge(ladder(8), Q, "a7"))
+        results = [x + x, x.scale(2), x.scale(Q.from_int(-1)), x.scale(0),
+                   x + x.scale(-1)]
+        assert results[0] == results[1] and results[3] == results[4]
+        assert results[3].is_zero() and not results[2].is_zero()
+        for image in (x, *results):
+            assert "blocks" not in vars(image)
+        assert phi_inv(results[2]) == -Element.edge(ladder(8), Q, "a7")
+
+    def test_scale_refuses_other_scalars(self):
+        x = phi(Element.edge(LINE2, Q, "e1"))
+        with pytest.raises(FieldMismatchError):
+            x.scale(PrimeField(3).one)
+        for c in (1.0, "2", None):
+            with pytest.raises(TypeError):
+                x.scale(c)
 
     def test_blocks_are_a_read_only_view(self):
         image = phi(Element.edge(LINE2, Q, "e1"))

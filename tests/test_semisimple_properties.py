@@ -1,7 +1,7 @@
 """Property tests of phi on small random acyclic graphs over every field of
 conftest: block by block, the images of products, stars and sums are the
-ones the dense entry-by-entry loops of conftest give, and phi_inv reads a
-dense image back to its element."""
+ones the dense entry-by-entry loops of conftest give, and so are scalar
+multiples; phi_inv reads a dense image back to its element."""
 
 import random
 
@@ -24,6 +24,7 @@ def test_phi_matches_the_dense_loops(g, k, seed):
     rng = random.Random(seed)
     x, y = (random_element(g, k, rng, max_terms=4, max_len=3) for _ in range(2))
     px, py = phi(x), phi(y)
+    c = k.sample(rng)
     basis = sink_basis(g)
     for v in basis.sinks:
         a, b = px.blocks[v], py.blocks[v]
@@ -31,4 +32,5 @@ def test_phi_matches_the_dense_loops(g, k, seed):
         assert phi(x.star()).blocks[v] == px.star().blocks[v] == naive_conj_transpose(a)
         assert (px + py).blocks[v] == [[s + t for s, t in zip(ra, rb)]
                                        for ra, rb in zip(a, b)]
+        assert px.scale(c).blocks[v] == [[c * s for s in row] for row in a]
     assert phi_inv(MatrixImage(k, basis, px.blocks)) == x
