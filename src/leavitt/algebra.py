@@ -26,10 +26,9 @@ paths do not end in the same special edge is already normal and goes
 straight into the result; only the others go through the CK2 worklist.
 Zero payloads are dropped once, on entry, and a sum is tested for zero only
 when two terms met on one monomial. Products skip the entry test, since a
-product of nonzero payloads is nonzero in every field here. Products look
-up, for each left monomial p1.q1*, only the right monomials p2.q2* whose p2
-starts at the base of q1, since the middle cancellation q1* p2 vanishes
-unless one path is a prefix of the other.
+product of nonzero payloads is nonzero in every field here. The product
+rule is stated once, in ``_product_terms``; its two callers are
+``Element.__mul__`` and the expression parser of ``leavitt.io``.
 """
 
 from __future__ import annotations
@@ -140,22 +139,38 @@ def _check_monomial(g: Graph, p: Path, q: Path):
         raise AlgebraError(f"paths have different ranges: {p}, {q}")
 
 
-def _monomial_product(p1: Path, q1: Path, p2: Path, q2: Path):
-    """(p1 q1*)(p2 q2*) as one monomial (p, q) before normalization, or None
-    when it vanishes: p1.gamma q2* when p2 = q1.gamma, p1 (q2.gamma)* when
-    q1 = p2.gamma. The same rule as ``Element.__mul__``, which inlines it:
-    when |p2| >= |q1| test whether q1 is a prefix of p2, else whether p2 is
-    a proper prefix of q1."""
-    if p2.base != q1.base:
-        return None
-    qe, pe = q1.edges, p2.edges
-    n, m = len(qe), len(pe)
-    if m >= n:
-        if pe[:n] == qe:
-            return _path((p1.base, p1.edges + pe[n:])), q2
-    elif qe[:m] == pe:
-        return p1, _path((q2.base, q2.edges + qe[m:]))
-    return None
+def _product_terms(left: dict, right: dict, mul) -> list:
+    """The raw (payload, p, q) terms of (sum of c1 p1 q1*)(sum of c2 p2 q2*)
+    for two monomial -> payload maps, not yet normalized; ``mul`` multiplies
+    payloads. The one statement of the product rule: by CK1, (p1 q1*)(p2 q2*)
+    is p1.gamma q2* when p2 = q1.gamma, p1 (q2.gamma)* when q1 = p2.gamma,
+    and 0 otherwise. Only the right monomials whose p2 starts at the base of
+    q1 can survive, so the right operand is grouped by that vertex."""
+    by_base: dict = {}
+    for (p2, q2), c2 in right.items():
+        pe = p2.edges
+        group = by_base.get(p2.base)
+        if group is None:
+            by_base[p2.base] = [(pe, len(pe), q2, c2)]
+        else:
+            group.append((pe, len(pe), q2, c2))
+    raw = []
+    append = raw.append
+    for (p1, q1), c1 in left.items():
+        group = by_base.get(q1.base)
+        if group is None:
+            continue
+        qe = q1.edges
+        n = len(qe)
+        for pe, m, q2, c2 in group:
+            if m >= n:
+                if pe[:n] == qe:
+                    # q1 is a prefix of p2 = q1.gamma: p1.gamma (q2)*
+                    append((mul(c1, c2), _path((p1.base, p1.edges + pe[n:])), q2))
+            elif qe[:m] == pe:
+                # p2 is a proper prefix of q1 = p2.gamma: p1 (q2.gamma)*
+                append((mul(c1, c2), p1, _path((q2.base, q2.edges + qe[m:]))))
+    return raw
 
 
 class Element:
@@ -310,34 +325,7 @@ class Element:
             return NotImplemented
         self._check_compatible(other)
         g, field = self.graph, self.field
-        mul = field._mul
-        # (p1 q1*)(p2 q2*) survives only when q1 and p2 start at the same
-        # vertex and one is a prefix of the other, so group the right
-        # operand by the base vertex of p2.
-        by_base: dict = {}
-        for (p2, q2), c2 in other._terms.items():
-            pe = p2.edges
-            group = by_base.get(p2.base)
-            if group is None:
-                by_base[p2.base] = [(pe, len(pe), q2, c2)]
-            else:
-                group.append((pe, len(pe), q2, c2))
-        raw = []
-        append = raw.append
-        for (p1, q1), c1 in self._terms.items():
-            group = by_base.get(q1.base)
-            if group is None:
-                continue
-            qe = q1.edges
-            n = len(qe)
-            for pe, m, q2, c2 in group:
-                if m >= n:
-                    if pe[:n] == qe:
-                        # q1 is a prefix of p2 = q1.gamma: p1.gamma (q2)*
-                        append((mul(c1, c2), _path((p1.base, p1.edges + pe[n:])), q2))
-                elif qe[:m] == pe:
-                    # p2 is a proper prefix of q1 = p2.gamma: p1 (q2.gamma)*
-                    append((mul(c1, c2), p1, _path((q2.base, q2.edges + qe[m:]))))
+        raw = _product_terms(self._terms, other._terms, field._mul)
         # products of nonzero payloads are nonzero in every field here
         return Element(g, field, _normalize_terms(g, field, raw, nonzero=True),
                        _trusted=True)

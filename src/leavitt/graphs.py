@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from heapq import nsmallest
 from itertools import compress
 from operator import itemgetter
 from typing import Iterable, NamedTuple
@@ -346,24 +347,24 @@ def enumerate_paths_to(g: Graph, v: str, limit: int | None = None) -> list:
         ins = g.index.in_edges
         return _paths_to(lambda level: ins, v)
     edges = g.edges
-    return _paths_to(lambda level: _in_edges_among(edges, {p.base for p in level}), v, limit)
+    return _paths_to(lambda level: _in_edges_among(edges, {b for _, b in level}), v, limit)
 
 
 def _paths_to(in_edges_of, v: str, limit: int | None = None) -> list:
     """``enumerate_paths_to`` in a graph in which finitely many paths end at
-    v. ``in_edges_of(level)`` maps the start vertex of each path of a level
-    to its in-edges, in any order (a vertex without any may be left out);
-    the next level is sorted once built."""
-    found = []
-    level = [Path(v, ())]
-    while level:
-        found.extend(level)
-        if limit is not None and len(found) >= limit:
-            return found[:limit]
+    v. A level holds the (edges, base) pairs of one path length in order,
+    and ``in_edges_of(level)`` maps each base to its in-edges, in any order
+    (a vertex without any may be left out). Each level is sorted, except the
+    last one a ``limit`` reaches: only its smallest keys become ``Path``s."""
+    found = [Path(v, ())]
+    level = [((), v)]
+    while level and (limit is None or len(found) < limit):
         ins = in_edges_of(level)
-        level = sorted((Path(e.src, (e.id,) + p.edges) for p in level for e in ins.get(p.base, ())),
-                       key=lambda p: p.edges)
-    return found
+        level = [((e.id,) + edges, e.src) for edges, base in level for e in ins.get(base, ())]
+        over = limit is not None and len(found) + len(level) > limit
+        level = nsmallest(limit - len(found), level) if over else sorted(level)
+        found += [Path(base, edges) for edges, base in level]
+    return found[:limit]
 
 
 def _in_edges_among(edges: tuple, bases: set) -> dict:

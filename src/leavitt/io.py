@@ -28,10 +28,10 @@ is (1+2i)*e1, while "1 + 2i*e1" is 1 + (2i)*e1. A bare coeff term means
 coeff times the identity (the sum of all vertices). Printing emits the same
 grammar with terms in canonical monomial order.
 
-Each term's factors fold into one monomial p q* (or into zero) by the
-product rule of ``Element.__mul__``, so a term is one raw (payload, p, q)
-triple, or one per vertex for a bare coeff; the whole expression is
-normalized once, at the end.
+Each term's factors fold into one monomial p q* (or into zero) through
+``algebra._product_terms``, the product kernel of ``Element.__mul__``, so a
+term is one raw (payload, p, q) triple, or one per vertex for a bare coeff;
+the whole expression is normalized once, at the end.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 from itertools import islice, repeat
 
-from .algebra import Element, _monomial_product, _normalize_terms, format_element
+from .algebra import Element, _normalize_terms, _product_terms, format_element
 from .fields import Field
 from .graphs import Edge, Graph, GraphError, Path, edge_by_id, vertex_set
 from .omega import extnat_to_json
@@ -105,7 +105,7 @@ def parse_graph(text: str) -> Graph:
     edges = tuple(map(tuple.__new__, repeat(Edge), zip(
         *(islice(tokens, start, None, 4) for start in range(cut + 1, cut + 4)))))
     del tokens  # freed before the index is built
-    return _indexed(Graph(vertices, edges))
+    return _indexed(Graph(vertices, edges), spelled=True)
 
 
 def _parse_lines(text: str) -> Graph:
@@ -127,28 +127,29 @@ def _parse_lines(text: str) -> Graph:
     return _indexed(Graph(tuple(vertices), tuple(edges)))
 
 
-def _indexed(g: Graph) -> Graph:
+def _indexed(g: Graph, spelled: bool = False) -> Graph:
     """g with its index built; the index refuses duplicate identifiers and
     dangling endpoints, reported here as a ParseError. Then every id must be
     one the expression grammar can spell (nonempty ``_IDENT_CHARS``, never
     both a vertex and an edge), or printed claims would not parse back. One
-    pass over the joined ids checks that; only a refused graph is scanned id
-    by id, to name the first offender."""
+    pass over the joined ids checks the first half, unless ``spelled`` says
+    the caller has proved it; only a refused graph is scanned id by id, to
+    name the first offender."""
     try:
         index = g.index
     except GraphError as exc:
         raise ParseError(str(exc)) from None
     vertices, edges = index.vertices, index.edge_by_id
-    ids = "".join(g.vertices) + "".join(edges)
-    if ids.isascii():
-        rest = ids.encode().translate(None, _IDENT_PUNCT)
-        if ((rest.isalnum() or not rest) and "" not in vertices and "" not in edges
-                and vertices.isdisjoint(edges)):
-            return g
-    for name in (*g.vertices, *edges):
-        if not name or not _IDENT_CHARS.issuperset(name):
+    if not spelled:
+        ids = "".join(g.vertices) + "".join(edges)
+        if ("" in vertices or "" in edges or not ids.isascii()
+                or not (ids.encode().translate(None, _IDENT_PUNCT) or b"a").isalnum()):
+            name = next(name for name in (*g.vertices, *edges)
+                        if not name or not _IDENT_CHARS.issuperset(name))
             raise ParseError(f"identifier {name!r} must be nonempty letters, "
                              f"digits and _:@(),")
+    if vertices.isdisjoint(edges):
+        return g
     name = next(v for v in g.vertices if v in edges)
     raise ParseError(f"identifier {name!r} names both a vertex and an edge")
 
@@ -288,22 +289,19 @@ class _ExprParser:
         return self.monomial_term(c)
 
     def monomial_term(self, c) -> list:
-        mono = self.parse_factors()
-        return [] if mono is None else [(c, *mono)]
-
-    def parse_factors(self):
-        """The product of the factors as one monomial (p, q), or None when
-        it vanishes. Factors after a vanishing product are still parsed and
-        resolved, so their errors are reported."""
-        mono = self.parse_factor()
+        """c times the factors' product, as at most one raw (payload, p, q)
+        triple. Each factor folds in through ``_product_terms``, the term
+        as a map of its one monomial; factors after a vanishing product are
+        still parsed and resolved, so their errors are reported."""
+        raw = [(c, *self.parse_factor())]
+        one, mul = self.k._from_int(1), self.k._mul
         while True:
             self.skip_ws()
             if self.peek() != ".":
-                return mono
+                return raw
             self.pos += 1
-            right = self.parse_factor()
-            if mono is not None:
-                mono = _monomial_product(*mono, *right)
+            term = {(p, q): x for x, p, q in raw}
+            raw = _product_terms(term, {self.parse_factor(): one}, mul)
 
     def parse_factor(self):
         self.skip_ws()

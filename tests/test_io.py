@@ -78,12 +78,14 @@ class TestGraphTextWorkGate:
     G = e_f_graph(standard_graph("line", 6), ["e1", "e2", "e3", "e4", "e5"])
 
     @staticmethod
-    def str_splits(text):
+    def c_calls(text, kind, names):
+        """``parse_graph(text)`` and the names of its calls of the methods
+        ``names`` of ``kind``, in order."""
         calls = []
 
         def profile(frame, event, arg):
-            if (event == "c_call" and arg.__name__ in ("split", "splitlines")
-                    and type(arg.__self__) is str):
+            if (event == "c_call" and arg.__name__ in names
+                    and type(arg.__self__) is kind):
                 calls.append(arg.__name__)
 
         sys.setprofile(profile)
@@ -92,6 +94,10 @@ class TestGraphTextWorkGate:
         finally:
             sys.setprofile(None)
         return g, calls
+
+    @classmethod
+    def str_splits(cls, text):
+        return cls.c_calls(text, str, ("split", "splitlines"))
 
     def test_layout_is_split_once(self):
         g, calls = self.str_splits(format_graph(self.G))
@@ -102,6 +108,18 @@ class TestGraphTextWorkGate:
         g, calls = self.str_splits("# a comment\n" + format_graph(self.G))
         assert g == self.G
         assert calls.count("split") >= 1 + len(self.G.vertices) + len(self.G.edges)
+
+    def test_layout_ids_are_checked_once(self):
+        # the layout check's translate proves every id spelled, so the
+        # index step makes no second pass over the ids
+        g, calls = self.c_calls(format_graph(self.G), bytes, ("translate",))
+        assert g == self.G and calls == ["translate"]
+
+    def test_control_other_layouts_check_ids_when_indexed(self):
+        # the counter sees the index step's translate: the layout check
+        # stops at the line count, before its own
+        g, calls = self.c_calls("# a comment\n" + format_graph(self.G), bytes, ("translate",))
+        assert g == self.G and calls == ["translate"]
 
 
 _EXPECTED = "expected 'vertex <id>' or 'edge <id> <src> <dst>', got "

@@ -1,8 +1,7 @@
 """Property tests of the expression parser on line, rose, toeplitz, clock
 and M_n graphs over six fields: it gives the element, or the ParseError
-text, of the multiply-as-you-go parser of conftest, its monomial product
-rule agrees with ``Element.__mul__``, and ``leavitt nf`` on the same
-expressions keeps the CLI's exit contract."""
+text, of the multiply-as-you-go parser of conftest, and ``leavitt nf`` on
+the same expressions keeps the CLI's exit contract."""
 
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -10,11 +9,10 @@ from io import StringIO
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
-from leavitt import Element, Path, Rationals, m_n_graph, standard_graph  # noqa: E402
-from leavitt.algebra import _monomial_product  # noqa: E402
-from leavitt.graphs import clock_graph, in_edges  # noqa: E402
+from leavitt import Rationals, m_n_graph, standard_graph  # noqa: E402
+from leavitt.graphs import clock_graph  # noqa: E402
 from leavitt.cli import main  # noqa: E402
 from leavitt.io import format_graph, parse_element  # noqa: E402
 
@@ -67,46 +65,22 @@ def outcome(parse, g, k, text):
         return (type(exc).__name__, str(exc))
 
 
+LINE3, ROSE2, Q = GRAPHS[0], GRAPHS[1], Rationals()
+
+
 @PROPERTY_SETTINGS
 @given(expressions())
+# q1 = v2 is a proper prefix of p2 = e2: the gamma goes onto p1
+@example((LINE3, Q, "e1.e2"))
+# p2 = v2, then p2 = e1, is a proper prefix of q1: the gamma goes onto q2
+@example((LINE3, Q, "e2*.e1*.e1"))
+# the fold vanishes, and the unknown factor after it is still reported
+@example((LINE3, Q, "e1.e1.x9"))
+# e2 is the special edge at v, so the fold's e2.e2* takes the CK2 rewrite
+@example((ROSE2, Q, "e2.e2*"))
 def test_parse_matches_the_multiply_as_you_go_parser(case):
     g, k, text = case
     assert outcome(parse_element, g, k, text) == outcome(oracle_parse_element, g, k, text)
-
-
-@st.composite
-def monomial_pairs(draw):
-    """(g, (p1, q1), (p2, q2)): p and q of each are backward walks of at
-    most three edges into a common vertex."""
-    g = draw(st.sampled_from(GRAPHS))
-
-    def path_to(v):
-        edges = []
-        for _ in range(draw(st.integers(0, 3))):
-            ins = in_edges(g, v)
-            if not ins:
-                break
-            e = draw(st.sampled_from(ins))
-            edges.append(e.id)
-            v = e.src
-        return Path(v, tuple(reversed(edges)))
-
-    def monomial():
-        v = draw(st.sampled_from(g.vertices))
-        return path_to(v), path_to(v)
-
-    return g, monomial(), monomial()
-
-
-@PROPERTY_SETTINGS
-@given(monomial_pairs())
-def test_monomial_product_matches_element_product(case):
-    g, (p1, q1), (p2, q2) = case
-    k = Rationals()
-    want = Element.from_terms(g, k, [(1, p1, q1)]) * Element.from_terms(g, k, [(1, p2, q2)])
-    mono = _monomial_product(p1, q1, p2, q2)
-    got = Element.zero(g, k) if mono is None else Element.from_terms(g, k, [(1, *mono)])
-    assert got == want
 
 
 @pytest.fixture(scope="module")
