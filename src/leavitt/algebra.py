@@ -245,7 +245,7 @@ class Element:
     def one(graph, field) -> "Element":
         """The identity of a finite graph algebra: the sum of all vertices."""
         one = field._from_int(1)
-        terms = {(Path(v, ()), Path(v, ())): one for v in graph.vertices}
+        terms = {(Path(v, ()), Path(v, ())): one for v in graph.index.order}
         return Element(graph, field, terms, _trusted=True)
 
     # --- views -----------------------------------------------------------

@@ -1,10 +1,10 @@
 """Command line driver.
 
 Exit codes: 0 for a decided result, 1 for usage or input errors and for a
-certificate that fails its own claims (``CertificateError``), 2 when a
-decision is honestly unknown (properness over a cyclic graph and a field
-that is proper but not positive definite). Every exit 1 writes one line to
-stderr, ``error: `` and the message, argparse's usage errors included.
+failed self-check (any ``AssertionError``), 2 when a decision is honestly
+unknown (properness over a cyclic graph and a field that is proper but not
+positive definite). Every exit 1 writes one line to stderr, ``error: `` and
+the message, argparse's usage errors included.
 
 Every command takes one path through ``main``: parse the arguments, check
 the number of ``-e`` expressions against ``_EXPR_COUNTS`` (one for ``nf``,
@@ -63,7 +63,6 @@ from .linalg import ShapeError
 from .omega import extnat_to_json, is_finite
 from .semisimple import phi
 from .witness import (
-    CertificateError,
     NotStarRegularError,
     improper_claims,
     improper_element,
@@ -400,7 +399,7 @@ def main(argv=None) -> int:
         result, to_json, to_text = _run(args, g, k, [parse_element(e, g, k) for e in exprs])
         print(_json_text(to_json(result)) if args.as_json else to_text(result))
     except (ParseError, GraphError, FieldError, AlgebraError, ShapeError,
-            CertificateError, ValueError, OSError) as exc:
+            AssertionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2 if args.command == "decide" and result.proper_algebra == UNKNOWN else 0

@@ -2,7 +2,7 @@
 
 The dense entry points are ``zeros``, ``identity``, ``mat_mul``,
 ``rank_factorization`` and ``solve_linear``: a matrix there is a list of
-rows of FieldValues of one field (an int entry is read as a field element),
+equal-length rows of one field's FieldValues (an int entry is read as one),
 and so is every result, because callers index, compare and serialize
 entries freely. They convert each operand once, at entry, into payload
 rows, one ``{column: payload}`` dict per row holding only the nonzero
@@ -53,6 +53,8 @@ def identity(field: Field, n: int):
 
 
 def mat_shape(a):
+    if len({len(row) for row in a}) > 1:
+        raise ShapeError("rows of unequal length")
     return (len(a), len(a[0]) if a else 0)
 
 

@@ -4,12 +4,12 @@ For a finite acyclic graph the algebra splits into one matrix block per
 sink, of size the number of paths into that sink. The block-matrix
 isomorphism has one working form, on payload rows (see ``linalg``):
 ``_phi_rows`` expands every monomial toward the sinks once and files each
-coefficient under its row and column in the ordered path basis, giving one
-``{column: payload}`` dict per row of each block; ``_from_rows`` reads only
-the nonzero entries back onto path monomials and normalizes them once.
-``phi`` and ``phi_inv`` are these two wrapped in a ``MatrixImage``, which
-stores the same rows; its ``blocks`` is a read-only dense view of
-``FieldValue`` entries, built on first use for callers that index blocks.
+coefficient under its row and column in the ordered path basis, one
+``{column: payload}`` dict per row, in a block only where the image is
+nonzero; ``_from_rows`` reads only the nonzero entries back onto path
+monomials and normalizes them once. ``phi`` and ``phi_inv`` wrap these two
+in a ``MatrixImage``, which stores the same rows (``phi`` fills in the other
+sinks); its ``blocks`` is a read-only dense view, built on first use.
 """
 
 from __future__ import annotations
@@ -150,16 +150,17 @@ def _of_rows(field: Field, basis: SinkBasis, rows: dict) -> MatrixImage:
 
 def _phi_rows(x: Element) -> dict:
     """phi(x) as payload rows: ``{sink: [{column: payload}, ...]}`` with one
-    row per path into the sink, in basis order, and no zero stored."""
+    row per path into the sink, in basis order; no zero entry or block."""
     basis = sink_basis(x.graph)
     index = basis.index
-    blocks = {v: [{} for _ in range(basis.size(v))] for v in basis.sinks}
-    # the expansion merged equal monomials, so each entry is written once
+    blocks = {}
+    # the expansion merged equal monomials and dropped zeros: one write each
     for (p, q), c in _sink_expand(x.graph, x.field, x._terms).items():
-        v, i = index[p]
-        v2, j = index[q]
+        (v, i), (v2, j) = index[p], index[q]
         if v != v2:
             raise AssertionError("phi paired paths into different sinks")
+        if v not in blocks:
+            blocks[v] = [{} for _ in range(basis.size(v))]
         blocks[v][i][j] = c
     return blocks
 
@@ -182,7 +183,8 @@ def phi(x: Element) -> MatrixImage:
     Linear, multiplicative, and star-compatible: the image of star(x) is the
     blockwise conjugate transpose.
     """
-    return _of_rows(x.field, sink_basis(x.graph), _phi_rows(x))
+    basis = sink_basis(x.graph)
+    return _of_rows(x.field, basis, MatrixImage.zero(basis, x.field).rows | _phi_rows(x))
 
 
 def phi_inv(image: MatrixImage) -> Element:

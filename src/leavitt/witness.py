@@ -9,12 +9,12 @@ block-matrix picture exists.
 
 The builders work on the per-sink payload rows of ``semisimple`` with the
 payload-row kernels of ``linalg``: a is expanded once (``_phi_rows``), each
-block is factored, multiplied and solved as rows, and only the elements of
-the certificate are mapped back (``_from_rows``). The projection algebra
-(the Gram block A* A of a's block A, t and p = t A*) stays in block land
-too: phi is multiplicative and star-compatible, so each block is the image
-of the element product it stands for, and no element product is formed
-before the claims are checked.
+of a's blocks is factored, multiplied and solved as rows, and only the
+elements of the certificate are mapped back (``_from_rows``). The
+projection algebra (the Gram block A* A of a's block A, t and p = t A*)
+stays in block land too: phi is multiplicative and star-compatible, so each
+block is the image of the element product it stands for, and no element
+product is formed before the claims are checked.
 
 The claim vocabulary, one tuple per claim:
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from .algebra import Element
 from .fields import Field
 from .graphs import Graph, check_acyclic, enumerate_paths_to, mu_table, sigma
-from .linalg import _conj_transpose, _factor, _mul, _solve
+from .linalg import _add, _conj_transpose, _factor, _mul, _solve
 from .semisimple import _from_rows, _phi_rows
 
 
@@ -153,7 +153,6 @@ def regular_witness(g: Graph, k: Field, a: Element) -> Element:
     """An inner inverse: b with a b a = a, built per block from A = P D Q as
     B = Q^-1 D P^-1. D is the 0/1 diagonal of rank r, so D P^-1 is the
     first r rows of P^-1 over empty rows."""
-    check_acyclic(g)
     b_blocks = {}
     for v, block in _phi_rows(a).items():
         n = len(block)
@@ -206,7 +205,6 @@ def projection_generator(g: Graph, k: Field, a: Element) -> ProjectionCertificat
     p is the unique projection onto it, and r is solved from the same A
     and p.
     """
-    check_acyclic(g)
     p_blocks, r_blocks = {}, {}
     for v, block in _phi_rows(a).items():
         n = len(block)
@@ -230,17 +228,19 @@ def projection_generator(g: Graph, k: Field, a: Element) -> ProjectionCertificat
 def unit_regular_witness(g: Graph, k: Field, a: Element) -> UnitRegularCertificate:
     """Local unit-regularity data with v the full identity (sum of all
     vertices): u = Q^-1 P^-1 per block is invertible with inverse u' = P Q,
-    and a u a = a."""
-    check_acyclic(g)
+    and a u a = a. On a block where a is zero P = Q = I, so u and u' are 1
+    plus their change U - I and U' - I on a's blocks."""
     u_blocks, up_blocks = {}, {}
     for v, block in _phi_rows(a).items():
         n = len(block)
         p, p_inv, _, q, q_inv, _ = _factor(k, block, n, n)
-        u_blocks[v] = _mul(k, q_inv, p_inv)
-        up_blocks[v] = _mul(k, p, q)
-    cert = UnitRegularCertificate(u=_from_rows(g, k, u_blocks),
-                                  u_prime=_from_rows(g, k, up_blocks),
-                                  v=Element.one(g, k))
+        minus_i = [{i: k._from_int(-1)} for i in range(n)]
+        u_blocks[v] = _add(k, _mul(k, q_inv, p_inv), minus_i)
+        up_blocks[v] = _add(k, _mul(k, p, q), minus_i)
+    one = Element.one(g, k)
+    cert = UnitRegularCertificate(u=one + _from_rows(g, k, u_blocks),
+                                  u_prime=one + _from_rows(g, k, up_blocks),
+                                  v=one)
     _require(verify_unit_regular(a, cert), "unit-regular data failed its claims")
     return cert
 

@@ -6,6 +6,8 @@ from leavitt import (
     FieldMismatchError,
     FieldValue,
     GaussianRationals,
+    Graph,
+    GraphError,
     Path,
     PrimeField,
     Rationals,
@@ -138,6 +140,17 @@ class TestStar:
                 assert (x * y).star() == y.star() * x.star()
                 assert x.star().star() == x
                 assert x.scale(c).star() == x.star().scale(c.conj())
+
+
+class TestOne:
+    def test_sum_of_the_vertices(self):
+        assert Element.one(LINE2, Q) == vertex(LINE2, Q, "v1") + vertex(LINE2, Q, "v2")
+
+    def test_invalid_graph_refused(self):
+        # Graph.build validates lazily; one reads the index, as vertex does
+        with pytest.raises(GraphError) as exc:
+            Element.one(Graph.build(["a", "a"], []), Q)
+        assert str(exc.value) == "duplicate identifier a"
 
 
 class TestLinearCombine:

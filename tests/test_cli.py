@@ -138,6 +138,12 @@ class TestExpressions:
         code, _, err = run(capsys, "nf", line2_file, "--field", "Q", "-e", "e1..e2")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("expr, column", [("", 1), ("   ", 4)])
+    def test_empty_expression_is_one_line(self, capsys, line2_file, expr, column):
+        code, out, err = run(capsys, "nf", line2_file, "--field", "Q", "-e", expr)
+        assert (code, out) == (1, "")
+        assert err == f"error: column {column}: empty expression\n"
+
     @pytest.mark.parametrize("spec, expr", [
         ("Q", "1/0*e1"),
         ("Q[i]/conj", "1/0i*e1"),
@@ -321,6 +327,16 @@ class TestConstruct:
         g = parse_graph(out)
         assert g.vertices == ("edge:e1", "vertex:v2")
 
+    @pytest.mark.parametrize("params, message", [
+        (["line", "2", "3"], "construct line takes at most one size"),
+        (["mn", "{g}"], "construct mn needs GRAPH N"),
+        (["ef", "{g}"], "construct ef needs GRAPH EDGE[,EDGE...]"),
+    ], ids=["line", "mn", "ef"])
+    def test_wrong_parameter_count_is_one_line(self, capsys, line2_file, params, message):
+        code, out, err = run(capsys, "construct",
+                             *[p.replace("{g}", line2_file) for p in params])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_bad_size_is_exit_1(self, capsys):
         code, _, err = run(capsys, "construct", "line", "0")
         assert code == 1
@@ -406,6 +422,21 @@ class TestOneLineErrors:
             assert err.count("\n") == 1 and err.endswith("\n")
         else:
             assert err == ""
+
+
+class TestSelfCheckFailure:
+    """An internal self-check that fails is an AssertionError, and the CLI
+    reports it the way it reports a failed certificate: exit 1 and one
+    stderr line."""
+
+    def test_factorization_self_check_is_one_line(self, capsys, line2_file, monkeypatch):
+        from leavitt import linalg
+
+        monkeypatch.setattr(linalg, "_mul", lambda *args: [])
+        code, out, err = run(capsys, "witness", "regular", line2_file,
+                             "--field", "Q", "-e", "e1")
+        assert (code, out) == (1, "")
+        assert err == "error: rank factorization failed self-check\n"
 
 
 class TestUsageErrors:

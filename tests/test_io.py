@@ -188,6 +188,18 @@ class TestGraphJson:
         with pytest.raises(ParseError, match="duplicate"):
             parse_graph_json({"vertices": ["a", "a"], "edges": []})
 
+    @pytest.mark.parametrize("obj, message", [
+        ([], "graph object expected"),
+        ({"vertices": [1]}, "vertices must be a list of strings"),
+        ({"edges": [5]}, "edges must be objects"),
+        ({"vertices": ["a", "b"], "edges": [{"id": "e", "src": "a"}]},
+         "edge missing key 'dst'"),
+    ], ids=["list", "int-vertex", "int-edge", "no-dst"])
+    def test_malformed_object_refused(self, obj, message):
+        with pytest.raises(ParseError) as exc:
+            parse_graph_json(obj)
+        assert str(exc.value) == message
+
     def test_bad_json_text_is_one_parse_error(self):
         with pytest.raises(ParseError) as direct:
             parse_graph_json("{bad")

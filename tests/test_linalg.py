@@ -134,6 +134,34 @@ class TestSolveLinear:
             solve_linear(Q, identity(Q, 2), zeros(Q, 3, 1), "right")
         with pytest.raises(ValueError):
             solve_linear(Q, identity(Q, 2), zeros(Q, 2, 2), "sideways")
+        with pytest.raises(ShapeError) as exc:
+            solve_linear(Q, identity(Q, 2), zeros(Q, 2, 3), "left")
+        assert str(exc.value) == "left solve needs matching column counts"
+
+
+class TestShapes:
+    """Every dense entry point reads its operands' shapes through
+    ``mat_shape``, which refuses rows of unequal length instead of reading
+    the short rows as padded with zeros."""
+
+    RAGGED = ([[1, 2], [3]], [[1, 2], []], [[1], [2, 3]])
+
+    @pytest.mark.parametrize("a", RAGGED, ids=["short-last", "empty-last", "short-first"])
+    def test_ragged_matrix_refused(self, a):
+        with pytest.raises(ShapeError, match="rows of unequal length"):
+            rank_factorization(Q, a)
+        with pytest.raises(ShapeError, match="rows of unequal length"):
+            solve_linear(Q, a, mat_from_rows(Q, [[1], [1]]), "right")
+        with pytest.raises(ShapeError, match="rows of unequal length"):
+            mat_mul(mat_from_rows(Q, a), identity(Q, 2))
+
+    def test_mismatched_product_refused(self):
+        with pytest.raises(ShapeError) as exc:
+            mat_mul(identity(Q, 2), zeros(Q, 3, 1))
+        assert str(exc.value) == "cannot multiply 2x2 by 3x1"
+
+    def test_empty_product(self):
+        assert mat_mul([[], []], []) == [[], []]
 
 
 CONTRACT_SPECS = ("Q", "Q[i]/conj", "Q[i]/id", "GF(5)", "GF(3,2)")

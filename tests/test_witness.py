@@ -31,7 +31,7 @@ from leavitt import (
 )
 from leavitt.io import format_graph
 
-from conftest import acyclic_corpus, corpus, random_element
+from conftest import acyclic_corpus, corpus, ladder, random_element
 
 Q = Rationals()
 QI_ID = GaussianRationals(conjugation=False)
@@ -71,9 +71,14 @@ class TestRegularWitness:
                     assert verify_inner_inverse(a, b)
 
     def test_cyclic_rejected(self):
-        g = standard_graph("rose", 1)
-        with pytest.raises(CyclicGraphError):
-            regular_witness(g, Q, v(g, Q, "v"))
+        # every builder reaches the sink tables before any expansion toward
+        # the sinks, which would not end on a cycle
+        for name, n in (("rose", 1), ("toeplitz", 1), ("rose", 2)):
+            g = standard_graph(name, n)
+            for build in (regular_witness, projection_generator, unit_regular_witness):
+                with pytest.raises(CyclicGraphError) as exc:
+                    build(g, Q, v(g, Q, g.vertices[0]))
+                assert str(exc.value) == "graph has a cycle", (name, build.__name__)
 
 
 class TestProjectionGenerator:
@@ -259,6 +264,58 @@ class TestWorkGate:
             b = regular_witness(g, k, a)
             assert len(calls) == len(_phi_rows(a)), text
             assert verify_inner_inverse(a, b)
+
+
+class TestOnlyReachedBlocks:
+    """Beside the 10-rung ladder (one 2047-row block), a witness of the
+    separate edge f: x -> y works on f's 2x2 block alone."""
+
+    @staticmethod
+    def case():
+        from leavitt import parse_element
+
+        lad = ladder(10)
+        g = Graph.build(lad.vertices + ("x", "y"),
+                        [(e.id, e.src, e.dst) for e in lad.edges] + [("f", "x", "y")])
+        return g, parse_element("f", g, Q)
+
+    @pytest.mark.parametrize("build, rows", [(regular_witness, 2),
+                                             (projection_generator, 4),
+                                             (unit_regular_witness, 2)],
+                             ids=lambda x: getattr(x, "__name__", x))
+    def test_rows_factored(self, monkeypatch, build, rows):
+        from leavitt import linalg
+
+        g, a = self.case()
+        seen = []
+        factor = linalg._factor
+
+        def counted(field, block, m, n):
+            seen.append(len(block))
+            return factor(field, block, m, n)
+
+        monkeypatch.setattr(linalg, "_factor", counted)
+        monkeypatch.setattr(witness, "_factor", counted)
+        build(g, Q, a)
+        assert sum(seen) == rows
+
+    def test_unit_maps_back_only_the_block_of_f(self, monkeypatch):
+        from leavitt import semisimple
+
+        g, a = self.case()
+        raw_counts = []
+        normalize = semisimple._normalize_terms
+
+        def counted(g, field, raw):
+            raw_counts.append(len(raw))
+            return normalize(g, field, raw)
+
+        monkeypatch.setattr(semisimple, "_normalize_terms", counted)
+        cert = unit_regular_witness(g, Q, a)
+        monkeypatch.undo()
+        assert len(raw_counts) == 2 and max(raw_counts) <= 4
+        one = Element.one(g, Q)
+        assert cert.u == cert.u_prime == one - v(g, Q, "x") - v(g, Q, "y") + a + a.star()
 
 
 class TestExtendToUnit:

@@ -1,19 +1,24 @@
 """Property tests of the witness builders on small random acyclic graphs
 over every field of conftest: each certificate verifies and equals, by its
-printed form, the one the dense sink route of conftest builds."""
+printed form, the one the dense sink route of conftest builds, which works
+on every sink's block while the builders work on a's blocks alone."""
 
 import random
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
 from leavitt import (  # noqa: E402
+    Element,
     Graph,
     NotStarRegularError,
+    Rationals,
     format_element,
     improper_element,
+    parse_element,
+    phi,
     projection_generator,
     regular_witness,
     unit_regular_witness,
@@ -22,9 +27,11 @@ from leavitt import (  # noqa: E402
     verify_projection,
     verify_unit_regular,
 )
+from leavitt.semisimple import _phi_rows  # noqa: E402
 
 from conftest import (  # noqa: E402
     ALL_FIELDS,
+    corpus,
     oracle_projection_generator,
     oracle_regular_witness,
     oracle_unit_regular_witness,
@@ -61,8 +68,40 @@ def cases(draw):
     return g, k, random_element(g, k, rng, max_terms=4, max_len=3)
 
 
+Q = Rationals()
+UNION_2_1 = corpus()["union_2_1"]
+# w = g.g* + f.f* toward the sinks, so a = w - f.f* reaches s2 and cancels there
+FORK = Graph.build(["w", "s1", "s2"], [("g", "w", "s1"), ("f", "w", "s2")])
+# a reaching one of two sinks, a = 0, and a whose expansion cancels at a sink
+EXAMPLES = tuple((g, Q, parse_element(text, g, Q))
+                 for g, text in ((UNION_2_1, "e1"), (UNION_2_1, "0"), (FORK, "w - f.f*")))
+
+
+def with_examples(test):
+    for case in reversed(EXAMPLES):
+        test = example(case)(test)
+    return test
+
+
 @PROPERTY_SETTINGS
 @given(cases())
+@with_examples
+def test_phi_rows_hold_exactly_the_nonzero_blocks(case):
+    _, _, a = case
+    rows, image = _phi_rows(a), phi(a)
+    assert set(rows) == {v for v, block in image.rows.items() if any(block)}
+    assert all(image.rows[v] == block for v, block in rows.items())
+    assert list(image.rows) == list(image.basis.sinks)
+
+
+def test_fork_example_cancels_at_s2():
+    assert set(_phi_rows(EXAMPLES[2][2])) == {"s1"}
+    assert _phi_rows(Element.zero(FORK, Q)) == {}
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+@with_examples
 def test_inner_inverse_matches_the_sink_route(case):
     g, k, a = case
     b = regular_witness(g, k, a)
@@ -72,6 +111,7 @@ def test_inner_inverse_matches_the_sink_route(case):
 
 @PROPERTY_SETTINGS
 @given(cases())
+@with_examples
 def test_unit_regular_data_match_the_sink_route(case):
     g, k, a = case
     cert = unit_regular_witness(g, k, a)
@@ -83,6 +123,7 @@ def test_unit_regular_data_match_the_sink_route(case):
 
 @PROPERTY_SETTINGS
 @given(cases())
+@with_examples
 def test_projection_matches_the_sink_route(case):
     g, k, a = case
     try:
