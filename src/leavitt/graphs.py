@@ -4,15 +4,15 @@ Everything downstream (path algebra elements, the matrix picture, the
 decision procedures) works over these graphs. Graphs are immutable values
 and all functions here are pure. Every derived table of a graph (vertex
 set, edge lookup, incidence lists, special edges, sinks, path counts, the
-sink-basis paths) lives in one ``GraphIndex``, reached as ``g.index``: it is
-built the first time it is asked for and memoized on that graph object.
-Building it makes only what validation and the verdicts read: the vertex
-set, the edge lookup and the out-edge lists. Every other table is built on
-first use; the in-edge lists when all paths into a vertex are enumerated or
-a vertex is classified, the special edges when an element is normalized
-that has a monomial whose paths end in the same edge.
-Sharing a graph across threads is safe; ``cached_property`` may build a
-table twice under a race, and both results are equal.
+paths into each sink) lives in one ``GraphIndex``, reached as ``g.index``
+and memoized on that graph object. Building it makes only what validation
+and the verdicts read: the vertex set, the edge lookup and the out-edge
+lists. Every other table is built on first use: the in-edge lists when all
+paths into a vertex are enumerated or a vertex is classified, the special
+edges when an element is normalized that has a monomial whose paths end in
+the same edge, and the paths into a sink when a block of that sink is first
+read or built. Sharing a graph across threads is safe: a race may build a
+table, or one sink's paths, twice, and both copies are equal.
 
 Ownership: derived tables never point back to the graph, so a graph and
 everything computed from it are freed by reference counting as soon as the
@@ -102,8 +102,8 @@ class GraphIndex:
     sorted by edge id; the special edge of a non-sink vertex is its greatest
     outgoing edge id. ``order``, ``vertices``, ``edge_by_id`` and
     ``out_edges`` are built eagerly; ``in_edges``, ``special``,
-    ``special_ids``, ``mu``, ``acyclic``, ``sigma``, ``sinks`` and
-    ``sink_paths`` are computed on first use. A bounded enumeration
+    ``special_ids``, ``mu``, ``acyclic``, ``sigma``, ``sinks`` and each
+    sink's ``sink_table`` are computed on first use. A bounded enumeration
     (``enumerate_paths_to`` with a ``limit``) scans the in-edges it needs
     without building ``in_edges``. The index keeps
     the graph's vertex-order tuple, never the graph itself, so it forms no
@@ -125,6 +125,7 @@ class GraphIndex:
         except KeyError:
             raise _invalid(g) from None
         self.out_edges = {v: tuple(es) for v, es in outs.items()}
+        self._sink_tables = {}
 
     @functools.cached_property
     def in_edges(self) -> dict:
@@ -201,22 +202,18 @@ class GraphIndex:
         outs = self.out_edges
         return tuple(v for v in self.order if not outs[v])
 
-    @functools.cached_property
-    def sink_paths(self) -> tuple[dict, dict]:
-        """The sink-basis tables of an acyclic graph: the ordered paths into
-        each sink (see ``enumerate_paths_to``), and the (sink, position) of
-        each of those paths."""
-        if not self.acyclic:
-            raise CyclicGraphError("graph has a cycle")
-        ins = self.in_edges
-        paths = {v: tuple(_paths_to(lambda level: ins, v)) for v in self.sinks}
-        position = {}
-        for v, ps in paths.items():
-            if len(ps) != self.mu[v]:
+    def sink_table(self, v: str) -> tuple[tuple, dict]:
+        """The ordered paths into sink v of an acyclic graph (see
+        ``enumerate_paths_to``) and the position of each, built per sink."""
+        table = self._sink_tables.get(v)
+        if table is None:
+            if not self.acyclic:
+                raise CyclicGraphError("graph has a cycle")
+            paths = tuple(_paths_to(lambda level: self.in_edges, v))
+            if len(paths) != self.mu[v]:
                 raise AssertionError(f"path count at sink {v} disagrees with mu")
-            for i, a in enumerate(ps):
-                position[a] = (v, i)
-        return paths, position
+            table = self._sink_tables[v] = (paths, {a: i for i, a in enumerate(paths)})
+        return table
 
 
 def vertex_set(g: Graph) -> frozenset:
@@ -378,18 +375,19 @@ def _in_edges_among(edges: tuple, bases: set) -> dict:
 
 class SinkBasis:
     """Ordered sinks with, for each, the ordered list of paths into it, and
-    ``index`` giving each of those paths its (sink, position).
-
+    ``index`` (built on first read) giving each path its (sink, position).
     A view of one acyclic graph: it holds the graph, so a ``MatrixImage``
-    built on it keeps its graph alive, while the tables themselves are the
-    graph-free ``sinks`` and ``sink_paths`` of ``graph.index``.
+    built on it keeps its graph alive; the tables come from ``graph.index``.
     """
 
     def __init__(self, graph: Graph):
-        index = graph.index
-        self.paths, self.index = index.sink_paths
-        self.sinks = index.sinks
-        self.graph = graph
+        index = check_acyclic(graph).index
+        self.sinks, self.graph = index.sinks, graph
+        self.paths = {v: index.sink_table(v)[0] for v in self.sinks}
+
+    @functools.cached_property
+    def index(self) -> dict:
+        return {a: (v, i) for v, ps in self.paths.items() for i, a in enumerate(ps)}
 
     def size(self, v: str) -> int:
         return len(self.paths[v])

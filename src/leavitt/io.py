@@ -436,33 +436,42 @@ def claims_to_json(claims) -> list:
     """Serialize ``leavitt.witness`` claim tuples, keeping their order. An
     element keeps its printed text, so one that appears in several claims
     (or was printed before) is formatted once."""
+    writers = {"product_equals": claim_product_equals, "star_fixed": claim_star_fixed,
+               "star_product_zero": claim_star_product_zero, "nonzero": claim_nonzero}
     out = []
     for kind, *args in claims:
-        if kind == "product_equals":
-            out.append(claim_product_equals(*args))
-        elif kind == "star_fixed":
-            out.append(claim_star_fixed(*args))
-        elif kind == "star_product_zero":
-            out.append(claim_star_product_zero(*args))
-        elif kind == "nonzero":
-            out.append(claim_nonzero(*args))
-        else:
+        if kind not in writers:
             raise ValueError(f"unknown claim type {kind!r}")
+        out.append(writers[kind](*args))
     return out
 
 
 def _parse_claim(g: Graph, k: Field, claim) -> tuple:
-    kind = claim["type"]
+    if not isinstance(claim, dict):
+        raise ParseError(f"a claim must be an object, not {type(claim).__name__}")
+    kind = _claim_field(claim, "type")
     if kind == "product_equals":
-        return (kind, [parse_element(t, g, k) for t in claim["factors"]],
-                parse_element(claim["equals"], g, k))
+        factors = _claim_field(claim, "factors", "a non-empty list of strings", lambda x: (
+            isinstance(x, list) and x and all(isinstance(t, str) for t in x)))
+        return (kind, [parse_element(t, g, k) for t in factors],
+                parse_element(_claim_field(claim, "equals"), g, k))
     if kind in ("star_fixed", "star_product_zero", "nonzero"):
-        return (kind, parse_element(claim["arg"], g, k))
+        return (kind, parse_element(_claim_field(claim, "arg"), g, k))
     raise ParseError(f"unknown claim type {kind!r}")
+
+
+def _claim_field(claim: dict, key: str, what="a string", ok=lambda x: isinstance(x, str)):
+    if key not in claim:
+        raise ParseError(f"claim has no {key!r}")
+    if not ok(claim[key]):
+        raise ParseError(f"claim {key!r} must be {what}")
+    return claim[key]
 
 
 def verify_claims(g: Graph, k: Field, claims) -> bool:
     """Parse serialized claims back into claim tuples and check them with
-    ``witness.check_claims``. Claims are parsed one at a time, so checking
-    stops at the first false one."""
+    ``witness.check_claims``, one at a time, so checking stops at the first
+    false one; a malformed claim list or claim is one ``ParseError``."""
+    if not isinstance(claims, list):
+        raise ParseError(f"claims must be a list, not {type(claims).__name__}")
     return check_claims(_parse_claim(g, k, claim) for claim in claims)

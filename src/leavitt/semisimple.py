@@ -2,14 +2,13 @@
 
 For a finite acyclic graph the algebra splits into one matrix block per
 sink, of size the number of paths into that sink. The block-matrix
-isomorphism has one working form, on payload rows (see ``linalg``):
-``_phi_rows`` expands every monomial toward the sinks once and files each
-coefficient under its row and column in the ordered path basis, one
-``{column: payload}`` dict per row, in a block only where the image is
-nonzero; ``_from_rows`` reads only the nonzero entries back onto path
-monomials and normalizes them once. ``phi`` and ``phi_inv`` wrap these two
-in a ``MatrixImage``, which stores the same rows (``phi`` fills in the other
-sinks); its ``blocks`` is a read-only dense view, built on first use.
+isomorphism works on payload rows (see ``linalg``): ``_phi_rows`` expands
+every monomial toward the sinks in one pass, adding each coefficient in
+place to its sink's block (one ``{column: payload}`` dict per row, a block
+only where the image is nonzero); ``_from_rows`` reads the entries back onto
+path monomials and normalizes them once. Path tables are built only for the
+sinks touched. ``phi`` and ``phi_inv`` wrap these rows in a ``MatrixImage``
+(``phi`` fills in the other sinks), whose ``blocks`` is a dense read-only view.
 """
 
 from __future__ import annotations
@@ -27,36 +26,12 @@ def sink_basis(g: Graph) -> SinkBasis:
     return SinkBasis(g)
 
 
-def _sink_expand(g: Graph, field: Field, terms: dict) -> dict:
-    """Push every monomial to the sinks: p q* = sum over e leaving r(p) of
-    (pe)(qe)*. Terminates because the graph is acyclic. Coefficients are
-    payloads of ``field``."""
-    outs = g.index.out_edges
-    add, is_zero = field._add, field._is_zero
-    out: dict = {}
-    work = [(c, p, q) for (p, q), c in terms.items()]
-    while work:
-        c, p, q = work.pop()
-        branches = outs[path_range(g, p)]
-        if not branches:
-            key = (p, q)
-            prev = out.get(key)
-            out[key] = c if prev is None else add(prev, c)
-            continue
-        for e in branches:
-            work.append((c, Path(p.base, p.edges + (e.id,)),
-                         Path(q.base, q.edges + (e.id,))))
-    return {m: c for m, c in out.items() if not is_zero(c)}
-
-
 def sink_normal_form(x: Element) -> Element:
-    """The same algebra element, rewritten onto monomials that end at sinks.
-
-    The result is *not* in the rewriting normal form (re-normalizing it gives
-    back x); it is the representation phi reads entries from.
-    """
-    check_acyclic(x.graph)
-    return Element(x.graph, x.field, _sink_expand(x.graph, x.field, x._terms), _trusted=True)
+    """The same algebra element on monomials that end at sinks: not the
+    rewriting normal form (re-normalizing gives back x), but the
+    representation phi reads its entries from."""
+    terms = {(p, q): c for c, p, q in _entries(x.graph, _phi_rows(x))}
+    return Element(x.graph, x.field, terms, _trusted=True)
 
 
 class MatrixImage:
@@ -150,31 +125,49 @@ def _of_rows(field: Field, basis: SinkBasis, rows: dict) -> MatrixImage:
 
 def _phi_rows(x: Element) -> dict:
     """phi(x) as payload rows: ``{sink: [{column: payload}, ...]}`` with one
-    row per path into the sink, in basis order; no zero entry or block."""
-    basis = sink_basis(x.graph)
-    index = basis.index
+    row per path into the sink, in basis order; no zero entry or block. One
+    CK2 expansion, p q* = sum over e leaving r(p) of (pe)(qe)*, ends as the
+    graph is acyclic; at a sink v, a term c p q* adds c in place to v's block at (p, q)."""
+    index = check_acyclic(x.graph).index
+    outs, add, is_zero = index.out_edges, x.field._add, x.field._is_zero
     blocks = {}
-    # the expansion merged equal monomials and dropped zeros: one write each
-    for (p, q), c in _sink_expand(x.graph, x.field, x._terms).items():
-        (v, i), (v2, j) = index[p], index[q]
-        if v != v2:
-            raise AssertionError("phi paired paths into different sinks")
+    work = [(c, p, q, path_range(x.graph, p)) for (p, q), c in x._terms.items()]
+    while work:
+        c, p, q, v = work.pop()
+        branches = outs[v]
+        if branches:
+            for e in branches:
+                work.append((c, Path(p.base, p.edges + (e.id,)),
+                             Path(q.base, q.edges + (e.id,)), e.dst))
+            continue
         if v not in blocks:
-            blocks[v] = [{} for _ in range(basis.size(v))]
-        blocks[v][i][j] = c
-    return blocks
+            blocks[v] = index.sink_table(v)[1], [{} for _ in range(index.mu[v])]
+        at, rows = blocks[v]
+        if q not in at:
+            raise AssertionError("phi paired paths into different sinks")
+        row, j = rows[at[p]], at[q]
+        if j in row:  # only a sum can vanish: x's own payloads are nonzero
+            c = add(row[j], c)
+            if is_zero(c):
+                del row[j]
+                continue
+        row[j] = c
+    return {v: rows for v, (_, rows) in blocks.items() if any(rows)}
+
+
+def _entries(g: Graph, blocks: dict) -> list:
+    """Each entry (i, j) of these payload rows (any subset of the sinks) as
+    (payload, alpha_i, alpha_j), for the ordered paths alpha into its sink."""
+    entries = []
+    for v, rows in blocks.items():
+        paths = g.index.sink_table(v)[0]
+        entries += [(c, a, paths[j]) for a, row in zip(paths, rows) for j, c in row.items()]
+    return entries
 
 
 def _from_rows(g: Graph, field: Field, blocks: dict) -> Element:
-    """The element whose image has these payload rows (any subset of the
-    sinks): entry (i, j) of block v rides on alpha_i alpha_j* for the
-    ordered paths into v."""
-    paths = sink_basis(g).paths
-    raw = [(c, paths[v][i], paths[v][j])
-           for v, rows in blocks.items()
-           for i, row in enumerate(rows)
-           for j, c in row.items()]
-    return Element(g, field, _normalize_terms(g, field, raw), _trusted=True)
+    """The element whose image has these payload rows (any subset of the sinks)."""
+    return Element(g, field, _normalize_terms(g, field, _entries(g, blocks)), _trusted=True)
 
 
 def phi(x: Element) -> MatrixImage:

@@ -6,6 +6,7 @@ library's backward dynamic programming.
 """
 
 import random
+import sys
 from collections import deque
 
 import pytest
@@ -147,6 +148,24 @@ def brute_paths(g, max_len=None):
 
 def brute_paths_to(g, v, max_len=None):
     return [p for p in brute_paths(g, max_len) if path_range(g, p) == v]
+
+
+def paths_built(call):
+    """call()'s result and the number of ``Path``s it built, counted with
+    ``sys.setprofile`` as calls to ``Path.__new__``'s code object."""
+    new = Path.__new__.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is new:
+            calls.append(1)
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, len(calls)
 
 
 def mat_from_rows(field, rows):

@@ -1,7 +1,6 @@
 import contextlib
 import gc
 import itertools
-import sys
 import weakref
 
 import pytest
@@ -30,7 +29,7 @@ from leavitt import (
 )
 from leavitt.graphs import clock_graph, e_f_edge_count, sinks, vertex_set
 
-from conftest import acyclic_corpus, binary_in_tree, brute_paths_to, corpus
+from conftest import acyclic_corpus, binary_in_tree, brute_paths_to, corpus, paths_built
 
 
 LINE2 = standard_graph("line", 2)
@@ -213,35 +212,17 @@ class TestEnumeratePaths:
         assert len(paths) == 2000
         assert paths[-1] == Path("v1", tuple(f"e{i}" for i in range(1, 2000)))
 
-    @staticmethod
-    def paths_built(g, v, limit=None):
-        """enumerate_paths_to's list and the number of ``Path``s it built,
-        counted with ``sys.setprofile``."""
-        new = Path.__new__.__code__
-        calls = []
-
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code is new:
-                calls.append(1)
-
-        sys.setprofile(profile)
-        try:
-            paths = enumerate_paths_to(g, v, limit)
-        finally:
-            sys.setprofile(None)
-        return paths, len(calls)
-
     def test_bounded_builds_only_the_paths_it_returns(self):
         # a star of 20,000 sources into t: the last level a limit of 3
         # reaches has 20,000 paths, of which 2 are kept
         n = 20_000
         star = Graph.build(["t", *(f"s{i}" for i in range(n))],
                            [(f"e{i}", f"s{i}", "t") for i in range(n)])
-        paths, built = self.paths_built(star, "t", 3)
+        paths, built = paths_built(lambda: enumerate_paths_to(star, "t", 3))
         assert paths == [Path("t", ()), Path("s0", ("e0",)), Path("s1", ("e1",))]
         assert built <= 3
         # control: the counter sees every path an unbounded call builds
-        every, built = self.paths_built(star, "t")
+        every, built = paths_built(lambda: enumerate_paths_to(star, "t"))
         assert every[:3] == paths and built == n + 1
 
 

@@ -517,6 +517,22 @@ class TestClaims:
         with pytest.raises(ParseError, match="unknown claim type 'bogus'"):
             verify_claims(LINE2, Q, [{"type": "bogus", "arg": "v1"}])
 
+    @pytest.mark.parametrize("claims, message", [
+        ([{"type": "nonzero"}], "claim has no 'arg'"),
+        ("abc", "claims must be a list, not str"),
+        (None, "claims must be a list, not NoneType"),
+        (5, "claims must be a list, not int"),
+        ([["nonzero", "v1"]], "a claim must be an object, not list"),
+        ([{"type": "nonzero", "arg": 5}], "claim 'arg' must be a string"),
+        ([{"type": "product_equals", "factors": [], "equals": "v1"}],
+         "claim 'factors' must be a non-empty list of strings"),
+    ])
+    def test_malformed_claims_are_one_parse_error(self, claims, message):
+        # before these checks: KeyError, TypeError (five inputs), IndexError
+        with pytest.raises(ParseError) as exc:
+            verify_claims(LINE2, Q, claims)
+        assert str(exc.value) == message
+
     def test_each_element_formatted_once(self, monkeypatch, tmp_path, capsys):
         # one whole witness command: the payload and the claims print each
         # distinct element object once, and later prints reuse its text

@@ -58,6 +58,10 @@ class TestSinkBasis:
     def test_cyclic_rejected(self):
         with pytest.raises(CyclicGraphError):
             sink_basis(standard_graph("rose", 1))
+        # the per-sink table refuses too, even for a sink no cycle reaches
+        g = graph_union(relabel_graph(standard_graph("rose", 1), "r"), LINE2)
+        with pytest.raises(CyclicGraphError):
+            g.index.sink_table("v2")
 
 
 class TestSinkNormalForm:
@@ -88,6 +92,15 @@ class TestSinkNormalForm:
 class TestPhi:
     def test_zero(self):
         assert phi(Element.zero(LINE2, Q)).is_zero()
+
+    def test_paths_into_different_sinks_fail_the_self_check(self):
+        # only a forged element pairs them; an AssertionError, not a KeyError,
+        # is what the CLI prints as one error line
+        g = graph_union(LINE2, relabel_graph(standard_graph("line", 1), "u"))
+        forged = Element(g, Q, {(Path("v2", ()), Path("uv1", ())): Q._from_int(1)},
+                         _trusted=True)
+        with pytest.raises(AssertionError, match="phi paired paths into different sinks"):
+            phi(forged)
 
     def test_line2_sink_vertex(self):
         image = phi(Element.vertex(LINE2, Q, "v2"))

@@ -1,21 +1,33 @@
 """Property tests of phi on small random acyclic graphs over every field of
 conftest: block by block, the images of products, stars and sums are the
 ones the dense entry-by-entry loops of conftest give, and so are scalar
-multiples; phi_inv reads a dense image back to its element."""
+multiples; phi_inv reads a dense image back to its element; and the sink
+normal form phi reads its entries from ends at the sinks and normalizes back
+to its element."""
 
 import random
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
-from leavitt import phi, phi_inv, sink_basis  # noqa: E402
+from leavitt import (  # noqa: E402
+    Element,
+    Rationals,
+    parse_element,
+    phi,
+    phi_inv,
+    sink_basis,
+    sink_normal_form,
+    sinks,
+)
+from leavitt.graphs import path_range  # noqa: E402
 from leavitt.semisimple import MatrixImage  # noqa: E402
 
 from conftest import ALL_FIELDS, naive_conj_transpose, naive_mat_mul, random_element  # noqa: E402
 from test_linalg_properties import PROPERTY_SETTINGS  # noqa: E402
-from test_witness_properties import acyclic_graphs  # noqa: E402
+from test_witness_properties import FORK, acyclic_graphs, cases  # noqa: E402
 
 
 @PROPERTY_SETTINGS
@@ -34,3 +46,16 @@ def test_phi_matches_the_dense_loops(g, k, seed):
                                        for ra, rb in zip(a, b)]
         assert px.scale(c).blocks[v] == [[c * s for s in row] for row in a]
     assert phi_inv(MatrixImage(k, basis, px.blocks)) == x
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+@example((FORK, Rationals(), parse_element("w - f.f*", FORK, Rationals())))
+def test_sink_normal_form_ends_at_sinks_and_normalizes_back(case):
+    # the fork's example reaches s2 and cancels there
+    g, k, x = case
+    nf = sink_normal_form(x)
+    for (p, q), c in nf.items():
+        assert path_range(g, p) == path_range(g, q) in sinks(g)
+        assert c != k.zero
+    assert Element.from_terms(g, k, [(c, p, q) for (p, q), c in nf.items()]) == x

@@ -18,10 +18,15 @@ from leavitt import (
     PrimeField,
     Rationals,
     extend_to_unit,
+    graph_union,
     improper_element,
     is_star_regular,
+    phi,
     projection_generator,
     regular_witness,
+    relabel_graph,
+    sink_basis,
+    sink_normal_form,
     standard_graph,
     unit_regular_witness,
     verify_improper,
@@ -31,7 +36,7 @@ from leavitt import (
 )
 from leavitt.io import format_graph
 
-from conftest import acyclic_corpus, corpus, ladder, random_element
+from conftest import acyclic_corpus, corpus, ladder, paths_built, random_element
 
 Q = Rationals()
 QI_ID = GaussianRationals(conjugation=False)
@@ -71,14 +76,31 @@ class TestRegularWitness:
                     assert verify_inner_inverse(a, b)
 
     def test_cyclic_rejected(self):
-        # every builder reaches the sink tables before any expansion toward
-        # the sinks, which would not end on a cycle
+        # every builder expands a through ``_phi_rows``, which refuses a
+        # cyclic graph before any expansion: on a cycle it would not end
         for name, n in (("rose", 1), ("toeplitz", 1), ("rose", 2)):
             g = standard_graph(name, n)
             for build in (regular_witness, projection_generator, unit_regular_witness):
                 with pytest.raises(CyclicGraphError) as exc:
                     build(g, Q, v(g, Q, g.vertices[0]))
                 assert str(exc.value) == "graph has a cycle", (name, build.__name__)
+
+
+ROSE_BESIDE_LINE2 = graph_union(relabel_graph(standard_graph("rose", 1), "r"), LINE2)
+
+
+@pytest.mark.parametrize("call", [
+    phi, sink_normal_form, lambda a: sink_basis(a.graph),
+    lambda a: regular_witness(a.graph, Q, a),
+    lambda a: projection_generator(a.graph, Q, a),
+    lambda a: unit_regular_witness(a.graph, Q, a),
+], ids=["phi", "sink_normal_form", "sink_basis", "regular", "projection", "unit"])
+def test_cyclic_refused_when_the_element_avoids_the_cycle(call):
+    # e1's expansion never meets the loop, so without an acyclicity check
+    # these would return a result (on rose 1 alone they would hang)
+    with pytest.raises(CyclicGraphError) as exc:
+        call(e(ROSE_BESIDE_LINE2, Q, "e1"))
+    assert str(exc.value) == "graph has a cycle"
 
 
 class TestProjectionGenerator:
@@ -298,6 +320,16 @@ class TestOnlyReachedBlocks:
         monkeypatch.setattr(witness, "_factor", counted)
         build(g, Q, a)
         assert sum(seen) == rows
+
+    @pytest.mark.parametrize("build", [regular_witness, projection_generator,
+                                       unit_regular_witness],
+                             ids=lambda build: build.__name__)
+    def test_paths_built(self, build):
+        # the paths into y and, for unit, Element.one's trivial paths: the
+        # 2,047 paths into the ladder's sink, which f misses, are never built
+        g, a = self.case()
+        _, built = paths_built(lambda: build(g, Q, a))
+        assert built <= 32
 
     def test_unit_maps_back_only_the_block_of_f(self, monkeypatch):
         from leavitt import semisimple
