@@ -201,14 +201,11 @@ class Element:
         """
         cooked = []
         for c, p, q in raw:
-            if isinstance(c, int):
-                c = field._from_int(c)
-            elif isinstance(c, FieldValue) and (c.field is field or c.field == field):
-                c = c.payload
-            else:
+            x = field._payload(c)
+            if x is None:
                 raise FieldMismatchError(f"coefficient {c!r} is not in {field.spec_string()}")
             _check_monomial(graph, p, q)
-            cooked.append((c, p, q))
+            cooked.append((x, p, q))
         return Element(graph, field, _normalize_terms(graph, field, cooked, schedule),
                        _trusted=True)
 

@@ -20,7 +20,9 @@ against ``properness_level``.
 The ``_add``/``_mul``/... methods act on raw payloads and are the kernels
 that ``algebra`` and ``linalg`` call directly. On Q and Q[i] each kernel is
 a few int operations and at most one ``math.gcd``, none when both
-denominators are 1; a ``Fraction`` is built only to parse a literal.
+denominators are 1; a literal is read with ``int`` and one ``gcd``. An
+outside value (an int or a ``FieldValue``) becomes a payload in
+``Field._payload`` alone.
 Primality of p in GF(p) and GF(p,2) is decided by deterministic
 Miller-Rabin, which is proven only below ``PRIME_LIMIT`` (about 3.3e24); a
 larger p is refused with a ``FieldError``.
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import re
-from fractions import Fraction
 from math import gcd
 
 from .omega import OMEGA
@@ -53,50 +54,39 @@ class FieldValue:
         self.field = field
         self.payload = payload
 
-    def _coerce(self, other):
-        if isinstance(other, FieldValue):
-            if other.field is not self.field and other.field != self.field:
-                raise FieldMismatchError(
-                    f"mixed fields: {self.field.spec_string()} and {other.field.spec_string()}"
-                )
-            return other
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        return None
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        b = self.field._payload(other)
+        if b is None:
             return NotImplemented
-        return FieldValue(self.field, self.field._add(self.payload, other.payload))
+        return FieldValue(self.field, self.field._add(self.payload, b))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        b = self.field._payload(other)
+        if b is None:
             return NotImplemented
-        return FieldValue(self.field, self.field._sub(self.payload, other.payload))
+        return FieldValue(self.field, self.field._sub(self.payload, b))
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        b = self.field._payload(other)
+        if b is None:
             return NotImplemented
-        return FieldValue(self.field, self.field._sub(other.payload, self.payload))
+        return FieldValue(self.field, self.field._sub(b, self.payload))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        b = self.field._payload(other)
+        if b is None:
             return NotImplemented
-        return FieldValue(self.field, self.field._mul(self.payload, other.payload))
+        return FieldValue(self.field, self.field._mul(self.payload, b))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        b = self.field._payload(other)
+        if b is None:
             return NotImplemented
-        return self * other.inv()
+        return self * FieldValue(self.field, b).inv()
 
     def __neg__(self):
         return FieldValue(self.field, self.field._neg(self.payload))
@@ -111,12 +101,12 @@ class FieldValue:
 
     def __eq__(self, other):
         try:
-            other = self._coerce(other)
+            b = self.field._payload(other)
         except FieldMismatchError:
             return False
-        if other is None:
+        if b is None:
             return NotImplemented
-        return self.payload == other.payload
+        return self.payload == b
 
     def __bool__(self):
         return not self.field._is_zero(self.payload)
@@ -161,17 +151,26 @@ class Field:
     def _sub(self, a, b):
         return self._add(a, self._neg(b))
 
-    def _scalar(self, c, what: str):
-        """The payload of a scalar c, an int or a value of this field, that
-        scales ``what`` (named in the errors)."""
-        if isinstance(c, int):
-            return self._from_int(c)
+    def _payload(self, c):
+        """The payload of c, an int or a value of this field, or None for
+        any other type; a value of another field is a FieldMismatchError.
+        Every outside value reaches a payload here."""
         if isinstance(c, FieldValue):
             if c.field is not self and c.field != self:
                 raise FieldMismatchError(
-                    f"mixed fields: {c.field.spec_string()} and {self.spec_string()}")
+                    f"mixed fields: {self.spec_string()} and {c.field.spec_string()}")
             return c.payload
-        raise TypeError(f"cannot scale {what} by {type(c).__name__}")
+        if isinstance(c, int):
+            return self._from_int(c)
+        return None
+
+    def _scalar(self, c, what: str):
+        """The payload of a scalar c that scales ``what`` (named in the
+        error for a type ``_payload`` does not take)."""
+        x = self._payload(c)
+        if x is None:
+            raise TypeError(f"cannot scale {what} by {type(c).__name__}")
+        return x
 
     # --- involution and properness ------------------------------------
 
@@ -220,20 +219,14 @@ _UNSIGNED_INT = re.compile(r"\d+")
 
 
 def _fraction(digits: str):
-    """The reduced int pair (n, d), d > 0, of an "n" or "n/d" literal;
-    d = 0 is a FieldError."""
-    try:
-        value = Fraction(digits)
-    except ZeroDivisionError:
-        raise FieldError(f"zero denominator in literal {digits!r}") from None
-    return value.numerator, value.denominator
-
-
-def _scan_fraction(text, pos):
-    m = _RAT.match(text, pos)
-    if not m:
-        return None
-    return _fraction(m.group()), m.end()
+    """The reduced int pair (n, d), d > 0, of an "n" or "n/d" literal (as
+    ``_RAT`` matches it); d = 0 is a FieldError."""
+    n, _, d = digits.partition("/")
+    n, d = int(n), int(d or 1)
+    if not d:
+        raise FieldError(f"zero denominator in literal {digits!r}")
+    g = gcd(n, d)
+    return n // g, d // g
 
 
 def _scan_part(text, pos, number, unit, *, explicit_sign):
@@ -263,7 +256,8 @@ def _scan_part(text, pos, number, unit, *, explicit_sign):
 
 
 def _rational_text(n, d):
-    """n/d (d > 0) as ``str(Fraction(n, d))`` prints it."""
+    """n/d (d > 0) in lowest terms: "n" when that denominator is 1, else
+    "n/d"."""
     g = gcd(n, d)
     n, d = n // g, d // g
     return str(n) if d == 1 else f"{n}/{d}"
@@ -334,11 +328,10 @@ class Rationals(Field):
         return _rational_text(*payload)
 
     def scan_literal(self, text, pos):
-        scanned = _scan_fraction(text, pos)
-        if scanned is None:
+        m = _RAT.match(text, pos)
+        if not m:
             return None
-        value, end = scanned
-        return FieldValue(self, value), end
+        return FieldValue(self, _fraction(m.group())), m.end()
 
     def sample(self, rng):
         n, d = rng.randint(-6, 6), rng.randint(1, 4)

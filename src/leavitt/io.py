@@ -31,12 +31,17 @@ grammar with terms in canonical monomial order.
 Each term's factors fold into one monomial p q* (or into zero) through
 ``algebra._product_terms``, the product kernel of ``Element.__mul__``, so a
 term is one raw (payload, p, q) triple, or one per vertex for a bare coeff;
-the whole expression is normalized once, at the end.
+the whole expression is normalized once, at the end. The parser is a
+recursive descent; two compiled patterns scan the text, ``_SPACE`` for
+whitespace and ``_FACTOR`` for an identifier and its optional '*', so its
+Python steps do not grow with the length of a name or of a run of spaces.
+An error names a 1-based column; the end of the text is column len + 1.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from itertools import islice, repeat
 
 from .algebra import Element, _normalize_terms, _product_terms, format_element
@@ -143,7 +148,7 @@ def _indexed(g: Graph, spelled: bool = False) -> Graph:
     if not spelled:
         ids = "".join(g.vertices) + "".join(edges)
         if ("" in vertices or "" in edges or not ids.isascii()
-                or not (ids.encode().translate(None, _IDENT_PUNCT) or b"a").isalnum()):
+                or ids.encode().translate(None, _IDENT_BYTES)):
             name = next(name for name in (*g.vertices, *edges)
                         if not name or not _IDENT_CHARS.issuperset(name))
             raise ParseError(f"identifier {name!r} must be nonempty letters, "
@@ -214,11 +219,14 @@ def graph_to_json(g: Graph) -> dict:
 # ---------------------------------------------------------------------------
 # element expressions
 
-_IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_:@(),")
-# the characters of _IDENT_CHARS that are not ASCII letters or digits
-_IDENT_PUNCT = b"_:@(),"
+_IDENT_ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_:@(),"
+_IDENT_CHARS = frozenset(_IDENT_ALPHABET)
+_IDENT_BYTES = _IDENT_ALPHABET.encode()
 # the bytes of text in ``format_graph``'s layout: id characters, space, newline
-_LAYOUT_CHARS = "".join(sorted(_IDENT_CHARS)).encode() + b" \n"
+_LAYOUT_CHARS = _IDENT_BYTES + b" \n"
+_SPACE = re.compile(r"\s*")
+# a factor: an identifier and an optional "*", whitespace around either
+_FACTOR = re.compile(rf"\s*([{re.escape(_IDENT_ALPHABET)}]*)\s*(\*?)")
 
 
 class _ExprParser:
@@ -233,25 +241,17 @@ class _ExprParser:
     def fail(self, message):
         raise ParseError(f"column {self.pos + 1}: {message}")
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def at_term_end(self) -> bool:
-        self.skip_ws()
-        return self.peek() in ("", "+", "-")
+    def next_char(self) -> str:
+        """Skip whitespace; the next character, or "" at the end."""
+        self.pos = pos = _SPACE.match(self.text, self.pos).end()
+        return self.text[pos:pos + 1]
 
     def parse(self) -> Element:
-        self.skip_ws()
-        if not self.peek():
+        if not self.next_char():
             self.fail("empty expression")
         raw = self.parse_term()
         while True:
-            self.skip_ws()
-            ch = self.peek()
+            ch = self.next_char()
             if not ch:
                 return Element(self.g, self.k, _normalize_terms(self.g, self.k, raw),
                                _trusted=True)
@@ -266,24 +266,23 @@ class _ExprParser:
 
     def parse_term(self) -> list:
         """The term as raw (payload, p, q) triples, not yet normalized."""
-        self.skip_ws()
+        first = self.next_char()
         start = self.pos
-        scanned = self.k.scan_literal(self.text, self.pos)
+        scanned = self.k.scan_literal(self.text, start)
         if scanned is not None:
-            coeff, end = scanned
-            self.pos = end
-            self.skip_ws()
-            if self.peek() == "*":
+            coeff, self.pos = scanned
+            ch = self.next_char()
+            if ch == "*":
                 self.pos += 1
                 return self.monomial_term(coeff.payload)
-            if self.at_term_end():
+            if ch in ("", "+", "-"):
                 c = coeff.payload
                 return [(c, Path(v, ()), Path(v, ())) for v in self.g.vertices]
             self.pos = start  # looked like a literal but is not one: re-read
         c = self.k._from_int(1)
-        if self.peek() in "+-":
+        if first in ("+", "-"):
             # sign before plain factors, e.g. "-v1"
-            if self.peek() == "-":
+            if first == "-":
                 c = self.k._neg(c)
             self.pos += 1
         return self.monomial_term(c)
@@ -295,28 +294,20 @@ class _ExprParser:
         still parsed and resolved, so their errors are reported."""
         raw = [(c, *self.parse_factor())]
         one, mul = self.k._from_int(1), self.k._mul
-        while True:
-            self.skip_ws()
-            if self.peek() != ".":
-                return raw
+        while self.next_char() == ".":
             self.pos += 1
             term = {(p, q): x for x, p, q in raw}
             raw = _product_terms(term, {self.parse_factor(): one}, mul)
+        return raw
 
     def parse_factor(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _IDENT_CHARS:
-            self.pos += 1
-        name = self.text[start:self.pos]
+        m = _FACTOR.match(self.text, self.pos)
+        name, star = m.group(1, 2)
         if not name:
+            self.pos = m.start(1)
             self.fail("expected an identifier")
-        self.skip_ws()
-        adjoint = False
-        if self.peek() == "*":
-            adjoint = True
-            self.pos += 1
-        return self.resolve(name, adjoint)
+        self.pos = m.end()
+        return self.resolve(name, bool(star))
 
     def resolve(self, name: str, adjoint: bool):
         """The monomial (p, q) that a vertex, an edge or a ghost stands for."""

@@ -1,8 +1,8 @@
 """Exact linear algebra over the coefficient fields, on sparse payload rows.
 
-The dense entry points are ``zeros``, ``identity``, ``mat_mul``,
-``rank_factorization`` and ``solve_linear``: a matrix there is a list of
-equal-length rows of one field's FieldValues (an int entry is read as one),
+The dense entry points are ``mat_mul``, ``rank_factorization`` and
+``solve_linear``: a matrix there is a list of equal-length rows of one
+field's FieldValues (an int entry is read as one, by ``Field._payload``),
 and so is every result, because callers index, compare and serialize
 entries freely. They convert each operand once, at entry, into payload
 rows, one ``{column: payload}`` dict per row holding only the nonzero
@@ -40,18 +40,6 @@ class ShapeError(ValueError):
     pass
 
 
-def zeros(field: Field, m: int, n: int):
-    z = field.zero
-    return [[z for _ in range(n)] for _ in range(m)]
-
-
-def identity(field: Field, n: int):
-    a = zeros(field, n, n)
-    for i in range(n):
-        a[i][i] = field.one
-    return a
-
-
 def mat_shape(a):
     if len({len(row) for row in a}) > 1:
         raise ShapeError("rows of unequal length")
@@ -61,22 +49,16 @@ def mat_shape(a):
 def _sparse(field: Field, a):
     """Payload rows of a dense matrix of FieldValues of ``field`` or ints:
     one zero test per entry."""
-    is_zero, from_int = field._is_zero, field._from_int
+    payload, is_zero = field._payload, field._is_zero
     rows = []
     for row in a:
         sparse = {}
         for j, x in enumerate(row):
-            if isinstance(x, FieldValue):
-                if x.field is not field and x.field != field:
-                    raise FieldMismatchError(
-                        f"mixed fields: {field.spec_string()} and {x.field.spec_string()}")
-                x = x.payload
-            elif isinstance(x, int):
-                x = from_int(x)
-            else:
+            y = payload(x)
+            if y is None:
                 raise FieldMismatchError(f"entry {x!r} is not in {field.spec_string()}")
-            if not is_zero(x):
-                sparse[j] = x
+            if not is_zero(y):
+                sparse[j] = y
         rows.append(sparse)
     return rows
 

@@ -173,6 +173,16 @@ def mat_from_rows(field, rows):
     return [[field.from_int(x) if isinstance(x, int) else x for x in row] for row in rows]
 
 
+def zeros(field, m, n):
+    """The dense m x n zero matrix over ``field``."""
+    return [[field.zero] * n for _ in range(m)]
+
+
+def identity(field, n):
+    """The dense n x n identity matrix over ``field``."""
+    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+
+
 def is_zero_matrix(a) -> bool:
     return all(not x for row in a for x in row)
 
@@ -549,7 +559,7 @@ class OracleExprParser:
             if self.at_term_end():
                 return Element.one(self.g, self.k).scale(coeff)
             self.pos = start
-        if self.peek() in "+-":
+        if self.peek() in ("+", "-"):
             sign = self.peek()
             self.pos += 1
             element = self.parse_factors()

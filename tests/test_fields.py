@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,19 +9,23 @@ import pytest
 
 import leavitt
 from leavitt import (
+    Element,
     FieldError,
     FieldMismatchError,
     GaussianRationals,
     OMEGA,
+    Path,
     PrimeField,
     QuadraticExtField,
     Rationals,
     parse_field_spec,
+    sink_basis,
     standard_graph,
 )
 from leavitt.fields import PRIME_LIMIT, FieldValue, _is_prime, _is_square, _sqrt_mod
 from leavitt.io import parse_element
-from leavitt.linalg import _factor
+from leavitt.linalg import _factor, rank_factorization
+from leavitt.semisimple import MatrixImage
 
 from conftest import ALL_FIELDS, search_improper, trial_division_is_prime
 
@@ -430,3 +435,61 @@ class TestNoFractionsInKernels:
         monkeypatch.undo()
         assert not y.is_zero and factors[-1] == 3
         assert built == []
+
+
+LINE1 = standard_graph("line", 1)
+V1 = Path("v1", ())
+# Each entry point that takes an outside value, as a door from the value c
+# to the payload it stores, with the errors it raises for a value of another
+# field and for a value of no field. Equality is a door that answers None
+# where the others raise.
+DOORS = {
+    "from_terms": (lambda k, c: Element.from_terms(LINE1, k, [(c, V1, V1)])._terms[V1, V1],
+                   FieldMismatchError, FieldMismatchError),
+    "Element.scale": (lambda k, c: Element.vertex(LINE1, k, "v1").scale(c)._terms[V1, V1],
+                      FieldMismatchError, TypeError),
+    "MatrixImage.scale": (
+        lambda k, c: MatrixImage.identity(sink_basis(LINE1), k).scale(c).rows["v1"][0][0],
+        FieldMismatchError, TypeError),
+    "MatrixImage": (lambda k, c: MatrixImage(k, sink_basis(LINE1), {"v1": [[c]]}).rows["v1"][0][0],
+                    FieldMismatchError, FieldMismatchError),
+    "rank_factorization": (lambda k, c: rank_factorization(k, [[c]]).p[0][0].payload,
+                           FieldMismatchError, FieldMismatchError),
+    "FieldValue +": (lambda k, c: (k.zero + c).payload, FieldMismatchError, TypeError),
+    "FieldValue ==": (lambda k, c: k._from_int(3) if k.from_int(3) == c else None, None, None),
+}
+
+
+class TestOneDoor:
+    """Every outside value reaches a payload through ``Field._payload``: an
+    int and a value of the field give one payload, a value of another field
+    gets the one "mixed fields" message, and any other type is refused as
+    each entry point always refused it."""
+
+    @pytest.mark.parametrize("door, mismatch, refused", DOORS.values(), ids=DOORS)
+    @pytest.mark.parametrize("k, other", [(Q, GF5), (GF5, GF25), (QI_ID, QI_CONJ)],
+                             ids=lambda k: k.spec_string())
+    def test_entry_point(self, door, mismatch, refused, k, other):
+        assert door(k, 3) == door(k, k.from_int(3)) == k._from_int(3)
+        if mismatch is None:
+            assert door(k, other.from_int(3)) is None
+        else:
+            message = f"mixed fields: {k.spec_string()} and {other.spec_string()}"
+            with pytest.raises(mismatch, match=f"^{re.escape(message)}$"):
+                door(k, other.from_int(3))
+        for bad in (1.0, "1", None):
+            if refused is None:
+                assert door(k, bad) is None
+            else:
+                with pytest.raises(refused) as caught:
+                    door(k, bad)
+                assert type(caught.value) is refused
+
+    def test_start_up_loads_no_fractions(self):
+        """Literals are read with ``int`` and ``gcd``, so importing the CLI
+        loads neither ``fractions`` nor the ``decimal`` it imports."""
+        src = pathlib.Path(leavitt.__file__).parent.parent
+        child = "import sys, leavitt.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+        result = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                                timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+        assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr[-500:]

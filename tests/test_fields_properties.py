@@ -1,16 +1,19 @@
 """Property tests of the Q and Q[i] kernels against a Fraction oracle: each
-kernel gives the oracle's value in canonical form, and literals print as
-they did when the payloads were Fractions."""
+kernel gives the oracle's value in canonical form, literals print as they
+did when the payloads were Fractions, and a rational literal reads as
+``Fraction`` reads it."""
 
+import re
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
-from leavitt import Element, Path, parse_field_spec, standard_graph  # noqa: E402
+from leavitt import Element, FieldError, Path, parse_field_spec, standard_graph  # noqa: E402
+from leavitt.fields import _RAT, _fraction  # noqa: E402
 
 from test_linalg_properties import PROPERTY_SETTINGS  # noqa: E402
 
@@ -125,3 +128,27 @@ def test_bool_coefficients_are_ints(k):
     assert repr(k.from_int(True)) == "1"
     assert str(Element.from_terms(g, k, [(True, v1, v1)])) == "v1"
     assert str(Element.vertex(g, k, "v1").scale(True)) == "v1"
+
+
+# what ``_RAT`` matches, and the same spelled with a sign, leading zeros
+# and zero parts more often than ``from_regex`` draws them
+ZEROS, DIGITS = st.sampled_from(["", "0", "00"]), st.integers(0, 10**30).map(str)
+RAT_TEXTS = st.from_regex(_RAT, fullmatch=True) | st.builds(
+    lambda sign, zeros, n, d: f"{sign}{zeros}{n}" + ("" if d is None else "/" + "".join(d)),
+    st.sampled_from(["", "+", "-"]), ZEROS, DIGITS, st.none() | st.tuples(ZEROS, DIGITS))
+
+
+@PROPERTY_SETTINGS
+@given(RAT_TEXTS)
+@example("-0/5")
+@example("+007/014")
+@example("-12/0")
+@example("0/00")
+def test_literal_parts_read_as_fraction_reads_them(text):
+    try:
+        expected = Fraction(text)
+    except ZeroDivisionError:
+        with pytest.raises(FieldError, match=re.escape(f"zero denominator in literal {text!r}")):
+            _fraction(text)
+        return
+    assert _fraction(text) == (expected.numerator, expected.denominator)

@@ -386,6 +386,13 @@ class TestParseElement:
         assert x == oracle_parse_element(text, LINE2, Q)
         assert format_element(x) == "5*v1 + 2*v2 + e1*"
 
+    @pytest.mark.parametrize("text, column", [("v1 +", 5), ("v1 + ", 6), ("v1 - ", 6)])
+    def test_missing_term_is_reported_at_the_end(self, text, column):
+        # the end of the text is column len + 1, past any trailing space
+        with pytest.raises(ParseError) as caught:
+            parse_element(text, LINE2, Q)
+        assert str(caught.value) == f"column {column}: expected an identifier"
+
     def test_round_trips(self, rng):
         fields = FIVE_FIELDS + (QuadraticExtField(3),)
         for g in corpus().values():
@@ -393,6 +400,48 @@ class TestParseElement:
                 for _ in range(15):
                     x = random_element(g, k, rng)
                     assert parse_element(format_element(x), g, k) == x
+
+
+LONG_VERTEX, LONG_EDGE = "v" * 1000, "e" * 1000
+LONG_IDS = Graph.build([LONG_VERTEX, "x"], [(LONG_EDGE, LONG_VERTEX, "x")])
+
+
+class TestParserWorkGate:
+    """Whitespace and identifiers are scanned by compiled patterns, so the
+    lines of ``leavitt/io.py`` that a parse runs do not grow with the length
+    of a name or of a run of spaces (2,056 / 2,092 / 6,056 line events when
+    the parser read one character per loop step)."""
+
+    @staticmethod
+    def io_lines(text, g, k):
+        """(element, line events in ``leavitt/io.py``) of parsing text."""
+        from leavitt import io
+
+        count = 0
+
+        def trace(frame, event, arg):
+            nonlocal count
+            if frame.f_code.co_filename != io.__file__:
+                return None
+            count += event == "line"
+            return trace
+
+        sys.settrace(trace)
+        try:
+            x = parse_element(text, g, k)
+        finally:
+            sys.settrace(None)
+        return x, count
+
+    @pytest.mark.parametrize("text, expected", [
+        (LONG_VERTEX, LONG_VERTEX),
+        (f"2*{LONG_EDGE}.x", f"2*{LONG_EDGE}"),
+        (" " * 1000 + LONG_VERTEX + " " * 1000, LONG_VERTEX),
+    ], ids=["vertex", "edge", "padded"])
+    def test_line_events_bounded(self, text, expected):
+        x, lines = self.io_lines(text, LONG_IDS, Q)
+        assert format_element(x) == expected
+        assert lines <= 100
 
 
 class TestFormatting:

@@ -11,21 +11,21 @@ from leavitt.fields import FieldMismatchError, FieldValue
 from leavitt.linalg import (
     ShapeError,
     _factor,
-    identity,
     mat_mul,
     rank_factorization,
     solve_linear,
-    zeros,
 )
 from leavitt.semisimple import _phi_rows
 
 from conftest import (
     ALL_FIELDS,
+    identity,
     is_zero_matrix,
     ladder,
     mat_from_rows,
     naive_mat_mul,
     naive_rank,
+    zeros,
 )
 
 Q = Rationals()

@@ -11,12 +11,11 @@ from leavitt import parse_field_spec  # noqa: E402
 from leavitt.linalg import (  # noqa: E402
     _factor,
     _sparse,
-    identity,
     rank_factorization,
     solve_linear,
 )
 
-from conftest import naive_mat_mul, naive_rank, oracle_factor  # noqa: E402
+from conftest import identity, naive_mat_mul, naive_rank, oracle_factor  # noqa: E402
 
 
 def _fields():
