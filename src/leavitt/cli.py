@@ -4,20 +4,27 @@ Exit codes: 0 for a decided result, 1 for usage or input errors and for a
 failed self-check (any ``AssertionError``), 2 when a decision is honestly
 unknown (properness over a cyclic graph and a field that is proper but not
 positive definite). Every exit 1 writes one line to stderr, ``error: `` and
-the message, argparse's usage errors included.
+the message.
 
-Every command takes one path through ``main``: parse the arguments, check
+Every command takes one path through ``main``: read the arguments, check
 the number of ``-e`` expressions against ``_EXPR_COUNTS`` (one for ``nf``,
 ``star``, ``phi`` and ``witness regular|projection|unit``, two for ``mul``,
 none for ``witness improper``), load the graph and the field the command
 names, parse the expressions, compute, and print only the output form asked
-for, JSON under ``--json`` and text otherwise. An ``-e``/``--expr`` value is
-always an expression, also when it starts with ``-``.
+for, JSON under ``--json`` and text otherwise.
 
-``main(argv)`` may be called any number of times in one process. It parses
-with one parser, built by ``build_parser`` on the first call and shared by
-every later one: argparse gives each parse a fresh namespace and copies
-``append`` defaults, so no state carries over from call to call.
+``_read_args`` reads the arguments by one table, ``_COMMANDS``: the first
+positional names the command, and the command's row gives the positionals
+and options that may follow, in any order. An option is accepted as
+``--opt VALUE``, ``--opt=VALUE`` or by any unique prefix of its long name
+(``--fi Q``), and ``-e`` also as ``-eVALUE``; the last ``--field`` wins.
+A ``-e``/``--expr`` value is always an expression, also when it starts with
+``-``. Any other token that starts with ``-`` is an option, except ``-``
+itself (the graph from stdin) and a negative number. ``--`` ends the
+options: every later token is a positional. ``-h`` or ``--help`` prints the
+usage of the command, or of ``leavitt``, to stdout and exits 0. A usage
+error gets the message argparse gives for it. ``main(argv)`` may be called
+any number of times in one process; no state carries over between calls.
 
 ``construct`` refuses, before building anything, an output larger than
 ``MAX_CONSTRUCT_SIZE`` (see that constant for how size is counted).
@@ -25,9 +32,9 @@ every later one: argparse gives each parse a fresh namespace and copies
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
+import re
 import sys
 from itertools import chain, compress, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
@@ -85,62 +92,169 @@ MAX_CONSTRUCT_SIZE = 100_000
 MAX_MU_DIGITS = 4300
 
 
-class _Parser(argparse.ArgumentParser):
-    # usage problems are exit code 1, not argparse's default 2, and one
-    # ``error:`` line like every other error
-    def error(self, message):
-        self.exit(1, f"error: {message}\n")
-
-
 # How many -e expressions each command takes, keyed by its name as typed.
 _EXPR_COUNTS = {"nf": 1, "star": 1, "phi": 1, "mul": 2, "witness regular": 1,
                 "witness projection": 1, "witness unit": 1, "witness improper": 0}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", dest="as_json",
-                        help="emit structured JSON instead of text")
-    field = argparse.ArgumentParser(add_help=False)
-    field.add_argument("--field", required=True, metavar="SPEC",
-                       help="Q, Q[i]/id, Q[i]/conj, GF(p), GF(p,2)")
-    exprs = argparse.ArgumentParser(add_help=False)
-    exprs.add_argument("-e", "--expr", action="append", metavar="EXPR",
-                       help="element expression; mul takes two, left factor "
-                            "first, and witness improper none")
-
-    parser = _Parser(prog="leavitt",
-                     description="exact computation in path algebras with "
-                                 "Cuntz-Krieger relations")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, parents, help_text in (
-        ("analyze", [common], "structural facts about a graph"),
-        ("decide", [common, field], "regularity, *-regularity, and properness verdicts"),
-        ("nf", [common, field, exprs], "normal form of an expression"),
-        ("star", [common, field, exprs], "adjoint of an expression"),
-        ("mul", [common, field, exprs], "product of two expressions"),
-        ("phi", [common, field, exprs], "matrix image over the sinks (acyclic graphs)"),
-        ("witness", [common, field, exprs], "constructive certificates"),
-    ):
-        p = sub.add_parser(name, parents=parents, help=help_text)
-        if name == "witness":
-            p.add_argument("kind", choices=["regular", "projection", "improper", "unit"])
-        p.add_argument("graph", help="graph file, or - for stdin")
-
-    p = sub.add_parser("construct", parents=[common],
-                       help="build standard and derived graphs")
-    p.add_argument("kind", choices=["line", "rose", "toeplitz", "mn", "ef"])
-    p.add_argument("params", nargs="*",
-                   help="line/rose/toeplitz: [n]; mn: GRAPH N; ef: GRAPH EDGE...")
-
-    return parser
+# Each command: its positionals, the options it takes besides --json and
+# -h/--help, and its help line. ``params`` takes every positional left over.
+_COMMANDS = {
+    "analyze": (("graph",), (), "structural facts about a graph"),
+    "decide": (("graph",), ("--field",), "regularity, *-regularity, and properness verdicts"),
+    "nf": (("graph",), ("--field", "-e/--expr"), "normal form of an expression"),
+    "star": (("graph",), ("--field", "-e/--expr"), "adjoint of an expression"),
+    "mul": (("graph",), ("--field", "-e/--expr"), "product of two expressions"),
+    "phi": (("graph",), ("--field", "-e/--expr"),
+            "matrix image over the sinks (acyclic graphs)"),
+    "witness": (("kind", "graph"), ("--field", "-e/--expr"), "constructive certificates"),
+    "construct": (("kind", "params"), (), "build standard and derived graphs"),
+}
+_KINDS = {"witness": ("regular", "projection", "improper", "unit"),
+          "construct": ("line", "rose", "toeplitz", "mn", "ef")}
+# Each argument in the help text: its synopsis, its name in the list and
+# its help line.
+_ARG_HELP = {
+    "kind": ("KIND", "KIND", "one of "),
+    "graph": ("GRAPH", "GRAPH", "graph file, or - for stdin"),
+    "params": ("[PARAMS ...]", "PARAMS", "line/rose/toeplitz: [n]; mn: GRAPH N; ef: GRAPH EDGE..."),
+    "--field": ("--field SPEC", "--field SPEC", "Q, Q[i]/id, Q[i]/conj, GF(p), GF(p,2)"),
+    "-e/--expr": ("[-e EXPR]", "-e, --expr EXPR", "element expression; mul takes two, left "
+                                                  "factor first, and witness improper none"),
+    "--json": ("[--json]", "--json", "emit structured JSON instead of text"),
+    "-h/--help": ("[-h]", "-h, --help", "show this help and exit"),
+}
+# argparse's test for a negative number, which is a value, not an option
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$").match
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on first use. Sharing it is safe
-    because ``parse_args`` does not mutate the parser."""
-    return build_parser()
+def _spellings(options) -> dict:
+    """Every way to type each option: its short form, its long form, and
+    every prefix of the long form. The long forms begin with different
+    letters, so every prefix is unique."""
+    spellings = {}
+    for option in options:
+        for form in option.split("/"):
+            for end in range(3 if form[1] == "-" else 2, len(form) + 1):
+                spellings[form[:end]] = option
+    return spellings
+
+
+# keyed by command; None before the command, where only -h/--help is known
+_SPELLINGS = {command: _spellings(("-h/--help", "--json") + row[1])
+              for command, row in _COMMANDS.items()}
+_SPELLINGS[None] = _spellings(("-h/--help",))
+
+
+class _Args:
+    """What ``_read_args`` read; what argv did not give keeps its default."""
+    command = kind = graph = field = help = None
+    as_json = False
+    params = expr = ()
+
+
+def _is_option(token: str) -> bool:
+    """Whether ``token``, matching no option, still reads as one: it starts
+    with ``-`` and is not ``-``, a negative number, or a token with a
+    space."""
+    return (token[:1] == "-" and token != "-" and " " not in token
+            and _NEGATIVE(token) is None)
+
+
+def _invalid_choice(name: str, token: str, choices) -> ParseError:
+    return ParseError(f"argument {name}: invalid choice: {token!r} "
+                      f"(choose from {', '.join(map(repr, choices))})")
+
+
+def _read_args(argv: list) -> _Args:
+    """The command and its arguments, read from ``argv`` in one pass. An
+    error in a token is raised when it is met, then a missing argument, then
+    the unrecognized ones; ``-h`` or ``--help`` ends the reading with the
+    usage text in ``help``."""
+    args = _Args()
+    command, positionals, spellings = None, (), _SPELLINGS[None]
+    taken, exprs, params, extras = 0, [], [], []
+    options, i, n = True, 0, len(argv)
+    while i < n:
+        token = argv[i]
+        i += 1
+        if options and token[:1] == "-" and token != "-":
+            if token == "--":
+                options = False
+                continue
+            name, eq, value = token.partition("=")
+            option = spellings.get(name)
+            if option is None and token[1] != "-":  # -eVALUE
+                option, value = spellings.get(token[:2]), token[2:]
+            elif not eq:
+                value = None
+            if option == "--field" or option == "-e/--expr":
+                if value is None:
+                    # an expression is taken as typed, a field spec only
+                    # from a token that does not read as an option
+                    if i == n or option == "--field" and _is_option(argv[i]):
+                        raise ParseError(f"argument {option}: expected one argument")
+                    value = argv[i]
+                    i += 1
+                if option == "--field":
+                    args.field = value
+                else:
+                    exprs.append(value)
+                continue
+            if option is not None:
+                if value is not None:
+                    raise ParseError(f"argument {option}: ignored explicit argument {value!r}")
+                if option == "--json":
+                    args.as_json = True
+                    continue
+                args.help = _usage(command)
+                return args
+            if _is_option(token):
+                extras.append(token)
+                continue
+        if command is None:
+            if token not in _COMMANDS:
+                raise _invalid_choice("command", token, _COMMANDS)
+            command = args.command = token
+            positionals, spellings = _COMMANDS[command][0], _SPELLINGS[command]
+        elif taken == len(positionals):
+            extras.append(token)
+        elif positionals[taken] == "params":
+            params.append(token)
+        else:
+            if positionals[taken] == "kind" and token not in _KINDS[command]:
+                raise _invalid_choice("kind", token, _KINDS[command])
+            setattr(args, positionals[taken], token)
+            taken += 1
+    if command is None:
+        raise ParseError("the following arguments are required: command")
+    missing = [name for name in positionals[taken:] if name != "params"]
+    if args.field is None and "--field" in _COMMANDS[command][1]:
+        missing.insert(0, "--field")
+    if missing:
+        raise ParseError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise ParseError(f"unrecognized arguments: {' '.join(extras)}")
+    args.expr, args.params = exprs, params
+    return args
+
+
+def _usage(command) -> str:
+    """The help text of ``command``, or of ``leavitt`` when it is None."""
+    if command is None:
+        return "\n".join(
+            ["usage: leavitt [-h] COMMAND ...", "",
+             "exact computation in path algebras with Cuntz-Krieger relations", "",
+             "commands:"]
+            + [f"  {name:<11}{row[2]}" for name, row in _COMMANDS.items()]
+            + ["", "'leavitt COMMAND -h' lists the arguments of a command."])
+    positionals, options, text = _COMMANDS[command]
+    rows = [_ARG_HELP[name] for name in positionals + options + ("--json", "-h/--help")]
+    lines = [f"  {name:<17}{line}" for _, name, line in rows]
+    if command in _KINDS:
+        lines[0] += ", ".join(_KINDS[command])
+    return "\n".join([f"usage: leavitt {command} " + " ".join(row[0] for row in rows),
+                      "", text, ""] + lines)
 
 
 def _load_graph(source: str):
@@ -156,11 +270,10 @@ def _expressions(args) -> list:
     """The -e values, refused unless there are as many as the command takes."""
     name = f"witness {args.kind}" if args.command == "witness" else args.command
     want = _EXPR_COUNTS.get(name, 0)
-    exprs = getattr(args, "expr", None) or []
-    if len(exprs) != want:
+    if len(args.expr) != want:
         raise ParseError(f"{name} takes exactly {want} -e expression"
-                         f"{'' if want == 1 else 's'}, got {len(exprs)}")
-    return exprs
+                         f"{'' if want == 1 else 's'}, got {len(args.expr)}")
+    return args.expr
 
 
 def _analyze_json(g) -> dict:
@@ -369,33 +482,15 @@ def _json_text(obj, level: int = 0) -> str:
     return "[" + inner + ("," + inner).join(parts) + outer + "]"
 
 
-def _bind_expressions(argv: list) -> list:
-    """Join -e/--expr to a value starting with '-' (such as -v1) as
-    --expr=VALUE, so that argparse does not take the value for an option;
-    every other token is left as typed."""
-    out = []
-    tokens = iter(argv)
-    for token in tokens:
-        value = next(tokens, None) if token in ("-e", "--expr") else None
-        if value is None:
-            out.append(token)
-        elif value.startswith("-"):
-            out.append(f"--expr={value}")
-        else:
-            out += [token, value]
-    return out
-
-
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(_bind_expressions(argv))
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
+        args = _read_args(sys.argv[1:] if argv is None else list(argv))
+        if args.help is not None:
+            print(args.help)
+            return 0
         exprs = _expressions(args)
-        g = _load_graph(args.graph) if "graph" in args else None
-        k = parse_field_spec(args.field) if "field" in args else None
+        g = _load_graph(args.graph) if args.graph is not None else None
+        k = parse_field_spec(args.field) if args.field is not None else None
         result, to_json, to_text = _run(args, g, k, [parse_element(e, g, k) for e in exprs])
         print(_json_text(to_json(result)) if args.as_json else to_text(result))
     except (ParseError, GraphError, FieldError, AlgebraError, ShapeError,

@@ -214,6 +214,7 @@ class Field:
 
 
 _RAT = re.compile(r"[+-]?\d+(?:/\d+)?")
+_INT = re.compile(r"[+-]?\d+")
 _UNSIGNED_RAT = re.compile(r"\d+(?:/\d+)?")
 _UNSIGNED_INT = re.compile(r"\d+")
 
@@ -585,7 +586,7 @@ class PrimeField(Field):
         return str(payload)
 
     def scan_literal(self, text, pos):
-        m = re.compile(r"[+-]?\d+").match(text, pos)
+        m = _INT.match(text, pos)
         if not m:
             return None
         return FieldValue(self, int(m.group()) % self.p), m.end()

@@ -5,6 +5,7 @@ paths are enumerated by forward walks from every vertex, not by the
 library's backward dynamic programming.
 """
 
+import argparse
 import random
 import sys
 from collections import deque
@@ -610,3 +611,77 @@ class OracleExprParser:
 
 def oracle_parse_element(text, g, k):
     return OracleExprParser(text, g, k).parse()
+
+
+# ---------------------------------------------------------------------------
+# the argparse command line the CLI's table-driven reader replaced, kept as
+# the oracle that tests/test_cli_properties.py reads argv with
+
+
+class _Parser(argparse.ArgumentParser):
+    # usage problems are exit code 1, not argparse's default 2, and one
+    # ``error:`` line like every other error
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", dest="as_json",
+                        help="emit structured JSON instead of text")
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--field", required=True, metavar="SPEC",
+                       help="Q, Q[i]/id, Q[i]/conj, GF(p), GF(p,2)")
+    exprs = argparse.ArgumentParser(add_help=False)
+    exprs.add_argument("-e", "--expr", action="append", metavar="EXPR",
+                       help="element expression; mul takes two, left factor "
+                            "first, and witness improper none")
+
+    parser = _Parser(prog="leavitt",
+                     description="exact computation in path algebras with "
+                                 "Cuntz-Krieger relations")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, parents, help_text in (
+        ("analyze", [common], "structural facts about a graph"),
+        ("decide", [common, field], "regularity, *-regularity, and properness verdicts"),
+        ("nf", [common, field, exprs], "normal form of an expression"),
+        ("star", [common, field, exprs], "adjoint of an expression"),
+        ("mul", [common, field, exprs], "product of two expressions"),
+        ("phi", [common, field, exprs], "matrix image over the sinks (acyclic graphs)"),
+        ("witness", [common, field, exprs], "constructive certificates"),
+    ):
+        p = sub.add_parser(name, parents=parents, help=help_text)
+        if name == "witness":
+            p.add_argument("kind", choices=["regular", "projection", "improper", "unit"])
+        p.add_argument("graph", help="graph file, or - for stdin")
+
+    p = sub.add_parser("construct", parents=[common],
+                       help="build standard and derived graphs")
+    p.add_argument("kind", choices=["line", "rose", "toeplitz", "mn", "ef"])
+    p.add_argument("params", nargs="*",
+                   help="line/rose/toeplitz: [n]; mn: GRAPH N; ef: GRAPH EDGE...")
+
+    return parser
+
+
+def _bind_expressions(argv: list) -> list:
+    """Join -e/--expr to a value starting with '-' (such as -v1) as
+    --expr=VALUE, so that argparse does not take the value for an option;
+    every other token is left as typed."""
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in ("-e", "--expr") else None
+        if value is None:
+            out.append(token)
+        elif value.startswith("-"):
+            out.append(f"--expr={value}")
+        else:
+            out += [token, value]
+    return out
+
+
+def oracle_read_args(argv):
+    """The argparse namespace for ``argv``, as the CLI read it before the
+    table-driven reader; a usage error raises ``SystemExit``."""
+    return build_parser().parse_args(_bind_expressions(argv))

@@ -667,22 +667,67 @@ class TestRendersOnlyRequestedForm:
             assert run(capsys, *argv) == (0, (GOLDEN / golden).read_text(), "")
 
 
-class TestParserReuse:
-    """main parses with one parser per process and carries no state from one
-    call to the next."""
+# The usage errors, each with argparse's text for it.
+COMMAND_CHOICES = ("'analyze', 'decide', 'nf', 'star', 'mul', 'phi', 'witness', "
+                   "'construct'")
+USAGE_ERRORS = [
+    ([], "the following arguments are required: command"),
+    (["decide"], "the following arguments are required: --field, graph"),
+    (["decide", "line2.txt", "--field"], "argument --field: expected one argument"),
+    (["nf", "line2.txt", "--field", "Q", "-e"], "argument -e/--expr: expected one argument"),
+    (["decide", "line2.txt", "--field", "Q", "-e", "v1"], "unrecognized arguments: -e v1"),
+    (["frobnicate"],
+     f"argument command: invalid choice: 'frobnicate' (choose from {COMMAND_CHOICES})"),
+    (["witness", "bogus", "line2.txt", "--field", "Q"],
+     "argument kind: invalid choice: 'bogus' "
+     "(choose from 'regular', 'projection', 'improper', 'unit')"),
+]
 
-    def test_import_builds_no_parser(self):
+
+class TestArgvReader:
+    """main reads argv by one table, with no parser object, and carries no
+    state from one call to the next."""
+
+    @pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                             ids=[m.split(":")[0] for _, m in USAGE_ERRORS])
+    def test_usage_error_texts(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    def test_import_loads_no_argparse(self):
         src = pathlib.Path(leavitt.__file__).parent.parent
-        code = "import leavitt.cli as c; print(c._parser.cache_info().currsize)"
+        code = "import sys, leavitt.cli; print('argparse' in sys.modules)"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                                 text=True, env={**os.environ, "PYTHONPATH": str(src)},
                                 timeout=120)
-        assert (result.returncode, result.stdout) == (0, "0\n"), result.stderr
+        assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
 
-    def test_built_once_and_calls_match_fresh_processes(self, capsys, monkeypatch,
-                                                        line2_file):
-        # help text is wrapped to the terminal width; pin it for both sides
-        monkeypatch.setenv("COLUMNS", "80")
+    def test_reading_argv_makes_few_calls(self, monkeypatch):
+        # main up to its check of the -e count, profiled after one warm call
+        class Read(Exception):
+            pass
+
+        def stop(args):
+            raise Read
+
+        monkeypatch.setattr(cli, "_expressions", stop)
+        argv = ["witness", "unit", "G", "--field", "Q", "-e", "v2 + 2*e1", "--json"]
+        with pytest.raises(Read):
+            main(argv)
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            with pytest.raises(Read):
+                main(argv)
+        finally:
+            sys.setprofile(None)
+        assert len(calls) <= 30, calls
+
+    def test_calls_match_fresh_processes(self, capsys, line2_file):
         mul = ["mul", line2_file, "--field", "Q", "-e", "e1*", "-e", "e1"]
         argvs = [
             mul,
@@ -700,23 +745,98 @@ class TestParserReuse:
             if key not in fresh:
                 fresh[key] = _run_fresh_process(argv)
 
-        built = []
-        real_build = cli.build_parser
-
-        def counting_build():
-            built.append(1)
-            return real_build()
-
-        monkeypatch.setattr(cli, "build_parser", counting_build)
-        cli._parser.cache_clear()
         for i in range(20):
             argv = argvs[i % len(argvs)]
             got = run(capsys, *argv)
             assert got == fresh[tuple(argv)], argv
             if argv is mul:
-                # the append action still collects exactly the two -e values
+                # exactly the two -e values are read, on every call
                 assert got == (0, "v2\n", "")
-        assert len(built) == 1
+
+
+class TestHelp:
+    """-h and --help print a usage text built from the command table to
+    stdout and exit 0; the text does not depend on the terminal width."""
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"], ["-h", "frobnicate"]])
+    def test_top_level(self, capsys, monkeypatch, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: leavitt [-h] COMMAND ...\n")
+        for name, (_, _, text) in cli._COMMANDS.items():
+            assert f"  {name:<11}{text}\n" in out
+        monkeypatch.setenv("COLUMNS", "20")
+        assert run(capsys, *argv) == (code, out, err)
+
+    @pytest.mark.parametrize("command", ["analyze", "decide", "nf", "star", "mul", "phi",
+                                         "witness", "construct"])
+    def test_each_command(self, capsys, command):
+        # help stops the reading, so missing arguments are not reported
+        code, out, err = run(capsys, command, "--json", "-h", "--bogus")
+        assert (code, err) == (0, "")
+        usage = out.splitlines()[0]
+        assert usage.startswith(f"usage: leavitt {command} ")
+        positionals, options, _ = cli._COMMANDS[command]
+        for name in positionals + options + ("--json", "-h/--help"):
+            assert cli._ARG_HELP[name][0] in usage
+        for kind in cli._KINDS.get(command, ()):
+            assert kind in out
+
+    def test_an_error_before_help_is_reported(self, capsys):
+        code, out, err = run(capsys, "witness", "bogus", "--help")
+        assert (code, out) == (1, "") and err.startswith("error: argument kind: ")
+
+
+class TestDoubleDash:
+    """``--`` ends the options (the POSIX rule): every later token is a
+    positional."""
+
+    def test_graph_named_like_an_option(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-g.txt").write_text(format_graph(standard_graph("line", 2)))
+        assert run(capsys, "nf", "--field", "Q", "-e", "e1.e1*", "--", "-g.txt") == \
+            (0, "v1\n", "")
+        # without it, -g.txt is an unknown option and the graph is missing
+        code, out, err = run(capsys, "nf", "--field", "Q", "-e", "e1.e1*", "-g.txt")
+        assert (code, out, err) == (1, "", "error: the following arguments are required: graph\n")
+
+    def test_options_after_it_are_positionals(self, capsys, line2_file):
+        code, out, err = run(capsys, "nf", line2_file, "--field", "Q", "-e", "v1",
+                             "--", "--json", "-h")
+        assert (code, out, err) == (1, "", "error: unrecognized arguments: --json -h\n")
+
+    def test_command_after_it(self, capsys, line2_file):
+        expected = run(capsys, "analyze", line2_file)
+        assert expected[0] == 0
+        assert run(capsys, "--", "analyze", line2_file) == expected
+
+    def test_an_expression_may_be_it(self, capsys, line2_file):
+        code, out, err = run(capsys, "nf", line2_file, "--field", "Q", "-e", "--")
+        assert (code, out, err) == (1, "", "error: column 2: expected an identifier\n")
+
+
+class TestConstructParams:
+    """construct's PARAMS are every positional after KIND, with options
+    anywhere between them."""
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "line", "--json", "3"],
+        ["construct", "--json", "line", "3"],
+        ["construct", "line", "3", "--json"],
+    ])
+    def test_options_between_positionals(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["vertices"] == ["v1", "v2", "v3"]
+
+    def test_params_in_order(self, capsys, line2_file):
+        code, out, err = run(capsys, "construct", "mn", line2_file, "--json", "2")
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["vertices"]) == 4
+
+    def test_missing_kind(self, capsys):
+        assert run(capsys, "construct") == \
+            (1, "", "error: the following arguments are required: kind\n")
 
 
 def _run_fresh_process(argv):

@@ -6,7 +6,11 @@ exit 0, 1 or 2 with no traceback; exit 1 is one ``error:`` line on stderr,
 and exit 0 needs the command's own count.
 
 The ``--json`` writer: ``_json_text(v)`` is ``json.dumps(v, indent=2)`` for
-any JSON value, tuples and non-string keys included."""
+any JSON value, tuples and non-string keys included.
+
+The argv reader: on any argv drawn from the commands' own tokens, ``main``
+reads what the argparse parser it replaced (``conftest.oracle_read_args``)
+read, or both refuse it with exit 1 and one ``error:`` line."""
 
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -18,8 +22,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
 from leavitt import standard_graph  # noqa: E402
-from leavitt.cli import _json_text, main  # noqa: E402
-from leavitt.io import format_graph  # noqa: E402
+from leavitt.cli import _json_text, _read_args, main  # noqa: E402
+from leavitt.io import ParseError, format_graph  # noqa: E402
+
+from conftest import oracle_read_args  # noqa: E402
 
 from test_linalg_properties import PROPERTY_SETTINGS  # noqa: E402
 
@@ -105,3 +111,48 @@ JSON_VALUES = st.recursive(
 @example(value={"edges": [{"id": "e1", "src": "v1", "dst": "v2"}], "x": [[{"a": [1]}]]})
 def test_json_text_is_stdlib_indent_2(value):
     assert _json_text(value) == json.dumps(value, indent=2)
+
+
+# Every command and witness kind name, and each form of every option, with
+# values that read as options, as negative numbers and as stdin. Left out
+# are the three places where the reader differs from argparse on purpose,
+# each pinned in tests/test_cli.py: "--", "-h", and construct's kinds, as
+# argparse fills PARAMS only from the positionals right after KIND and the
+# reader from every positional after it.
+ARGV_TOKENS = ("analyze", "decide", "nf", "star", "mul", "phi", "witness", "construct",
+               "regular", "projection", "improper", "unit", "G", "-", "--json", "--js",
+               "--field", "--fi", "--field=Q", "-e", "--expr", "--expr=-v1", "-ev1", "-v1",
+               "-3", "--bogus", "extra", "Q")
+READ_FIELDS = ("command", "kind", "graph", "params", "field", "expr", "as_json")
+
+
+def one_error_line(argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    lines = err.getvalue().splitlines()
+    return (rc, out.getvalue(), len(lines), err.getvalue().startswith("error: "),
+            err.getvalue().endswith("\n"))
+
+
+@PROPERTY_SETTINGS
+@given(argv=st.lists(st.sampled_from(ARGV_TOKENS), max_size=9))
+@example(argv=["witness", "unit", "G", "--field", "Q", "-e", "-v1", "--json"])
+@example(argv=["mul", "--fi", "Q", "G", "-ev1", "--expr", "-3", "--js", "--json"])
+@example(argv=["nf", "--expr=-v1", "--field=Q", "-", "--field", "-3"])
+@example(argv=["--json", "decide", "G", "--field", "Q"])
+@example(argv=["decide", "G", "--field", "Q", "-e", "v1"])
+@example(argv=["witness", "improper", "--json", "-3", "--field", "--js"])
+def test_reader_reads_what_argparse_read(argv):
+    try:
+        with redirect_stderr(StringIO()) as err:
+            expected = oracle_read_args(argv)
+    except SystemExit as exc:
+        assert (exc.code, err.getvalue()[:7], err.getvalue().count("\n")) == (1, "error: ", 1)
+        with pytest.raises(ParseError):
+            _read_args(argv)
+        assert one_error_line(argv) == (1, "", 1, True, True)
+        return
+    got = _read_args(argv)
+    assert {f: getattr(got, f) or None for f in READ_FIELDS} == \
+        {f: getattr(expected, f, None) or None for f in READ_FIELDS}

@@ -18,6 +18,7 @@ from leavitt import (
     PrimeField,
     QuadraticExtField,
     Rationals,
+    format_element,
     parse_field_spec,
     sink_basis,
     standard_graph,
@@ -218,6 +219,17 @@ class TestLiterals:
         for k, bad in [(Q, "x"), (Q, "1/"), (GF3, "1/2"), (QI_ID, "1+"), (GF9, "i")]:
             with pytest.raises(FieldError):
                 k.parse_literal(bad)
+
+    def test_prime_field_literals_compile_no_pattern(self, monkeypatch):
+        # every pattern a literal is scanned with is compiled at import
+        g = standard_graph("line", 2)
+        compiled = []
+        compile_ = re.compile
+        monkeypatch.setattr(re, "compile",
+                            lambda *args: compiled.append(args) or compile_(*args))
+        x = parse_element("3*e1 + -2*v1 + 4*e1.e1* + 7*v2", g, PrimeField(5))
+        assert compiled == []
+        assert format_element(x) == "2*v1 + 2*v2 + 3*e1"
 
 
 class TestSpecStrings:

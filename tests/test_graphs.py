@@ -484,10 +484,8 @@ class TestGraphIndex:
         # nothing a command builds, its --json output included, waits for
         # the cycle collector: with the collector off and DEBUG_SAVEALL, a
         # final collection finds no garbage from any module
-        from leavitt.cli import _parser, main
+        from leavitt.cli import main
         from leavitt.io import format_graph
-
-        _parser()  # built once per process; argparse's formatters are cyclic
 
         line3 = tmp_path / "line3.txt"
         line3.write_text(format_graph(standard_graph("line", 3)))
