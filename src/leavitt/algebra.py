@@ -24,11 +24,13 @@ out.
 Normalization is one filing pass (``_normalize_terms``): a term whose two
 paths do not end in the same special edge is already normal and goes
 straight into the result; only the others go through the CK2 worklist.
-Zero payloads are dropped once, on entry, and a sum is tested for zero only
-when two terms met on one monomial. Products skip the entry test, since a
-product of nonzero payloads is nonzero in every field here. The product
-rule is stated once, in ``_product_terms``; its two callers are
-``Element.__mul__`` and the expression parser of ``leavitt.io``.
+Every payload it is given is nonzero, and only a sum can vanish. Outside
+coefficients enter through two doors, ``from_terms`` and the expression
+parser of ``leavitt.io``, and each drops its zero coefficients itself;
+products (nonzero payloads multiply to nonzero ones in a field) and payload
+rows never hold a zero. The product rule is stated once, in
+``_product_terms``; its two callers are ``Element.__mul__`` and the
+expression parser.
 """
 
 from __future__ import annotations
@@ -63,29 +65,22 @@ def monomial_key(mono):
     return (len(p.edges) + len(q.edges), _path_key(p), _path_key(q))
 
 
-def _normalize_terms(g: Graph, field: Field, raw, schedule: str = "lifo", *,
-                     nonzero: bool = False) -> dict:
+def _normalize_terms(g: Graph, field: Field, raw, schedule: str = "lifo") -> dict:
     """File a raw (payload, p, q) stream into normal-form monomial -> payload.
 
     One pass files every term whose p and q do not end in the same special
     edge straight into the result; only the others go through the CK2
-    worklist, whose rewrites are filed by the same pass. No returned payload
-    is zero, which is the rule every ``Element._terms`` keeps; callers
-    (``from_terms``, the parser in ``io``, ``semisimple._from_rows``) may
-    pass zero coefficients. Zero payloads are dropped once, on entry, unless
-    ``nonzero`` says there are none: ``Element.__mul__`` passes it, since Q,
-    Q[i], GF(p) and GF(p,2) are fields, so a product of nonzero payloads is
-    nonzero, and so is the negation the rewrite applies. A sum is tested
-    for zero only when two terms met on one monomial.
+    worklist, whose rewrites are filed by the same pass. The one contract:
+    every payload passed in is nonzero (the rewrite's negation keeps it so),
+    and only a sum can vanish, so a sum is tested for zero only when two
+    terms met on one monomial. No returned payload is zero, which is the
+    rule every ``Element._terms`` keeps.
 
     ``schedule`` picks the worklist order (lifo or fifo); both reach the same
     normal form, which the test suite checks as a confluence surrogate.
     """
     index = g.index
     special = None  # read only if some p and q end in the same edge
-    if not nonzero:
-        is_zero = field._is_zero
-        raw = [t for t in raw if not is_zero(t[0])]
     add = field._add
     acc: dict = {}
     get = acc.get
@@ -137,6 +132,16 @@ def _check_monomial(g: Graph, p: Path, q: Path):
         raise AlgebraError(f"monomial/graph mismatch: {p}, {q}")
     if path_range(g, p) != path_range(g, q):
         raise AlgebraError(f"paths have different ranges: {p}, {q}")
+
+
+def _check_operands(graph: Graph, field: Field, other_graph: Graph, other_field: Field,
+                    what: str):
+    """The one operand rule: the same graph and the same field, each tested
+    by identity first, then by equality; ``what`` names the operands."""
+    if graph is not other_graph and graph != other_graph:
+        raise AlgebraError(f"{what} live over different graphs")
+    if field is not other_field and field != other_field:
+        raise FieldMismatchError(f"{what} live over different fields")
 
 
 def _product_terms(left: dict, right: dict, mul) -> list:
@@ -200,12 +205,14 @@ class Element:
         Coefficients may be ints or FieldValues of the right field.
         """
         cooked = []
+        is_zero = field._is_zero
         for c, p, q in raw:
             x = field._payload(c)
             if x is None:
                 raise FieldMismatchError(f"coefficient {c!r} is not in {field.spec_string()}")
             _check_monomial(graph, p, q)
-            cooked.append((x, p, q))
+            if not is_zero(x):
+                cooked.append((x, p, q))
         return Element(graph, field, _normalize_terms(graph, field, cooked, schedule),
                        _trusted=True)
 
@@ -273,10 +280,7 @@ class Element:
     # --- arithmetic --------------------------------------------------------
 
     def _check_compatible(self, other: "Element"):
-        if self.graph is not other.graph and self.graph != other.graph:
-            raise AlgebraError("elements live over different graphs")
-        if self.field is not other.field and self.field != other.field:
-            raise FieldMismatchError("elements live over different fields")
+        _check_operands(self.graph, self.field, other.graph, other.field, "elements")
 
     def __add__(self, other):
         if not isinstance(other, Element):
@@ -323,9 +327,7 @@ class Element:
         self._check_compatible(other)
         g, field = self.graph, self.field
         raw = _product_terms(self._terms, other._terms, field._mul)
-        # products of nonzero payloads are nonzero in every field here
-        return Element(g, field, _normalize_terms(g, field, raw, nonzero=True),
-                       _trusted=True)
+        return Element(g, field, _normalize_terms(g, field, raw), _trusted=True)
 
     def __rmul__(self, other):
         if isinstance(other, (FieldValue, int)):

@@ -9,8 +9,10 @@ Four families cover every behavior the decision procedures distinguish:
 * ``QuadraticExtField(p)``        Frobenius involution x -> x^p, never 2-proper
 
 Values are exact and always canonical, so equality is structural: Q and
-Q[i] hold reduced integer tuples, GF(p) and GF(p,2) residues. On finite
-fields ``improper_tuple`` is in closed form: it returns the first improper
+Q[i] hold reduced integer tuples, GF(p) and GF(p,2) residues. A field is
+its spec string (``"Q"``, ``"Q[i]/conj"``, ``"GF(7)"``, ``"GF(7,2)"``):
+two fields are equal, and hash alike, exactly when their spec strings are.
+On finite fields ``improper_tuple`` is in closed form: it returns the first improper
 tuple with x_1 = 1 in ``elements()`` order, built from square roots mod p
 (Euler's criterion, then a^((p+1)/4) or Tonelli-Shanks), so its cost is
 polylogarithmic in p. The exhaustive search it replaces is the oracle in
@@ -119,16 +121,14 @@ class FieldValue:
 
 
 class Field:
-    """Abstract base; concrete fields are compared and hashed structurally."""
-
-    def _key(self):
-        raise NotImplementedError
+    """Abstract base; a field is its spec string, which it is compared and
+    hashed by."""
 
     def __eq__(self, other):
-        return isinstance(other, Field) and self._key() == other._key()
+        return isinstance(other, Field) and self.spec_string() == other.spec_string()
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self.spec_string())
 
     def __repr__(self):
         return self.spec_string()
@@ -271,9 +271,6 @@ class Rationals(Field):
     ``d > 0``; zero is ``(0, 1)``.
     """
 
-    def _key(self):
-        return ("Q",)
-
     def spec_string(self):
         return "Q"
 
@@ -358,9 +355,6 @@ class GaussianRationals(Field):
 
     def __init__(self, conjugation: bool):
         self.conjugation = conjugation
-
-    def _key(self):
-        return ("Q[i]", self.conjugation)
 
     def spec_string(self):
         return "Q[i]/conj" if self.conjugation else "Q[i]/id"
@@ -526,9 +520,6 @@ class PrimeField(Field):
             raise FieldError(f"{p} is not prime")
         self.p = p
 
-    def _key(self):
-        return ("GF", self.p)
-
     def spec_string(self):
         return f"GF({self.p})"
 
@@ -612,9 +603,6 @@ class QuadraticExtField(Field):
             self._u = 0
             self._w = _least_non_residue(p)
 
-    def _key(self):
-        return ("GF2ext", self.p)
-
     def spec_string(self):
         return f"GF({self.p},2)"
 
@@ -639,12 +627,9 @@ class QuadraticExtField(Field):
         return ((-a[0]) % self.p, (-a[1]) % self.p)
 
     def _conj(self, a):
-        # x^p in closed form: (a + bt)^p = a + b t^p. For odd p,
-        # t^p = t * c^((p-1)/2) = -t since c is a non-residue; for p = 2,
-        # t^2 = t + 1.
-        if self.p == 2:
-            return ((a[0] + a[1]) % 2, a[1])
-        return (a[0], (-a[1]) % self.p)
+        # x^p in closed form: (a + bt)^p = a + b t^p, and t^p is the other
+        # root u - t of t^2 = u t + w, so x^p = (a + b u) - b t.
+        return ((a[0] + a[1] * self._u) % self.p, (-a[1]) % self.p)
 
     def _inv(self, a):
         # x^{-1} = conj(x) / N(x) with N(x) = x * x^p landing in GF(p)

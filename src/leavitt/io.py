@@ -253,6 +253,8 @@ class _ExprParser:
         while True:
             ch = self.next_char()
             if not ch:
+                # the parser's door: only a zero literal gives a zero payload
+                raw = [t for t in raw if not self.k._is_zero(t[0])]
                 return Element(self.g, self.k, _normalize_terms(self.g, self.k, raw),
                                _trusted=True)
             if ch not in "+-":

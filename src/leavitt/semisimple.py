@@ -16,8 +16,8 @@ from __future__ import annotations
 import functools
 from types import MappingProxyType
 
-from .algebra import AlgebraError, Element, _normalize_terms
-from .fields import Field, FieldMismatchError
+from .algebra import Element, _check_operands, _normalize_terms
+from .fields import Field
 from .graphs import Graph, Path, SinkBasis, check_acyclic, mu, path_range, sinks
 from .linalg import ShapeError, _add, _conj_transpose, _dense, _identity, _mul, _sparse
 
@@ -37,7 +37,8 @@ def sink_normal_form(x: Element) -> Element:
 class MatrixImage:
     """Per-sink square blocks over the coefficient field, stored as payload
     ``rows``: built from dense blocks (a sink left out is a zero block), and
-    read back through ``blocks``, their read-only dense view."""
+    read back through ``blocks``, their read-only dense view: a mapping from
+    each sink to its block as a tuple of row tuples."""
 
     def __init__(self, field: Field, basis: SinkBasis, blocks: dict):
         rows = {v: [{} for _ in range(basis.size(v))] for v in basis.sinks}
@@ -52,7 +53,7 @@ class MatrixImage:
 
     @functools.cached_property
     def blocks(self):
-        return MappingProxyType({v: _dense(self.field, rows, len(rows))
+        return MappingProxyType({v: tuple(map(tuple, _dense(self.field, rows, len(rows))))
                                  for v, rows in self.rows.items()})
 
     def __repr__(self):
@@ -70,11 +71,7 @@ class MatrixImage:
                 and self.rows == other.rows)
 
     def _check_compatible(self, other: "MatrixImage"):
-        g, h = self.basis.graph, other.basis.graph
-        if g is not h and g != h:
-            raise AlgebraError("images over different graphs")
-        if self.field is not other.field and self.field != other.field:
-            raise FieldMismatchError("images over different fields")
+        _check_operands(self.basis.graph, self.field, other.basis.graph, other.field, "images")
 
     def __mul__(self, other):
         if not isinstance(other, MatrixImage):
@@ -166,7 +163,8 @@ def _entries(g: Graph, blocks: dict) -> list:
 
 
 def _from_rows(g: Graph, field: Field, blocks: dict) -> Element:
-    """The element whose image has these payload rows (any subset of the sinks)."""
+    """The element whose image has these payload rows (any subset of the
+    sinks); a row holds no zero, so its entries go to the normalizer as they are."""
     return Element(g, field, _normalize_terms(g, field, _entries(g, blocks)), _trusted=True)
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Element
+from .algebra import Element, _check_operands
 from .fields import Field
 from .graphs import Graph, check_acyclic, enumerate_paths_to, mu_table, sigma
 from .linalg import _add, _conj_transpose, _factor, _mul, _solve
@@ -153,6 +153,7 @@ def regular_witness(g: Graph, k: Field, a: Element) -> Element:
     """An inner inverse: b with a b a = a, built per block from A = P D Q as
     B = Q^-1 D P^-1. D is the 0/1 diagonal of rank r, so D P^-1 is the
     first r rows of P^-1 over empty rows."""
+    _check_operands(g, k, a.graph, a.field, "the element and the witness")
     b_blocks = {}
     for v, block in _phi_rows(a).items():
         n = len(block)
@@ -205,6 +206,7 @@ def projection_generator(g: Graph, k: Field, a: Element) -> ProjectionCertificat
     p is the unique projection onto it, and r is solved from the same A
     and p.
     """
+    _check_operands(g, k, a.graph, a.field, "the element and the witness")
     p_blocks, r_blocks = {}, {}
     for v, block in _phi_rows(a).items():
         n = len(block)
@@ -230,6 +232,7 @@ def unit_regular_witness(g: Graph, k: Field, a: Element) -> UnitRegularCertifica
     vertices): u = Q^-1 P^-1 per block is invertible with inverse u' = P Q,
     and a u a = a. On a block where a is zero P = Q = I, so u and u' are 1
     plus their change U - I and U' - I on a's blocks."""
+    _check_operands(g, k, a.graph, a.field, "the element and the witness")
     u_blocks, up_blocks = {}, {}
     for v, block in _phi_rows(a).items():
         n = len(block)

@@ -2,12 +2,25 @@
 graphs, acyclic and cyclic, over six fields, checked against the all-pairs
 product and the plain worklist normalizer of conftest."""
 
+from contextlib import contextmanager
+
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from leavitt import Element, Path  # noqa: E402
+from leavitt import (  # noqa: E402
+    Element,
+    NotStarRegularError,
+    Path,
+    is_acyclic,
+    parse_element,
+    projection_generator,
+    regular_witness,
+    standard_graph,
+    unit_regular_witness,
+)
+from leavitt import algebra, io, semisimple  # noqa: E402
 from leavitt.graphs import in_edges  # noqa: E402
 
 from conftest import corpus, oracle_mul, oracle_normalize_terms  # noqa: E402
@@ -109,3 +122,51 @@ def test_no_stored_coefficient_is_zero(pair):
     for z in (x, y, x * y, y * x, x * x.star(), x + y, x - x, -x, x.star(),
               x.scale(0), x.scale(2)):
         assert not any(is_zero(c) for c in z._terms.values())
+
+
+@contextmanager
+def zero_payloads_passed():
+    """Wrap ``_normalize_terms`` as ``algebra``, ``io`` and ``semisimple``
+    bind it; the yielded list gets, per call, how many of the payloads
+    passed in were zero."""
+    counts = []
+    normalize = algebra._normalize_terms
+
+    def checked(g, field, raw, *args, **kwargs):
+        counts.append(sum(1 for c, _, _ in raw if field._is_zero(c)))
+        return normalize(g, field, raw, *args, **kwargs)
+
+    modules = (algebra, io, semisimple)
+    for module in modules:
+        module._normalize_terms = checked
+    try:
+        yield counts
+    finally:
+        for module in modules:
+            module._normalize_terms = normalize
+
+
+LINE2 = standard_graph("line", 2)
+ZERO_TEXTS = ("0*e1", "0", "-0*v1", "0*e1 + 0", "e1 - 0*v2 + 0*e1.e1*")
+
+
+@PROPERTY_SETTINGS
+@given(raw_streams(), operands(), st.sampled_from(ZERO_TEXTS))
+def test_no_zero_payload_reaches_the_normalizer(case, pair, text):
+    # zeros stop at the two doors, from_terms and the parser; products and
+    # the builders' payload rows never make one
+    g, field, raw = case
+    x, y = pair
+    zero = [(0, p, q) for _, p, q in raw[:1]] + [(field.zero, p, q) for _, p, q in raw[1:2]]
+    with zero_payloads_passed() as counts:
+        Element.from_terms(g, field, raw + zero)
+        parse_element(text, LINE2, field)
+        for a, b in ((x, y), (y, x), (x, x.star())):
+            a * b
+        if is_acyclic(x.graph):
+            for build in (regular_witness, projection_generator, unit_regular_witness):
+                try:
+                    build(x.graph, x.field, x)
+                except NotStarRegularError:
+                    pass
+    assert len(counts) >= 5 and not any(counts)

@@ -246,6 +246,12 @@ class TestSpecStrings:
         assert parse_field_spec("GF(3)") == PrimeField(3)
         assert PrimeField(3) != PrimeField(5)
         assert GaussianRationals(True) != GaussianRationals(False)
+        # a field is its spec string: GF(5) and GF(5,2) share p but are two
+        # fields, and the string itself is not a field
+        assert PrimeField(5) != QuadraticExtField(5)
+        assert Rationals() != GaussianRationals(True)
+        assert hash(PrimeField(7)) == hash(parse_field_spec("GF(7)"))
+        assert Rationals() != "Q"
 
     def test_spec_cache_is_bounded(self):
         bound = parse_field_spec.cache_info().maxsize

@@ -104,11 +104,11 @@ class TestPhi:
 
     def test_line2_sink_vertex(self):
         image = phi(Element.vertex(LINE2, Q, "v2"))
-        assert image.blocks["v2"] == mat_from_rows(Q, [[1, 0], [0, 0]])
+        assert image.blocks["v2"] == tuple(map(tuple, mat_from_rows(Q, [[1, 0], [0, 0]])))
 
     def test_line2_edge_is_matrix_unit_21(self):
         image = phi(Element.edge(LINE2, Q, "e1"))
-        assert image.blocks["v2"] == mat_from_rows(Q, [[0, 0], [1, 0]])
+        assert image.blocks["v2"] == tuple(map(tuple, mat_from_rows(Q, [[0, 0], [1, 0]])))
 
     def test_identity_maps_to_identity_blocks(self):
         for g in acyclic_corpus().values():
@@ -159,7 +159,7 @@ class TestPhi:
     def test_missing_sinks_are_zero_blocks(self):
         g = graph_union(LINE2, relabel_graph(standard_graph("line", 1), "u"))
         image = MatrixImage(Q, sink_basis(g), {"uv1": mat_from_rows(Q, [[3]])})
-        assert image.blocks["v2"] == mat_from_rows(Q, [[0, 0], [0, 0]])
+        assert image.blocks["v2"] == tuple(map(tuple, mat_from_rows(Q, [[0, 0], [0, 0]])))
         assert phi_inv(image) == Element.vertex(g, Q, "uv1").scale(3)
 
     def test_int_entries_are_field_elements(self):
@@ -211,6 +211,11 @@ class TestPhi:
         image = phi(Element.edge(LINE2, Q, "e1"))
         with pytest.raises(TypeError):
             image.blocks["v2"] = mat_from_rows(Q, [[1, 0], [0, 1]])
+        # the rows are tuples too, so no entry can be changed in place
+        with pytest.raises(TypeError):
+            image.blocks["v2"][0][0] = Q.one
+        with pytest.raises(TypeError):
+            image.blocks["v2"][0] = (Q.one, Q.one)
         assert image == phi(Element.edge(LINE2, Q, "e1"))
         assert image.blocks is image.blocks
 
@@ -218,7 +223,7 @@ class TestPhi:
         image = phi(Element.edge(LINE2, Q, "e1"))
         assert repr(image) == (
             f"MatrixImage(field={Q!r}, basis={image.basis!r}, "
-            f"blocks={{'v2': {mat_from_rows(Q, [[0, 0], [1, 0]])!r}}})")
+            f"blocks={{'v2': {tuple(map(tuple, mat_from_rows(Q, [[0, 0], [1, 0]])))!r}}})")
 
     def test_cyclic_rejected(self):
         with pytest.raises(CyclicGraphError):

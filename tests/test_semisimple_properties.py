@@ -40,11 +40,12 @@ def test_phi_matches_the_dense_loops(g, k, seed):
     basis = sink_basis(g)
     for v in basis.sinks:
         a, b = px.blocks[v], py.blocks[v]
-        assert (px * py).blocks[v] == naive_mat_mul(a, b)
-        assert phi(x.star()).blocks[v] == px.star().blocks[v] == naive_conj_transpose(a)
-        assert (px + py).blocks[v] == [[s + t for s, t in zip(ra, rb)]
-                                       for ra, rb in zip(a, b)]
-        assert px.scale(c).blocks[v] == [[c * s for s in row] for row in a]
+        assert (px * py).blocks[v] == tuple(map(tuple, naive_mat_mul(a, b)))
+        assert (phi(x.star()).blocks[v] == px.star().blocks[v]
+                == tuple(map(tuple, naive_conj_transpose(a))))
+        assert (px + py).blocks[v] == tuple(tuple(s + t for s, t in zip(ra, rb))
+                                            for ra, rb in zip(a, b))
+        assert px.scale(c).blocks[v] == tuple(tuple(c * s for s in row) for row in a)
     assert phi_inv(MatrixImage(k, basis, px.blocks)) == x
 
 

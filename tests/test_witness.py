@@ -9,9 +9,11 @@ import pytest
 import leavitt
 from leavitt import witness
 from leavitt import (
+    AlgebraError,
     CertificateError,
     CyclicGraphError,
     Element,
+    FieldMismatchError,
     GaussianRationals,
     Graph,
     NotStarRegularError,
@@ -348,6 +350,31 @@ class TestOnlyReachedBlocks:
         assert len(raw_counts) == 2 and max(raw_counts) <= 4
         one = Element.one(g, Q)
         assert cert.u == cert.u_prime == one - v(g, Q, "x") - v(g, Q, "y") + a + a.star()
+
+
+class TestOperandCheck:
+    """A builder refuses an element of another field or graph than its own
+    before it expands the element to its blocks."""
+
+    BUILDERS = [regular_witness, projection_generator, unit_regular_witness]
+
+    @pytest.mark.parametrize("build", BUILDERS, ids=lambda build: build.__name__)
+    @pytest.mark.parametrize("g, k, error", [(LINE2, GF5, FieldMismatchError),
+                                             (standard_graph("line", 3), Q, AlgebraError)],
+                             ids=["other_field", "other_graph"])
+    def test_mismatch_refused_before_the_blocks(self, monkeypatch, build, g, k, error):
+        def no_blocks(a):
+            raise AssertionError("_phi_rows reached")
+
+        monkeypatch.setattr(witness, "_phi_rows", no_blocks)
+        with pytest.raises(error):
+            build(g, k, e(LINE2, Q, "e1"))
+
+    @pytest.mark.parametrize("build", BUILDERS, ids=lambda build: build.__name__)
+    def test_equal_graph_object_accepted(self, build):
+        twin = Graph.build(LINE2.vertices, [(x.id, x.src, x.dst) for x in LINE2.edges])
+        assert twin is not LINE2 and twin == LINE2
+        build(twin, Q, e(LINE2, Q, "e1"))
 
 
 class TestExtendToUnit:
