@@ -112,7 +112,10 @@ def _ck2_rewrites(index, field: Field, work: deque, schedule: str):
     """Rewrite the terms of ``work``, each p.q* with p and q ending in the
     same special edge f, by f f* -> s(f) - (the other e e* leaving s(f)),
     and yield the results for filing; the filer pushes back any that still
-    end in a special edge. Starts once the raw stream is filed."""
+    end in a special edge. Starts once the raw stream is filed, and reads
+    no table when there is nothing to rewrite."""
+    if not work:
+        return
     emap, outs, neg = index.edge_by_id, index.out_edges, field._neg
     pop = work.pop if schedule == "lifo" else work.popleft
     while work:
@@ -222,7 +225,7 @@ class Element:
 
     @staticmethod
     def vertex(graph, field, v: str) -> "Element":
-        if v not in graph.index.vertices:
+        if v not in graph.index.pos:
             raise GraphError(f"unknown vertex {v}")
         t = Path(v, ())
         return Element(graph, field, {(t, t): field._from_int(1)}, _trusted=True)

@@ -2,28 +2,34 @@
 
 Everything downstream (path algebra elements, the matrix picture, the
 decision procedures) works over these graphs. Graphs are immutable values
-and all functions here are pure. Every derived table of a graph (vertex
-set, edge lookup, incidence lists, special edges, sinks, path counts, the
-paths into each sink) lives in one ``GraphIndex``, reached as ``g.index``
-and memoized on that graph object. Building it makes only what validation
-and the verdicts read: the vertex set, the edge lookup and the out-edge
-lists. Every other table is built on first use: the in-edge lists when all
-paths into a vertex are enumerated or a vertex is classified, the special
-edges when an element is normalized that has a monomial whose paths end in
-the same edge, and the paths into a sink when a block of that sink is first
-read or built. Sharing a graph across threads is safe: a race may build a
-table, or one sink's paths, twice, and both copies are equal.
+and all functions here are pure. Every derived table of a graph lives in one
+``GraphIndex``, reached as ``g.index`` and memoized on that graph object.
+
+What is eager: building the index validates the graph and makes only the
+vertex order, each vertex's position in it, the edge lookup by id, and each
+edge's source and range position. A duplicate identifier or a dangling
+endpoint raises ``GraphError`` with the messages of ``validate``, so every
+table-reading function refuses an invalid graph the same way.
+
+What is built on first read, and by whom: the path counts ``mu`` and
+``acyclic`` by the verdicts (``decide``, ``analyze``) and by the acyclicity
+check of ``phi`` and the witnesses, in one forward Kahn pass over
+positions; ``sinks``, from the source positions, by ``analyze`` and the
+sink basis; the vertex ``frozenset`` by the expression parser; the out-edge lists by
+normalization's CK2 rewrites, the sink expansion of ``phi`` and vertex
+classification; the in-edge lists when all paths into a vertex are
+enumerated or a vertex is classified; the special edges when an element is
+normalized that has a monomial whose paths end in the same edge; and the
+paths into a sink when a block of that sink is first read or built. So
+``decide`` and ``analyze --json`` build no incidence list and no vertex
+set. Sharing a graph across threads is safe: a race may build a table, or
+one sink's paths, twice, and both copies are equal.
 
 Ownership: derived tables never point back to the graph, so a graph and
 everything computed from it are freed by reference counting as soon as the
 last reference to the graph goes. Only values handed to callers hold a
 ``Graph``: an ``Element``, a ``SinkBasis`` view (and the ``MatrixImage``
 built on it) and a ``DecisionReport``.
-
-Building the index validates the graph: a duplicate identifier or a dangling
-endpoint raises ``GraphError`` with the messages of ``validate``, so every
-table-reading function refuses an invalid graph the same way. One forward
-Kahn pass gives both the path counts ``mu`` and ``acyclic``.
 """
 
 from __future__ import annotations
@@ -31,8 +37,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from heapq import nsmallest
-from itertools import compress
-from operator import itemgetter
+from itertools import compress, count
+from operator import itemgetter, not_
 from typing import Iterable, NamedTuple
 
 from .omega import OMEGA, is_finite
@@ -56,7 +62,7 @@ class Edge(NamedTuple):
     dst: str
 
 
-_DST = itemgetter(2)  # an Edge's dst, read in C
+_ID, _SRC, _DST = itemgetter(0), itemgetter(1), itemgetter(2)  # Edge fields, read in C
 
 
 class Path(NamedTuple):
@@ -97,45 +103,66 @@ class Graph:
 class GraphIndex:
     """The derived tables of one graph. Build it through ``g.index``.
 
-    Building it raises ``GraphError`` (the ``validate`` messages joined by
-    "; ") on duplicate identifiers or dangling endpoints. Incidence lists are
-    sorted by edge id; the special edge of a non-sink vertex is its greatest
-    outgoing edge id. ``order``, ``vertices``, ``edge_by_id`` and
-    ``out_edges`` are built eagerly; ``in_edges``, ``special``,
-    ``special_ids``, ``mu``, ``acyclic``, ``sigma``, ``sinks`` and each
-    sink's ``sink_table`` are computed on first use. A bounded enumeration
+    Eager, and all the validation needs: ``order`` (the vertex-order tuple),
+    ``pos`` (each vertex's position in it), ``edge_by_id``, and ``src`` and
+    ``dst`` (each edge's source and range position, in the graph's edge
+    order). Membership tests read ``pos``. A duplicate identifier is seen as
+    a ``pos`` or ``edge_by_id`` shorter than its input, a dangling endpoint
+    as a ``KeyError`` from ``pos``; either raises ``GraphError`` (the
+    ``validate`` messages joined by "; ").
+
+    Built on first read: ``mu``, ``acyclic`` and ``sigma`` (one Kahn pass
+    over positions), ``sinks``, ``vertices``, ``out_edges``, ``in_edges``,
+    ``special``, ``special_ids``, and each sink's ``sink_table``; the module
+    docstring says who reads each. A bounded enumeration
     (``enumerate_paths_to`` with a ``limit``) scans the in-edges it needs
-    without building ``in_edges``. The index keeps
-    the graph's vertex-order tuple, never the graph itself, so it forms no
-    reference cycle with the graph that memoizes it.
+    without building ``in_edges``. Incidence lists are sorted by edge id;
+    the special edge of a non-sink vertex is its greatest outgoing edge id.
+    The index keeps the graph's vertex-order tuple, never the graph itself,
+    so it forms no reference cycle with the graph that memoizes it.
     """
 
     def __init__(self, g: Graph):
-        self.order = g.vertices
-        self.vertices = frozenset(g.vertices)
-        self.edge_by_id = {e.id: e for e in g.edges}
-        if (len(self.vertices) < len(g.vertices) or len(self.edge_by_id) < len(g.edges)
-                or not self.vertices.issuperset([e.dst for e in g.edges])):
+        order, edges = g.vertices, g.edges
+        self.order = order
+        pos = self.pos = dict(zip(order, count()))
+        self.edge_by_id = dict(zip(map(_ID, edges), edges))
+        if len(pos) < len(order) or len(self.edge_by_id) < len(edges):
             raise _invalid(g)
-        outs = {v: [] for v in g.vertices}
         try:
-            # with unique ids, tuple order is edge-id order
-            for e in sorted(g.edges):
-                outs[e.src].append(e)
+            self.src = list(map(pos.__getitem__, map(_SRC, edges)))
+            self.dst = list(map(pos.__getitem__, map(_DST, edges)))
         except KeyError:
             raise _invalid(g) from None
-        self.out_edges = {v: tuple(es) for v, es in outs.items()}
         self._sink_tables = {}
+
+    @functools.cached_property
+    def vertices(self) -> frozenset:
+        """The vertex set. Built on first use: only the expression parser
+        and ``vertex_set`` read it; membership tests read ``pos``."""
+        return frozenset(self.order)
+
+    @functools.cached_property
+    def out_edges(self) -> dict:
+        """The out-edges of each vertex, sorted by edge id. Built on first
+        use: normalization's CK2 rewrites, the sink expansion of ``phi`` and
+        vertex classification read it, the verdicts never do."""
+        return self._incidence(_SRC)
 
     @functools.cached_property
     def in_edges(self) -> dict:
         """The in-edges of each vertex, sorted by edge id. Built on first
         use: only the enumeration of all paths into a vertex and vertex
         classification read it."""
-        ins = {v: [] for v in self.order}
+        return self._incidence(_DST)
+
+    def _incidence(self, end) -> dict:
+        """The edges at each vertex, by ``end`` (an Edge's src or dst)."""
+        lists = {v: [] for v in self.order}
+        # with unique ids, tuple order is edge-id order
         for e in sorted(self.edge_by_id.values()):
-            ins[e.dst].append(e)
-        return {v: tuple(es) for v, es in ins.items()}
+            lists[end(e)].append(e)
+        return {v: tuple(es) for v, es in lists.items()}
 
     @functools.cached_property
     def special(self) -> dict:
@@ -152,35 +179,36 @@ class GraphIndex:
 
     @functools.cached_property
     def _path_counts(self) -> tuple[dict, bool]:
-        """(mu, acyclic) from one forward pass of Kahn's topological sort.
+        """(mu, acyclic) from one forward pass of Kahn's topological sort
+        over vertex positions.
 
-        Every count starts at 1 (the trivial path). A vertex is popped once
-        all its in-edges come from popped vertices, so its count is final;
-        popping it adds that count to each out-neighbour. The vertices left
-        with pending in-edges are exactly those a cycle reaches, and they get
-        OMEGA; the graph is acyclic when every vertex was popped.
+        Every count starts at 1 (the trivial path). A vertex joins ``ready``
+        once the sources of all its in-edges have been visited, so its count
+        is final when it is visited; visiting it adds that count to each
+        out-neighbour. The vertices that never join are exactly those a
+        cycle reaches, and they get OMEGA; the graph is acyclic when every
+        vertex joined. Vertices are positions throughout: the pass reads
+        ``src`` and ``dst`` and probes no string-keyed table.
         """
-        vertices = self.order
-        out_edges = self.out_edges
-        pending = dict.fromkeys(vertices, 0)
-        for e in self.edge_by_id.values():
-            pending[e.dst] += 1
-        counts = dict.fromkeys(vertices, 1)
-        ready = [v for v in vertices if not pending[v]]
-        popped = 0
-        while ready:
-            v = ready.pop()
-            popped += 1
+        order = self.order
+        n = len(order)
+        pending = [0] * n
+        outs = [[] for _ in order]
+        for v, w in zip(self.src, self.dst):
+            outs[v].append(w)
+            pending[w] += 1
+        counts = [1] * n
+        ready = list(compress(range(n), map(not_, pending)))
+        for v in ready:  # the loop reaches each vertex appended while it runs
             c = counts[v]
-            for e in out_edges[v]:
-                w = e.dst
+            for w in outs[v]:
                 counts[w] += c
                 pending[w] -= 1
                 if not pending[w]:
                     ready.append(w)
-        if popped == len(vertices):
-            return counts, True
-        return {v: OMEGA if pending[v] else counts[v] for v in vertices}, False
+        if len(ready) == n:
+            return dict(zip(order, counts)), True
+        return {v: OMEGA if p else c for v, p, c in zip(order, pending, counts)}, False
 
     @functools.cached_property
     def mu(self) -> dict:
@@ -199,8 +227,9 @@ class GraphIndex:
 
     @functools.cached_property
     def sinks(self) -> tuple[str, ...]:
-        outs = self.out_edges
-        return tuple(v for v in self.order if not outs[v])
+        """The vertices that source no edge, in vertex order."""
+        sources = set(self.src)
+        return tuple(compress(self.order, map(not_, map(sources.__contains__, count()))))
 
     def sink_table(self, v: str) -> tuple[tuple, dict]:
         """The ordered paths into sink v of an acyclic graph (see
@@ -235,7 +264,7 @@ def in_edges(g: Graph, v: str) -> tuple[Edge, ...]:
 
 
 def _require_vertex(g: Graph, v: str):
-    if v not in g.index.vertices:
+    if v not in g.index.pos:
         raise GraphError(f"unknown vertex {v}")
 
 
@@ -318,7 +347,7 @@ def path_range(g: Graph, p: Path) -> str:
 
 def is_path(g: Graph, p: Path) -> bool:
     index = g.index
-    if p.base not in index.vertices:
+    if p.base not in index.pos:
         return False
     at = p.base
     for eid in p.edges:

@@ -144,7 +144,7 @@ def _indexed(g: Graph, spelled: bool = False) -> Graph:
         index = g.index
     except GraphError as exc:
         raise ParseError(str(exc)) from None
-    vertices, edges = index.vertices, index.edge_by_id
+    vertices, edges = index.pos.keys(), index.edge_by_id
     if not spelled:
         ids = "".join(g.vertices) + "".join(edges)
         if ("" in vertices or "" in edges or not ids.isascii()

@@ -543,9 +543,13 @@ class TestJsonOutput:
 
 class TestVerdictGraphTables:
     """``decide --json`` and ``analyze --json`` build only the graph tables
-    their verdict reads: no in-edge table and no special edges, also when
+    their verdict reads: positions, the edge lookup and the path counts. No
+    out- or in-edge table, no vertex set and no special edges, also when
     ``decide`` builds an improper certificate, whose few paths are found by
-    scanning the edges and whose terms end in no common edge."""
+    scanning the edges and whose terms end in no common edge, so nothing is
+    left to rewrite."""
+
+    UNBUILT = {"out_edges", "in_edges", "vertices", "special", "special_ids"}
 
     GRAPHS = {"line3": standard_graph("line", 3), "rose1": standard_graph("rose", 1),
               "toeplitz": standard_graph("toeplitz"), "clock": clock_graph(2, 2)}
@@ -573,7 +577,8 @@ class TestVerdictGraphTables:
         tables, code, _ = self.tables(capsys, monkeypatch, argv[0], str(path), *argv[1:],
                                       "--json")
         assert code in (0, 2), (name, argv)
-        assert not tables & {"in_edges", "special", "special_ids"}, (name, argv)
+        assert not tables & self.UNBUILT, (name, argv)
+        assert "_path_counts" in tables, (name, argv)
 
     def test_improper_certificate_builds_neither(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "line3.txt"
@@ -581,16 +586,17 @@ class TestVerdictGraphTables:
         tables, code, out = self.tables(capsys, monkeypatch, "decide", str(path),
                                         "--field", "Q[i]/id", "--json")
         assert (code, json.loads(out)["improper_certificate"]) == (0, "v2 + i*e1")
-        assert not tables & {"in_edges", "special", "special_ids"}
+        assert not tables & self.UNBUILT
 
     def test_control_witness_regular_builds_in_edges(self, capsys, monkeypatch, tmp_path):
-        # the sink basis enumerates every path along the in-edge table, so
-        # the check above can see a table that is built
+        # the sink basis enumerates every path along the in-edge table, phi
+        # expands along the out-edge table and the expression parser reads
+        # the vertex set, so the checks above can see a table that is built
         path = tmp_path / "line3.txt"
         path.write_text(format_graph(self.GRAPHS["line3"]))
         tables, code, _ = self.tables(capsys, monkeypatch, "witness", "regular", str(path),
                                       "--field", "Q", "-e", "e1", "--json")
-        assert code == 0 and "in_edges" in tables
+        assert code == 0 and {"in_edges", "out_edges", "vertices"} <= tables
 
 
 class TestMuDigitLimit:

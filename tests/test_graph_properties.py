@@ -1,5 +1,7 @@
-"""Property tests of the path counts on small random multigraphs, checked
-through the forward-walk and reachability oracles of conftest."""
+"""Property tests of the path counts and the incidence tables on small random
+multigraphs, checked through the forward-walk and reachability oracles of
+conftest and a brute-force scan of the edges; invalid draws must be refused
+with validate's messages."""
 
 from collections import Counter
 
@@ -8,22 +10,35 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from leavitt import OMEGA, Graph, is_acyclic, mu_table, sigma  # noqa: E402
-from leavitt.graphs import path_range  # noqa: E402
+from leavitt import OMEGA, Graph, GraphError, is_acyclic, mu_table, sigma  # noqa: E402
+from leavitt.graphs import in_edges, out_edges, path_range, sinks, validate  # noqa: E402
 
 from conftest import brute_paths, cycle_reached  # noqa: E402
 from test_linalg_properties import PROPERTY_SETTINGS  # noqa: E402
 
 
 @st.composite
-def multigraphs(draw):
+def multigraphs(draw, invalid=False):
     """Up to 5 vertices listed in a shuffled order and up to 7 edges between
-    any two of them: loops and parallel edges included."""
+    any two of them: loops and parallel edges included. With ``invalid``,
+    each of three faults may also be drawn: a repeated vertex, a repeated
+    edge id, and an edge with an endpoint missing from the vertex list."""
     n = draw(st.integers(0, 5))
     names = draw(st.permutations([f"v{i}" for i in range(n)]))
     ends = st.integers(0, n - 1) if n else st.nothing()
     pairs = draw(st.lists(st.tuples(ends, ends), max_size=7 if n else 0))
     edges = [(f"e{j}", f"v{s}", f"v{d}") for j, (s, d) in enumerate(pairs)]
+    if invalid:
+        if names and draw(st.booleans()):
+            names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(names)))
+        if edges and draw(st.booleans()):
+            _, s, d = draw(st.sampled_from(edges))
+            edges.append((draw(st.sampled_from(edges))[0], s, d))
+        if draw(st.booleans()):
+            # "u" names no vertex; the other end may be a vertex or missing too
+            other = draw(st.sampled_from(names)) if names else "u1"
+            missing = [("u0", other), (other, "u0")][draw(st.integers(0, 1))]
+            edges.append((f"e{len(pairs)}", *missing))
     return Graph.build(names, draw(st.permutations(edges)))
 
 
@@ -43,3 +58,24 @@ def test_path_counts_match_the_oracles(g):
     assert is_acyclic(g) == (not reached)
     finite = [table[v] for v in g.vertices if v not in reached]
     assert sigma(g) == (OMEGA if reached else max(finite, default=0))
+
+
+@PROPERTY_SETTINGS
+@given(multigraphs(invalid=True))
+def test_tables_match_a_scan_or_refuse(g):
+    errors = validate(g)
+    if errors:
+        message = "; ".join(errors)
+        some_vertex = g.vertices[0] if g.vertices else "v0"
+        readers = [mu_table, sinks, is_acyclic, lambda g: out_edges(g, some_vertex),
+                   lambda g: in_edges(g, some_vertex)]
+        for reader in readers:
+            with pytest.raises(GraphError) as info:
+                reader(g)
+            assert str(info.value) == message
+        return
+    by_id = sorted(g.edges, key=lambda e: e.id)
+    assert sinks(g) == tuple(v for v in g.vertices if all(e.src != v for e in g.edges))
+    for v in g.vertices:
+        assert out_edges(g, v) == tuple(e for e in by_id if e.src == v), v
+        assert in_edges(g, v) == tuple(e for e in by_id if e.dst == v), v
