@@ -102,7 +102,9 @@ from .witness import (
     CertificateError,
     NotStarRegularError,
     ProjectionCertificate,
+    UnitDataError,
     UnitRegularCertificate,
+    UnknownClaimError,
     extend_to_unit,
     improper_element,
     projection_generator,
@@ -113,6 +115,6 @@ from .witness import (
     verify_projection,
     verify_unit_regular,
 )
-from .linalg import RankFactorization, rank_factorization, solve_linear
+from .linalg import RankFactorization, SolveSideError, rank_factorization, solve_linear
 
 __version__ = "0.1.0"

@@ -21,16 +21,16 @@ act on them), never as an exact zero, so the arithmetic below builds no
 ``items``, ``coefficient`` and ``format_element`` wrap payloads on the way
 out.
 
-Normalization is one filing pass (``_normalize_terms``): a term whose two
-paths do not end in the same special edge is already normal and goes
-straight into the result; only the others go through the CK2 worklist.
-Every payload it is given is nonzero, and only a sum can vanish. Outside
-coefficients enter through two doors, ``from_terms`` and the expression
-parser of ``leavitt.io``, and each drops its zero coefficients itself;
-products (nonzero payloads multiply to nonzero ones in a field) and payload
-rows never hold a zero. The product rule is stated once, in
-``_product_terms``; its two callers are ``Element.__mul__`` and the
-expression parser.
+Normalization is one filing step (``_file``): a term whose two paths do
+not end in the same special edge is already normal and goes straight into
+the result; only the others go through the CK2 worklist. Every payload it
+is given is nonzero, and only a sum can vanish. Outside coefficients enter
+through two doors, ``from_terms`` and the expression parser of
+``leavitt.io``, and each drops its zero coefficients itself; products
+(nonzero payloads multiply to nonzero ones in a field) and payload rows
+never hold a zero. The product rule is stated once, in the kernel
+``_product``, which files each term as it forms it; its two callers are
+``Element.__mul__`` and the expression parser.
 """
 
 from __future__ import annotations
@@ -68,24 +68,30 @@ def monomial_key(mono):
 def _normalize_terms(g: Graph, field: Field, raw, schedule: str = "lifo") -> dict:
     """File a raw (payload, p, q) stream into normal-form monomial -> payload.
 
-    One pass files every term whose p and q do not end in the same special
-    edge straight into the result; only the others go through the CK2
-    worklist, whose rewrites are filed by the same pass. The one contract:
-    every payload passed in is nonzero (the rewrite's negation keeps it so),
-    and only a sum can vanish, so a sum is tested for zero only when two
-    terms met on one monomial. No returned payload is zero, which is the
-    rule every ``Element._terms`` keeps.
-
-    ``schedule`` picks the worklist order (lifo or fifo); both reach the same
-    normal form, which the test suite checks as a confluence surrogate.
+    Every payload passed in is nonzero (the rewrite's negation keeps it so);
+    no returned payload is zero, which is the rule every ``Element._terms``
+    keeps. ``schedule`` picks the worklist order (lifo or fifo); both reach
+    the same normal form, which the test suite checks as a confluence
+    surrogate.
     """
-    index = g.index
+    return _file(g.index, field, raw, {}, False, deque(), schedule)
+
+
+def _file(index, field: Field, raw, acc: dict, summed: bool, work: deque,
+          schedule: str = "lifo") -> dict:
+    """The filing step, shared by ``_normalize_terms`` and ``_product``:
+    sum each term of ``raw``, then each CK2 rewrite of ``work``, into
+    ``acc``, and return it without its zero sums.
+
+    A term whose p and q do not end in the same special edge is filed
+    straight into ``acc``; the others join ``work``, whose rewrites are
+    filed the same way. Only a sum can vanish, so the sums are tested for
+    zero only when two terms met on one monomial: here, or before the call
+    when ``summed`` is true.
+    """
     special = None  # read only if some p and q end in the same edge
     add = field._add
-    acc: dict = {}
     get = acc.get
-    work = deque()
-    summed = False
     for t in chain(raw, _ck2_rewrites(index, field, work, schedule)):
         c, p, q = t
         pe, qe = p.edges, q.edges
@@ -102,10 +108,104 @@ def _normalize_terms(g: Graph, field: Field, raw, schedule: str = "lifo") -> dic
         else:
             acc[key] = add(prev, c)
             summed = True
-    if not summed:
-        return acc
+    return _nonzero(field, acc) if summed else acc
+
+
+def _nonzero(field: Field, acc: dict) -> dict:
+    """``acc`` without its zero sums."""
     is_zero = field._is_zero
     return {m: c for m, c in acc.items() if not is_zero(c)}
+
+
+def _product(g: Graph, field: Field, left: dict, right: dict) -> dict:
+    """The normal form of (sum of c1 p1 q1*)(sum of c2 p2 q2*) for two
+    monomial -> payload maps, each term filed as it is formed.
+
+    The one statement of the product rule: by CK1, (p1 q1*)(p2 q2*) is
+    p1.gamma q2* when p2 = q1.gamma, p1 (q2.gamma)* when q1 = p2.gamma, and
+    0 otherwise. Only the right monomials whose p2 starts at the base of q1
+    can survive, so the right operand is grouped by that vertex.
+
+    Whether a term needs the CK2 rewrite depends only on its last two
+    edges, and a proper extension keeps those of one operand monomial:
+    p1.gamma q2* ends like p2 and q2, and p1 (q2.gamma)* ends like p1 and
+    q1. So each monomial is flagged once, when its p and q end in the same
+    special edge, and an extension term of a flagged monomial goes to the
+    CK2 worklist; only an exact match q1 = p2 makes a new pair of last
+    edges, p1's and q2's, which is tested. Everything else is summed here,
+    as ``_file`` sums, since this loop is the hot path; the worklist goes
+    to ``_file``. The flags hold for any map, normal or not: a normal
+    operand has no flagged monomial, but ``semisimple.sink_normal_form``
+    returns one that may.
+    """
+    index = g.index
+    special = None  # read only if some p and q end in the same edge
+    by_base: dict = {}
+    for (p2, q2), c2 in right.items():
+        pe, qe = p2.edges, q2.edges
+        last2 = qe[-1] if qe else None
+        flag2 = False
+        if pe and pe[-1] == last2:
+            if special is None:
+                special = index.special_ids
+            flag2 = last2 in special
+        entry = (pe, len(pe), q2, c2, flag2, last2)
+        group = by_base.get(p2.base)
+        if group is None:
+            by_base[p2.base] = [entry]
+        else:
+            group.append(entry)
+    mul, add = field._mul, field._add
+    acc: dict = {}
+    get = acc.get
+    work = deque()
+    summed = False
+    for (p1, q1), c1 in left.items():
+        group = by_base.get(q1.base)
+        if group is None:
+            continue
+        pe1, qe = p1.edges, q1.edges
+        n = len(qe)
+        last1 = pe1[-1] if pe1 else None
+        flag1 = False
+        if qe and qe[-1] == last1:
+            if special is None:
+                special = index.special_ids
+            flag1 = last1 in special
+        for pe, m, q2, c2, flag2, last2 in group:
+            if m > n:
+                if pe[:n] != qe:
+                    continue
+                # p2 = q1.gamma: p1.gamma q2*, which ends like p2 and q2
+                p, q, ck2 = _path((p1.base, pe1 + pe[n:])), q2, flag2
+            elif m == n:
+                if pe != qe:
+                    continue
+                # q1 = p2: p1 q2*, a new pair of last edges
+                p, q, ck2 = p1, q2, False
+                if last1 is not None and last1 == last2:
+                    if special is None:
+                        special = index.special_ids
+                    ck2 = last1 in special
+            else:
+                if qe[:m] != pe:
+                    continue
+                # q1 = p2.gamma: p1 (q2.gamma)*, which ends like p1 and q1
+                p, q, ck2 = p1, _path((q2.base, q2.edges + qe[m:])), flag1
+            c = mul(c1, c2)
+            if ck2:
+                work.append((c, p, q))
+                continue
+            key = (p, q)
+            prev = get(key)
+            if prev is None:
+                acc[key] = c
+            else:
+                acc[key] = add(prev, c)
+                summed = True
+    if work:
+        return _file(index, field, (), acc, summed, work)
+    return _nonzero(field, acc) if summed else acc
 
 
 def _ck2_rewrites(index, field: Field, work: deque, schedule: str):
@@ -145,40 +245,6 @@ def _check_operands(graph: Graph, field: Field, other_graph: Graph, other_field:
         raise AlgebraError(f"{what} live over different graphs")
     if field is not other_field and field != other_field:
         raise FieldMismatchError(f"{what} live over different fields")
-
-
-def _product_terms(left: dict, right: dict, mul) -> list:
-    """The raw (payload, p, q) terms of (sum of c1 p1 q1*)(sum of c2 p2 q2*)
-    for two monomial -> payload maps, not yet normalized; ``mul`` multiplies
-    payloads. The one statement of the product rule: by CK1, (p1 q1*)(p2 q2*)
-    is p1.gamma q2* when p2 = q1.gamma, p1 (q2.gamma)* when q1 = p2.gamma,
-    and 0 otherwise. Only the right monomials whose p2 starts at the base of
-    q1 can survive, so the right operand is grouped by that vertex."""
-    by_base: dict = {}
-    for (p2, q2), c2 in right.items():
-        pe = p2.edges
-        group = by_base.get(p2.base)
-        if group is None:
-            by_base[p2.base] = [(pe, len(pe), q2, c2)]
-        else:
-            group.append((pe, len(pe), q2, c2))
-    raw = []
-    append = raw.append
-    for (p1, q1), c1 in left.items():
-        group = by_base.get(q1.base)
-        if group is None:
-            continue
-        qe = q1.edges
-        n = len(qe)
-        for pe, m, q2, c2 in group:
-            if m >= n:
-                if pe[:n] == qe:
-                    # q1 is a prefix of p2 = q1.gamma: p1.gamma (q2)*
-                    append((mul(c1, c2), _path((p1.base, p1.edges + pe[n:])), q2))
-            elif qe[:m] == pe:
-                # p2 is a proper prefix of q1 = p2.gamma: p1 (q2.gamma)*
-                append((mul(c1, c2), p1, _path((q2.base, q2.edges + qe[m:]))))
-    return raw
 
 
 class Element:
@@ -329,8 +395,7 @@ class Element:
             return NotImplemented
         self._check_compatible(other)
         g, field = self.graph, self.field
-        raw = _product_terms(self._terms, other._terms, field._mul)
-        return Element(g, field, _normalize_terms(g, field, raw), _trusted=True)
+        return Element(g, field, _product(g, field, self._terms, other._terms), _trusted=True)
 
     def __rmul__(self, other):
         if isinstance(other, (FieldValue, int)):

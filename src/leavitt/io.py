@@ -28,13 +28,14 @@ is (1+2i)*e1, while "1 + 2i*e1" is 1 + (2i)*e1. A bare coeff term means
 coeff times the identity (the sum of all vertices). Printing emits the same
 grammar with terms in canonical monomial order.
 
-Each term's factors fold into one monomial p q* (or into zero) through
-``algebra._product_terms``, the product kernel of ``Element.__mul__``, so a
-term is one raw (payload, p, q) triple, or one per vertex for a bare coeff;
-the whole expression is normalized once, at the end. The parser is a
-recursive descent; two compiled patterns scan the text, ``_SPACE`` for
-whitespace and ``_FACTOR`` for an identifier and its optional '*', so its
-Python steps do not grow with the length of a name or of a run of spaces.
+Each term's factors fold into a normal form through ``algebra._product``,
+the product kernel of ``Element.__mul__``, so a term is a few (payload, p,
+q) triples in normal form (none if it vanishes), or one per vertex for a
+bare coeff; the terms are summed once, at the end. A zero literal never
+reaches the kernel. The parser is a recursive descent; two compiled
+patterns scan the text, ``_SPACE`` for whitespace and ``_FACTOR`` for an
+identifier and its optional '*', so its Python steps do not grow with the
+length of a name or of a run of spaces.
 An error names a 1-based column; the end of the text is column len + 1.
 """
 
@@ -44,13 +45,13 @@ import json
 import re
 from itertools import islice, repeat
 
-from .algebra import Element, _normalize_terms, _product_terms, format_element
+from .algebra import Element, _normalize_terms, _product, format_element
 from .fields import Field
 from .graphs import Edge, Graph, GraphError, Path, edge_by_id, vertex_set
 from .omega import extnat_to_json
 from .semisimple import MatrixImage
 from .decide import DecisionReport
-from .witness import check_claims
+from .witness import UnknownClaimError, check_claims
 
 __all__ = [
     "ParseError",
@@ -253,8 +254,6 @@ class _ExprParser:
         while True:
             ch = self.next_char()
             if not ch:
-                # the parser's door: only a zero literal gives a zero payload
-                raw = [t for t in raw if not self.k._is_zero(t[0])]
                 return Element(self.g, self.k, _normalize_terms(self.g, self.k, raw),
                                _trusted=True)
             if ch not in "+-":
@@ -267,7 +266,8 @@ class _ExprParser:
             raw += term
 
     def parse_term(self) -> list:
-        """The term as raw (payload, p, q) triples, not yet normalized."""
+        """The term as (payload, p, q) triples with nonzero payloads, each
+        in normal form; ``parse`` sums the terms once, at the end."""
         first = self.next_char()
         start = self.pos
         scanned = self.k.scan_literal(self.text, start)
@@ -279,6 +279,8 @@ class _ExprParser:
                 return self.monomial_term(coeff.payload)
             if ch in ("", "+", "-"):
                 c = coeff.payload
+                if self.k._is_zero(c):  # the parser's door for a zero literal
+                    return []
                 return [(c, Path(v, ()), Path(v, ())) for v in self.g.vertices]
             self.pos = start  # looked like a literal but is not one: re-read
         c = self.k._from_int(1)
@@ -290,17 +292,20 @@ class _ExprParser:
         return self.monomial_term(c)
 
     def monomial_term(self, c) -> list:
-        """c times the factors' product, as at most one raw (payload, p, q)
-        triple. Each factor folds in through ``_product_terms``, the term
-        as a map of its one monomial; factors after a vanishing product are
-        still parsed and resolved, so their errors are reported."""
-        raw = [(c, *self.parse_factor())]
-        one, mul = self.k._from_int(1), self.k._mul
+        """c times the factors' product, as (payload, p, q) triples in
+        normal form. Each factor folds in through ``_product``, the kernel
+        of ``Element.__mul__``."""
+        factor = self.parse_factor()
+        # the parser's door: a zero literal never reaches the kernel, but its
+        # factors are still parsed and resolved, so their errors are reported
+        term = {} if self.k._is_zero(c) else {factor: c}
+        one = self.k._from_int(1)
         while self.next_char() == ".":
             self.pos += 1
-            term = {(p, q): x for x, p, q in raw}
-            raw = _product_terms(term, {self.parse_factor(): one}, mul)
-        return raw
+            factor = self.parse_factor()
+            if term:
+                term = _product(self.g, self.k, term, {factor: one})
+        return [(x, p, q) for (p, q), x in term.items()]
 
     def parse_factor(self):
         m = _FACTOR.match(self.text, self.pos)
@@ -434,7 +439,7 @@ def claims_to_json(claims) -> list:
     out = []
     for kind, *args in claims:
         if kind not in writers:
-            raise ValueError(f"unknown claim type {kind!r}")
+            raise UnknownClaimError(f"unknown claim type {kind!r}")
         out.append(writers[kind](*args))
     return out
 

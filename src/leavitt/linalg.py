@@ -40,6 +40,10 @@ class ShapeError(ValueError):
     pass
 
 
+class SolveSideError(ValueError):
+    """``solve_linear`` was asked for a side other than left or right."""
+
+
 def mat_shape(a):
     if len({len(row) for row in a}) > 1:
         raise ShapeError("rows of unequal length")
@@ -273,7 +277,7 @@ def solve_linear(field: Field, a, b, side: str):
     A particular solution is returned (free coordinates are set to zero).
     """
     if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        raise SolveSideError(f"side must be 'left' or 'right', got {side!r}")
     m, n = mat_shape(a)
     mb, nb = mat_shape(b)
     if side == "right" and mb != m:

@@ -47,6 +47,15 @@ class CertificateError(AssertionError):
     survives ``python -O``."""
 
 
+class UnknownClaimError(ValueError):
+    """A claim whose type is not one of the four the checker knows."""
+
+
+class UnitDataError(ValueError):
+    """``extend_to_unit`` was given u, u' and v that are not local unit
+    data: u and u' are not mutually inverse over v, or leave its corner."""
+
+
 class NotStarRegularError(Exception):
     """The projection construction hit an inconsistent solve; carries an
     improper element as the counter-certificate."""
@@ -93,7 +102,7 @@ def check_claims(claims) -> bool:
         elif kind == "nonzero":
             holds = not args[0].is_zero
         else:
-            raise ValueError(f"unknown claim type {kind!r}")
+            raise UnknownClaimError(f"unknown claim type {kind!r}")
         if not holds:
             return False
     return True
@@ -253,9 +262,9 @@ def extend_to_unit(g: Graph, u: Element, u_prime: Element, v: Element):
     satisfy w w' = 1 = w' w against the full identity."""
     one = Element.one(g, u.field)
     if not (u * u_prime == v and u_prime * u == v):
-        raise ValueError("u and u_prime are not mutually inverse over v")
+        raise UnitDataError("u and u_prime are not mutually inverse over v")
     if not (v * u * v == u and v * u_prime * v == u_prime):
-        raise ValueError("u and u_prime do not live in the corner of v")
+        raise UnitDataError("u and u_prime do not live in the corner of v")
     rest = one - v
     w = u + rest
     w_prime = u_prime + rest

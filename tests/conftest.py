@@ -14,6 +14,7 @@ import pytest
 
 from leavitt import (
     Element,
+    FieldValue,
     GaussianRationals,
     Graph,
     Path,
@@ -321,23 +322,31 @@ def oracle_factor(field, M, m, n):
     return P, Pinv, M, Q, Qinv, rank
 
 
-def oracle_product_terms(x, y):
-    """(coeff, p, q) for every pair of monomials of x and y whose product
-    p1 q1* p2 q2* survives, by trying all |x|*|y| pairs: the middle q1* p2
-    is nonzero only when one path is a prefix of the other."""
+def oracle_product_payloads(field, left, right) -> list:
+    """(payload, p, q) for every pair of monomials of two monomial ->
+    payload maps whose product p1 q1* p2 q2* survives, in the maps' order,
+    by trying all |left|*|right| pairs: the middle q1* p2 is nonzero only
+    when one path is a prefix of the other."""
     def is_prefix(a, b):
         return a.base == b.base and b.edges[:len(a.edges)] == a.edges
 
+    mul = field._mul
     raw = []
-    for (p1, q1), c1 in x.items():
-        for (p2, q2), c2 in y.items():
+    for (p1, q1), c1 in left.items():
+        for (p2, q2), c2 in right.items():
             if is_prefix(q1, p2):
                 gamma = p2.edges[len(q1.edges):]
-                raw.append((c1 * c2, Path(p1.base, p1.edges + gamma), q2))
+                raw.append((mul(c1, c2), Path(p1.base, p1.edges + gamma), q2))
             elif is_prefix(p2, q1):
                 gamma = q1.edges[len(p2.edges):]
-                raw.append((c1 * c2, p1, Path(q2.base, q2.edges + gamma)))
+                raw.append((mul(c1, c2), p1, Path(q2.base, q2.edges + gamma)))
     return raw
+
+
+def oracle_product_terms(x, y):
+    """``oracle_product_payloads`` of two elements, as (coeff, p, q)."""
+    return [(FieldValue(x.field, c), p, q)
+            for c, p, q in oracle_product_payloads(x.field, x._terms, y._terms)]
 
 
 def oracle_normalize_terms(g, field, raw, schedule="lifo") -> dict:
@@ -376,7 +385,7 @@ def oracle_normalize_terms(g, field, raw, schedule="lifo") -> dict:
 def oracle_mul(x, y) -> Element:
     """x * y through the all-pairs rule, normalized by
     ``oracle_normalize_terms``, not by the library's normalizer."""
-    raw = [(c.payload, p, q) for c, p, q in oracle_product_terms(x, y)]
+    raw = oracle_product_payloads(x.field, x._terms, y._terms)
     return Element(x.graph, x.field, oracle_normalize_terms(x.graph, x.field, raw),
                    _trusted=True)
 

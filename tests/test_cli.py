@@ -124,6 +124,16 @@ class TestExpressions:
         code, out, _ = run(capsys, "nf", line2_file, "--field", "Q", "-e", "e1.e1*")
         assert code == 0 and out.strip() == "v1"
 
+    @pytest.mark.parametrize("expr, out", [
+        ("e1.e1*.e1", "e1"),
+        ("e1*.e1.e1*", "e1*"),
+        ("0*e1.e1*.e1 + v2", "v2"),
+    ])
+    def test_nf_rewrites_inside_a_term(self, capsys, line2_file, expr, out):
+        # a CK2 rewrite in the middle of a term, followed by more factors
+        code, stdout, _ = run(capsys, "nf", line2_file, "--field", "Q", "-e", expr)
+        assert code == 0 and stdout == out + "\n"
+
     def test_mul(self, capsys, line2_file):
         code, out, _ = run(capsys, "mul", line2_file, "--field", "Q",
                            "-e", "e1*", "-e", "e1")

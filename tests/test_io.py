@@ -11,6 +11,7 @@ from leavitt import (
     PrimeField,
     QuadraticExtField,
     Rationals,
+    UnknownClaimError,
     e_f_graph,
     format_element,
     format_graph,
@@ -561,6 +562,10 @@ class TestClaims:
         a = Element.edge(LINE2, Q, "e1")
         bad = claim_product_equals([a, a], a)
         assert not verify_claims(LINE2, Q, [bad])
+
+    def test_unknown_claim_type_is_not_serialized(self):
+        with pytest.raises(UnknownClaimError, match="unknown claim type 'bogus'"):
+            claims_to_json([("bogus", Element.vertex(LINE2, Q, "v1"))])
 
     def test_unknown_claim_type_is_parse_error(self):
         with pytest.raises(ParseError, match="unknown claim type 'bogus'"):

@@ -10,6 +10,7 @@ from leavitt import Element, PrimeField, Rationals, parse_field_spec
 from leavitt.fields import FieldMismatchError, FieldValue
 from leavitt.linalg import (
     ShapeError,
+    SolveSideError,
     _factor,
     mat_mul,
     rank_factorization,
@@ -129,11 +130,14 @@ class TestSolveLinear:
                 else:
                     assert mat_mul(a, got) == b
 
+    def test_unknown_side_is_named(self):
+        with pytest.raises(SolveSideError, match="side must be 'left' or 'right', got 'sideways'"):
+            solve_linear(Q, identity(Q, 2), zeros(Q, 2, 2), "sideways")
+        assert issubclass(SolveSideError, ValueError)
+
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
             solve_linear(Q, identity(Q, 2), zeros(Q, 3, 1), "right")
-        with pytest.raises(ValueError):
-            solve_linear(Q, identity(Q, 2), zeros(Q, 2, 2), "sideways")
         with pytest.raises(ShapeError) as exc:
             solve_linear(Q, identity(Q, 2), zeros(Q, 2, 3), "left")
         assert str(exc.value) == "left solve needs matching column counts"

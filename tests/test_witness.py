@@ -19,6 +19,8 @@ from leavitt import (
     NotStarRegularError,
     PrimeField,
     Rationals,
+    UnitDataError,
+    UnknownClaimError,
     extend_to_unit,
     graph_union,
     improper_element,
@@ -400,13 +402,26 @@ class TestExtendToUnit:
             assert a * w * a == a
 
     def test_precondition_checked(self):
+        # u is not inverse to u' over this v
         v1 = v(LINE2, Q, "v1")
         v2 = v(LINE2, Q, "v2")
-        with pytest.raises(ValueError):
-            extend_to_unit(LINE2, v1, v1, v2)  # u not inverse over this v
-        with pytest.raises(ValueError):
-            # u u' = v holds but u sticks out of the corner of v
+        with pytest.raises(UnitDataError, match="not mutually inverse over v"):
+            extend_to_unit(LINE2, v1, v1, v2)
+        assert issubclass(UnitDataError, ValueError)
+
+    def test_outside_the_corner_is_unit_data_error(self):
+        # u u' = v holds but u sticks out of the corner of v
+        v1 = v(LINE2, Q, "v1")
+        v2 = v(LINE2, Q, "v2")
+        with pytest.raises(UnitDataError, match="do not live in the corner of v"):
             extend_to_unit(LINE2, v1 + v2, v1, v1)
+
+
+class TestCheckClaims:
+    def test_unknown_claim_type_is_named(self):
+        with pytest.raises(UnknownClaimError, match="unknown claim type 'bogus'"):
+            witness.check_claims([("bogus", v(LINE2, Q, "v1"))])
+        assert issubclass(UnknownClaimError, ValueError)
 
 
 # Run under ``python -O`` with the claim evaluator patched to reject every
