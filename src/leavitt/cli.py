@@ -1,10 +1,10 @@
 """Command line driver.
 
 Exit codes: 0 for a decided result, 1 for usage or input errors and for a
-failed self-check (any ``AssertionError``), 2 when a decision is honestly
-unknown (properness over a cyclic graph and a field that is proper but not
-positive definite). Every exit 1 writes one line to stderr, ``error: `` and
-the message.
+failed self-check (any ``AssertionError``) and when stdout's reader went
+away, 2 when a decision is honestly unknown (properness over a cyclic graph
+and a field that is proper but not positive definite). Every exit 1 writes
+one line to stderr, ``error: `` and the message.
 
 Every command takes one path through ``main``: read the arguments, check
 the number of ``-e`` expressions against ``_EXPR_COUNTS`` (one for ``nf``,
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import re
 import sys
 from itertools import chain, compress, repeat
@@ -486,15 +487,22 @@ def main(argv=None) -> int:
     try:
         args = _read_args(sys.argv[1:] if argv is None else list(argv))
         if args.help is not None:
-            print(args.help)
+            print(args.help, flush=True)
             return 0
         exprs = _expressions(args)
         g = _load_graph(args.graph) if args.graph is not None else None
         k = parse_field_spec(args.field) if args.field is not None else None
         result, to_json, to_text = _run(args, g, k, [parse_element(e, g, k) for e in exprs])
-        print(_json_text(to_json(result)) if args.as_json else to_text(result))
+        # flushed here, so that a reader that went away is reported below
+        # and not at interpreter exit
+        print(_json_text(to_json(result)) if args.as_json else to_text(result), flush=True)
     except (ParseError, GraphError, FieldError, AlgebraError, ShapeError,
             AssertionError, ValueError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # what stdout still buffers goes to devnull at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2 if args.command == "decide" and result.proper_algebra == UNKNOWN else 0

@@ -10,8 +10,6 @@ import json
 import pathlib
 import random
 
-import pytest
-
 from leavitt import (
     Element,
     GaussianRationals,
@@ -177,7 +175,6 @@ def test_c02_matrix_properness_exhaustive():
               "matches the field levels, exhaustively")
 
 
-@pytest.mark.slow
 def test_c02_extended_gf5_3x3():
     assert not _matrix_involution_proper(PrimeField(5), 3)
     report(2, "extended run: GF(5) 3x3 matrices are not proper")

@@ -153,6 +153,21 @@ class TestOne:
         assert str(exc.value) == "duplicate identifier a"
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: Element(LINE2, Q, {}), TypeError,
+         "use the Element constructors (zero, vertex, from_terms, ...)"),
+        (lambda: Element.vertex(LINE2, Q, "e1"), GraphError, "unknown vertex e1"),
+        (lambda: Element.edge(LINE2, Q, "v1"), GraphError, "unknown edge v1"),
+        (lambda: Element.ghost(LINE2, Q, "zz"), GraphError, "unknown edge zz"),
+        (lambda: linear_combine([]), AlgebraError, "linear_combine needs at least one term"),
+    ], ids=["Element", "vertex", "edge", "ghost", "linear_combine"])
+    def test_one_named_error(self, build, error, message):
+        with pytest.raises(error) as caught:
+            build()
+        assert (type(caught.value), str(caught.value)) == (error, message)
+
+
 class TestLinearCombine:
     def test_cancellation(self):
         x = edge(LINE2, Q, "e1")

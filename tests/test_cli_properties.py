@@ -116,7 +116,7 @@ def test_json_text_is_stdlib_indent_2(value):
 # Every command and witness kind name, and each form of every option, with
 # values that read as options, as negative numbers and as stdin. Left out
 # are the three places where the reader differs from argparse on purpose,
-# each pinned in tests/test_cli.py: "--", "-h", and construct's kinds, as
+# each pinned in tests/test_console.py: "--", "-h", and construct's kinds, as
 # argparse fills PARAMS only from the positionals right after KIND and the
 # reader from every positional after it.
 ARGV_TOKENS = ("analyze", "decide", "nf", "star", "mul", "phi", "witness", "construct",

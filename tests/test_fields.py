@@ -71,6 +71,17 @@ class TestArithmetic:
         with pytest.raises(FieldMismatchError):
             Q.one + GF3.one
 
+    def test_int_minus_value(self):
+        assert 1 - Q.from_int(3) == Q.from_int(-2)
+        assert 1 - GF5.from_int(3) == GF5.from_int(3)
+        with pytest.raises(TypeError):
+            "x" - Q.from_int(3)
+
+    @pytest.mark.parametrize("k", [Q, QI_ID, QI_CONJ], ids=lambda k: k.spec_string())
+    def test_infinite_fields_list_no_elements(self, k):
+        with pytest.raises(FieldError, match=rf"^{re.escape(k.spec_string())} is infinite$"):
+            k.elements()
+
     def test_gaussian_mul(self):
         i = QI_CONJ.i
         assert i * i == -QI_CONJ.one
@@ -172,6 +183,11 @@ class TestProperness:
     def test_gf5_witness(self):
         assert GF5.improper_tuple(2) == (GF5.one, GF5.from_int(2))
 
+    @pytest.mark.parametrize("k", [Q, QI_CONJ, GF5, GF9], ids=lambda k: k.spec_string())
+    def test_n_below_1_refused(self, k):
+        with pytest.raises(FieldError, match="^n must be positive$"):
+            k.improper_tuple(0)
+
     def test_rationals_always_none(self):
         for n in (1, 2, 3, 4, 5):
             assert Q.improper_tuple(n) is None
@@ -238,7 +254,7 @@ class TestSpecStrings:
             assert parse_field_spec(text).spec_string() == text
 
     def test_rejects(self):
-        for bad in ["R", "GF(4)", "GF(6)", "GF(3,3)", "Q[i]"]:
+        for bad in ["R", "GF(4)", "GF(6)", "GF(3,3)", "Q[i]", "GF(9,2)"]:
             with pytest.raises(FieldError):
                 parse_field_spec(bad)
 

@@ -27,7 +27,7 @@ from leavitt import (
     standard_graph,
     validate,
 )
-from leavitt.graphs import clock_graph, e_f_edge_count, sinks, vertex_set
+from leavitt.graphs import clock_graph, e_f_edge_count, is_path, sinks, vertex_set
 
 from conftest import acyclic_corpus, binary_in_tree, brute_paths_to, corpus, paths_built
 
@@ -176,6 +176,15 @@ class TestSigma:
 
     def test_long_line(self):
         assert sigma(standard_graph("line", 5000)) == 5000
+
+
+class TestIsPath:
+    def test_edges_must_chain(self):
+        assert is_path(LINE3, Path("v1", ("e1", "e2")))
+        # e2 leaves v2, not v1; e1 cannot follow itself
+        assert not is_path(LINE3, Path("v1", ("e2",)))
+        assert not is_path(LINE3, Path("v1", ("e1", "e1")))
+        assert not is_path(LINE3, Path("v2", ("e2", "e1")))
 
 
 class TestEnumeratePaths:
@@ -371,6 +380,19 @@ class TestStandardGraphs:
         g = clock_graph(3, 2)
         assert len(g.vertices) == 3 and len(g.edges) == 4
         assert not is_acyclic(g)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: standard_graph("clock"),
+         "clock graphs take two sizes; compose one with clock_graph(n, m)"),
+        (lambda: standard_graph("line", 0), "n must be positive, got 0"),
+        (lambda: standard_graph("star"), "unknown graph kind 'star'"),
+        (lambda: clock_graph(0, 1), "clock sizes must be positive"),
+        (lambda: clock_graph(1, 0), "clock sizes must be positive"),
+    ], ids=["clock", "line-0", "unknown-kind", "clock-0-1", "clock-1-0"])
+    def test_refusals(self, build, message):
+        with pytest.raises(GraphError) as caught:
+            build()
+        assert str(caught.value) == message
 
     def test_union_requires_disjoint_ids(self):
         with pytest.raises(GraphError):

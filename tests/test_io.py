@@ -331,6 +331,14 @@ class TestParseElement:
         with pytest.raises(ParseError, match="unknown identifier"):
             parse_element("zz", LINE2, Q)
 
+    def test_ambiguous_identifier(self):
+        # Graph.build accepts a vertex and an edge of one id; an expression
+        # cannot tell them apart
+        g = Graph.build(["x", "y"], [("x", "x", "y")])
+        with pytest.raises(ParseError) as caught:
+            parse_element("y + x", g, Q)
+        assert str(caught.value) == "ambiguous identifier 'x' (both a vertex and an edge)"
+
     def test_bare_coefficient_scales_identity(self):
         assert parse_element("3", LINE2, Q) == Element.one(LINE2, Q).scale(3)
 
