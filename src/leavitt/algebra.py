@@ -56,13 +56,12 @@ def special_edges(g: Graph) -> dict:
     return g.index.special
 
 
-def _path_key(p: Path):
-    return (p.edges, p.base)
-
-
-def monomial_key(mono):
-    p, q = mono
-    return (len(p.edges) + len(q.edges), _path_key(p), _path_key(q))
+def _term_key(term):
+    """The canonical order of (monomial p q*, payload) terms: total length,
+    then p's edges and base, then q's edges and base. One flat tuple per
+    term; ``Element.items`` and the printer sort by it."""
+    ((p_base, p_edges), (q_base, q_edges)), _ = term
+    return (len(p_edges) + len(q_edges), p_edges, p_base, q_edges, q_base)
 
 
 def _normalize_terms(g: Graph, field: Field, raw, schedule: str = "lifo") -> dict:
@@ -330,7 +329,7 @@ class Element:
         return [(m, FieldValue(field, c)) for m, c in self._sorted_terms()]
 
     def _sorted_terms(self):
-        return sorted(self._terms.items(), key=lambda kv: monomial_key(kv[0]))
+        return sorted(self._terms.items(), key=_term_key)
 
     def coefficient(self, p: Path, q: Path):
         c = self._terms.get((p, q))
@@ -472,13 +471,6 @@ def local_unit(x: Element) -> Element:
 # printing (the expression grammar; parsing lives in leavitt.io)
 
 
-def format_monomial(p: Path, q: Path) -> str:
-    parts = list(p.edges) + [f"{eid}*" for eid in reversed(q.edges)]
-    if not parts:
-        return p.base
-    return ".".join(parts)
-
-
 def _float_sign(literal: str) -> bool:
     # Safe to move a leading '-' out of the coefficient only if the rest of
     # the literal has no further additive structure.
@@ -499,6 +491,11 @@ def _reads_as_coefficient(field: Field, mono: str) -> bool:
 def format_element(x: Element) -> str:
     """x in the expression grammar.
 
+    Terms print in ``_term_key``'s order, each in one pass. A coefficient
+    of 1 is found by a payload compare (payloads are canonical) and left
+    out unless the monomial would then read as a coefficient; a later
+    term's leading '-' becomes the joiner when the rest has no sign.
+
     The text is formatted once per element and kept on it, so printing the
     same object again (a certificate in its payload and in its claims) costs
     an attribute read. It cannot go stale: only ``__init__`` assigns
@@ -513,20 +510,22 @@ def format_element(x: Element) -> str:
 
 
 def _format_terms(x: Element) -> str:
+    field = x.field
+    one = field._from_int(1)
     out = []
-    for idx, ((p, q), c) in enumerate(x._sorted_terms()):
-        mono = format_monomial(p, q)
-        lit = x.field.literal(c)
-        if idx > 0 and _float_sign(lit):
+    for idx, (((base, p_edges), (_, q_edges)), c) in enumerate(x._sorted_terms()):
+        # p's edges, then q's reversed as ghosts: e1.e2.e3*.e2*
+        mono = ".".join(p_edges) or base
+        if q_edges:
+            ghosts = "*.".join(q_edges[::-1]) + "*"
+            mono = mono + "." + ghosts if p_edges else ghosts
+        lit = "1" if c == one else field.literal(c)
+        joiner = " + " if idx else ""
+        if idx and lit[0] == "-" and _float_sign(lit):
             lit = lit[1:]
             joiner = " - "
-        elif idx > 0:
-            joiner = " + "
+        if lit == "1" and not _reads_as_coefficient(field, mono):
+            out.append(joiner + mono)
         else:
-            joiner = ""
-        if lit == "1" and not _reads_as_coefficient(x.field, mono):
-            body = mono
-        else:
-            body = f"{lit}*{mono}"
-        out.append(joiner + body)
+            out.append(f"{joiner}{lit}*{mono}")
     return "".join(out) or "0"

@@ -432,6 +432,9 @@ def _check_construct_size(kind: str, size: int) -> None:
 
 
 _CONTAINERS = (dict, list, tuple)
+# the exact types the C encoder writes as one JSON scalar; a value of any
+# other type, a subclass of one of these included, is tested with isinstance
+_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 @functools.cache
@@ -452,19 +455,24 @@ def _json_text(obj, level: int = 0) -> str:
     or a container that holds no other container is one call of the C
     encoder, with the newlines after the opening and before the closing
     bracket spliced in, and only containers of containers are walked in
-    Python."""
+    Python. A container is flat when the exact type of every value is one
+    of ``_SCALARS``, one C-level pass, or, once some value has another type
+    (an ``IntEnum``, a ``NamedTuple``), when no value is an instance of a
+    container type. A walk writes each child whose exact type is in
+    ``_SCALARS`` in place and recurses into the others."""
     if c_make_encoder is None:  # no _json accelerator
         return json.dumps(obj, indent=2)
     encode, inner, outer = _indent(level)
     if not isinstance(obj, _CONTAINERS) or not obj:
         return "".join(encode(obj, 0))
     is_dict = isinstance(obj, dict)
-    if not any(map(isinstance, obj.values() if is_dict else obj, repeat(_CONTAINERS))):
+    values = obj.values() if is_dict else obj
+    if (_SCALARS.issuperset(map(type, values))
+            or not any(map(isinstance, values, repeat(_CONTAINERS)))):
         text = "".join(encode(obj, 0))
         return text[0] + inner + text[1:-1] + outer + text[-1]
     if (not is_dict and all(map(isinstance, obj, repeat(dict))) and all(obj)
-            and not any(map(isinstance, chain.from_iterable(map(dict.values, obj)),
-                            repeat(_CONTAINERS)))):
+            and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, obj))))):
         # non-empty dicts of scalars: one call at the items' indent, then a
         # newline and pad around each brace. "}," and the items' pad occur
         # together only between two items, as the pad's newline is escaped
@@ -473,13 +481,15 @@ def _json_text(obj, level: int = 0) -> str:
         text = "".join(encode(obj, 0)).replace(
             "}," + inner2 + "{", inner + "}," + inner + "{" + inner2)
         return "[" + inner + "{" + inner2 + text[2:-2] + inner + "}" + outer + "]"
+    parts = [encode_basestring_ascii(v) if type(v) is str
+             else "".join(encode(v, 0)) if type(v) in _SCALARS
+             else _json_text(v, level + 1) for v in values]
     if is_dict:
         # a key that is not a string is spelled as the C encoder spells it
         parts = [(encode_basestring_ascii(k) if isinstance(k, str)
-                  else "".join(encode({k: 0}, 0))[1:-4])
-                 + ": " + _json_text(v, level + 1) for k, v in obj.items()]
+                  else "".join(encode({k: 0}, 0))[1:-4]) + ": " + part
+                 for k, part in zip(obj, parts)]
         return "{" + inner + ("," + inner).join(parts) + outer + "}"
-    parts = [_json_text(v, level + 1) for v in obj]
     return "[" + inner + ("," + inner).join(parts) + outer + "]"
 
 

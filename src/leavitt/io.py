@@ -6,9 +6,10 @@ Graph text format, one declaration per line, '#' starts a comment:
     edge <id> <source-id> <range-id>
 
 Text in the layout ``format_graph`` writes (vertex lines, then edge lines,
-a newline after every line) is read in whole-text passes: one ``split``
-and C-level counts that prove the layout. Any other text is read line by
-line, with the same graph or the same error.
+a newline after every line) is read in whole-text passes: two keyword
+replacements that also count the lines, a newline count and a byte filter
+prove the layout, and one ``split`` reads it. Any other text is read line
+by line, with the same graph or the same error.
 
 The structured (JSON) graph format is an object with "vertices" and "edges"
 keys only; edges are {"id","src","dst"} objects. Both parsers build the
@@ -85,24 +86,32 @@ def parse_graph(text: str) -> Graph:
 
     Text in ``format_graph``'s layout (vertex lines, then edge lines, a
     newline after every line, only ``_IDENT_CHARS`` and spaces between)
-    is read with one ``split`` of the whole text. C-level counts prove that
-    layout before the tokens are read by position: every newline ends a
-    line that starts ``vertex `` or ``edge ``, and once each keyword is
-    spelled as a character no id has, the keywords sit where lines of two
-    and of four tokens put them. Any other text is read line by line by
-    ``_parse_lines``; both give the same graph and the same errors."""
-    lines = text.count("\n")
-    nv = text.startswith("vertex ") + text.count("\nvertex ")
-    ne = text.startswith("edge ") + text.count("\nedge ")
-    if (nv + ne != lines or not text.endswith("\n") or not text.isascii()
+    is read with one ``split`` of the whole text. Whole-text passes prove
+    that layout before the tokens are read by position: the keyword
+    replacements count the lines that start ``vertex `` and ``edge `` by
+    how much they shorten the text, and their sum must equal the newline
+    count, so every newline ends a line that starts with a keyword; once
+    each keyword is spelled as a character no id has, the keywords sit
+    where lines of two and of four tokens put them. Any other text is read
+    line by line by ``_parse_lines``; both give the same graph and the same
+    errors."""
+    # "<" and ">" for the keywords: split returns one shared object for a
+    # one-character token, so the keywords cost no memory. Each "\nvertex "
+    # replaced shortens the text by 5, each "\nedge " by 3.
+    size = len(text) + 1
+    body = ("\n" + text).replace("\nvertex ", "\n< ")
+    nv, size = (size - len(body)) // 5, len(body)
+    body = body.replace("\nedge ", "\n> ")
+    ne = (size - len(body)) // 3
+    if (nv + ne != text.count("\n") or not text.endswith("\n") or not text.isascii()
             or text.encode().translate(None, _LAYOUT_CHARS)):
         return _parse_lines(text)
-    # "<" and ">" for the keywords: split returns one shared object for a
-    # one-character token, so the keywords cost no memory. A tuple, not a
-    # list: the collector untracks a tuple of strings once, so the
-    # collections that building the edges triggers do not walk the tokens.
-    tokens = tuple(("\n" + text).replace("\nvertex ", "\n< ").replace("\nedge ", "\n> ")
-                   .split())
+    # A tuple, not a list: the collector untracks a tuple of strings once,
+    # so the collections that building the edges triggers do not walk the
+    # tokens.
+    tokens = body.split()
+    del body
+    tokens = tuple(tokens)
     cut = 2 * nv
     if (len(tokens) != cut + 4 * ne or tokens[0:cut:2].count("<") != nv
             or tokens[cut::4].count(">") != ne):

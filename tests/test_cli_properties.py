@@ -6,13 +6,18 @@ exit 0, 1 or 2 with no traceback; exit 1 is one ``error:`` line on stderr,
 and exit 0 needs the command's own count.
 
 The ``--json`` writer: ``_json_text(v)`` is ``json.dumps(v, indent=2)`` for
-any JSON value, tuples and non-string keys included.
+any JSON value, tuples and non-string keys included, and for values whose
+types are subclasses of the JSON types (an ``IntEnum``, a ``str``
+subclass, a ``NamedTuple``, an ``OrderedDict``), which the writer's exact
+type test does not take as plain scalars.
 
 The argv reader: on any argv drawn from the commands' own tokens, ``main``
 reads what the argparse parser it replaced (``conftest.oracle_read_args``)
 read, or both refuse it with exit 1 and one ``error:`` line."""
 
+import enum
 import json
+from collections import OrderedDict
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
@@ -21,7 +26,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
-from leavitt import standard_graph  # noqa: E402
+from leavitt import Edge, Path, standard_graph  # noqa: E402
 from leavitt.cli import _json_text, _read_args, main  # noqa: E402
 from leavitt.io import ParseError, format_graph  # noqa: E402
 
@@ -96,8 +101,42 @@ JSON_VALUES = st.recursive(
     max_leaves=24)
 
 
+class Level(enum.IntEnum):
+    LOW = 0
+    HIGH = 7
+
+
+class Text(str):
+    pass
+
+
+class Number(float):
+    pass
+
+
+class Items(list):
+    pass
+
+
+# the same values with scalars and containers mapped through subclasses,
+# which the C encoder and the stdlib's Python encoder spell as their bases
+SUBCLASS_SCALARS = st.one_of(st.sampled_from(Level), JSON_TEXT.map(Text),
+                             st.floats().map(Number))
+SUBCLASS_VALUES = st.recursive(
+    st.one_of(JSON_SCALARS, SUBCLASS_SCALARS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.lists(inner, max_size=4).map(Items),
+                            st.tuples(inner, inner, inner).map(Edge._make),
+                            st.tuples(inner, inner).map(Path._make),
+                            st.dictionaries(st.one_of(JSON_KEYS, SUBCLASS_SCALARS),
+                                            inner, max_size=4),
+                            st.dictionaries(JSON_KEYS, inner, max_size=4).map(OrderedDict)),
+    max_leaves=24)
+
+
 @PROPERTY_SETTINGS
-@given(value=JSON_VALUES)
+@given(value=st.one_of(JSON_VALUES, SUBCLASS_VALUES))
 @example(value={})
 @example(value=[[], {}, ()])
 @example(value={"a": {"b": [1, (True, None)]}, 2: [], True: "\u00e9"})
@@ -109,6 +148,19 @@ JSON_VALUES = st.recursive(
 @example(value=[{}, {"a": 1}, {}])
 @example(value=[{"a": 1}, {}])
 @example(value={"edges": [{"id": "e1", "src": "v1", "dst": "v2"}], "x": [[{"a": [1]}]]})
+# subclasses of the scalar and container types
+@example(value=[Level.HIGH, Text("a\n"), {Level.LOW: Text("b"), Text("k"): Level.HIGH}])
+@example(value=[Edge("e1", "v1", "v2"), OrderedDict([("b", 1), ("a", [2, Path("v", ())])])])
+@example(value=Edge("e1", "v1", "v2"))
+@example(value=[OrderedDict(id="e1", src="v1"), OrderedDict(id="e2", src="v2")])
+@example(value=Items([1, Items(["a"]), ()]))
+@example(value=float("nan"))
+@example(value=float("inf"))
+@example(value={"x": float("nan"), "y": [float("inf"), -float("inf"), Number(0.5)]})
+# a list of dicts of scalars in which one value is a subclass
+@example(value=[{"id": "e1", "n": 1}, {"id": "e2", "n": Level.HIGH}])
+@example(value=[{"id": Text("e1")}, {"id": "e2", "w": Number("nan")}])
+@example(value=[{"id": "e1", "at": Edge("e1", "v1", "v2")}, {"id": "e2"}])
 def test_json_text_is_stdlib_indent_2(value):
     assert _json_text(value) == json.dumps(value, indent=2)
 

@@ -110,6 +110,12 @@ class TestGraphTextWorkGate:
         assert g == self.G
         assert calls.count("split") >= 1 + len(self.G.vertices) + len(self.G.edges)
 
+    def test_layout_counts_lines_once(self):
+        # the keyword replacements count the vertex and edge lines by how
+        # much they shorten the text, so only the newlines are counted
+        g, calls = self.c_calls(format_graph(self.G), str, ("count", "replace"))
+        assert g == self.G and calls == ["replace", "replace", "count"]
+
     def test_layout_ids_are_checked_once(self):
         # the layout check's translate proves every id spelled, so the
         # index step makes no second pass over the ids
