@@ -432,8 +432,9 @@ def _check_construct_size(kind: str, size: int) -> None:
 
 
 _CONTAINERS = (dict, list, tuple)
-# the exact types the C encoder writes as one JSON scalar; a value of any
-# other type, a subclass of one of these included, is tested with isinstance
+# the exact types the C encoder writes as one JSON scalar; a container that
+# holds a value of any other type, a subclass of one of these included, is
+# walked
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
@@ -456,10 +457,11 @@ def _json_text(obj, level: int = 0) -> str:
     encoder, with the newlines after the opening and before the closing
     bracket spliced in, and only containers of containers are walked in
     Python. A container is flat when the exact type of every value is one
-    of ``_SCALARS``, one C-level pass, or, once some value has another type
-    (an ``IntEnum``, a ``NamedTuple``), when no value is an instance of a
-    container type. A walk writes each child whose exact type is in
-    ``_SCALARS`` in place and recurses into the others."""
+    of ``_SCALARS``, one C-level pass; a container that holds any other
+    type (an ``IntEnum``, a ``NamedTuple``, an ``OrderedDict``) is walked.
+    A walk writes each child whose exact type is in ``_SCALARS`` in place
+    and recurses into the others, so a subclass scalar is one encoder call
+    at the next level."""
     if c_make_encoder is None:  # no _json accelerator
         return json.dumps(obj, indent=2)
     encode, inner, outer = _indent(level)
@@ -467,8 +469,7 @@ def _json_text(obj, level: int = 0) -> str:
         return "".join(encode(obj, 0))
     is_dict = isinstance(obj, dict)
     values = obj.values() if is_dict else obj
-    if (_SCALARS.issuperset(map(type, values))
-            or not any(map(isinstance, values, repeat(_CONTAINERS)))):
+    if _SCALARS.issuperset(map(type, values)):
         text = "".join(encode(obj, 0))
         return text[0] + inner + text[1:-1] + outer + text[-1]
     if (not is_dict and all(map(isinstance, obj, repeat(dict))) and all(obj)

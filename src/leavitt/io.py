@@ -105,6 +105,7 @@ def parse_graph(text: str) -> Graph:
     ne = (size - len(body)) // 3
     if (nv + ne != text.count("\n") or not text.endswith("\n") or not text.isascii()
             or text.encode().translate(None, _LAYOUT_CHARS)):
+        del body  # not held through the line-by-line read
         return _parse_lines(text)
     # A tuple, not a list: the collector untracks a tuple of strings once,
     # so the collections that building the edges triggers do not walk the

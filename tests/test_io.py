@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 
 import pytest
 
@@ -29,6 +30,7 @@ from leavitt import (
     verify_claims,
 )
 from leavitt.io import (
+    _parse_lines,
     claim_nonzero,
     claim_product_equals,
     claim_star_fixed,
@@ -127,6 +129,23 @@ class TestGraphTextWorkGate:
         # stops at the line count, before its own
         g, calls = self.c_calls("# a comment\n" + format_graph(self.G), bytes, ("translate",))
         assert g == self.G and calls == ["translate"]
+
+    @pytest.mark.parametrize("layout", ["comment", "crlf"])
+    def test_other_layouts_hold_no_copy_of_the_text(self, layout):
+        # the layout check's replaced copies are freed before the line by
+        # line read, so its peak is the per-line reader's own
+        text = format_graph(standard_graph("line", 2000))
+        text = "# a comment\n" + text if layout == "comment" else text.replace("\n", "\r\n")
+        peaks = []
+        for parse in (parse_graph, _parse_lines):
+            parse(text)
+            tracemalloc.start()
+            try:
+                parse(text)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] - peaks[1] < len(text) // 2, (peaks, len(text))
 
 
 _EXPECTED = "expected 'vertex <id>' or 'edge <id> <src> <dst>', got "
