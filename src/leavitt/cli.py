@@ -37,15 +37,16 @@ import json
 import os
 import re
 import sys
-from itertools import chain, compress, repeat
+from collections import Counter
+from itertools import chain, compress, count, islice, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import itemgetter
 
 from .algebra import AlgebraError, format_element
 from .decide import UNKNOWN, full_report
 from .fields import FieldError, parse_field_spec
 from .graphs import (
     GraphError,
-    classify_vertex,
     e_f_edge_count,
     e_f_graph,
     is_acyclic,
@@ -290,14 +291,23 @@ def _analyze_json(g) -> dict:
     }
 
 
+# a vertex's tag in ``analyze``, by 2 * (is a sink) + (is a source)
+_TAGS = ("internal", "source", "sink", "sink source")
+
+
 def _analyze_text(g) -> str:
-    table = mu_table(g)
-    lines = [f"vertices: {len(g.vertices)}", f"edges: {len(g.edges)}"]
-    for v in g.vertices:
-        c = classify_vertex(g, v)
-        tags = [t for t, on in (("sink", c.sink), ("source", c.source)) if on]
-        tag = " ".join(tags) if tags else "internal"
-        lines.append(f"  {v}: {tag}, out-degree {c.out_degree}, mu {extnat_to_json(table[v])}")
+    """One line per vertex: its tag, out-degree and path count. The
+    out-degrees come from one counting pass over the source positions and
+    the source flags from one set of the range positions."""
+    index = g.index
+    n = len(index.order)
+    degrees = Counter(index.src)
+    entered = set(index.dst)
+    lines = [f"vertices: {n}", f"edges: {len(g.ids)}"]
+    lines += [f"  {v}: {_TAGS[(not d) * 2 + (i not in entered)]}, out-degree {d}, "
+              f"mu {extnat_to_json(m)}"
+              for i, v, d, m in zip(count(), index.order, map(degrees.get, range(n), repeat(0)),
+                                    mu_table(g).values())]
     lines.append(f"acyclic: {'true' if is_acyclic(g) else 'false'}")
     lines.append(f"sigma: {extnat_to_json(sigma(g))}")
     return "\n".join(lines)
@@ -436,62 +446,106 @@ _CONTAINERS = (dict, list, tuple)
 # holds a value of any other type, a subclass of one of these included, is
 # walked
 _SCALARS = frozenset({str, int, float, bool, type(None)})
+_STR, _INT = frozenset({str}), frozenset({int})
 
 
 @functools.cache
 def _indent(level: int) -> tuple:
-    """The C encoder, the item pad and the closing pad of a container at
-    indent ``level``. The encoder writes a container that holds no other
-    container in one call, its items joined by a comma and the item pad (a
-    newline and the next level's indent)."""
+    """The C encoder, the item pad, the item separator and the closing pad
+    of a container at indent ``level``. The encoder writes a container that
+    holds no other container in one call, its items joined by the
+    separator (a comma, a newline and the next level's indent)."""
     inner = "\n" + "  " * (level + 1)
     return (c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
                            None, ": ", "," + inner, False, False, True),
-            inner, "\n" + "  " * level)
+            inner, "," + inner, "\n" + "  " * level)
 
 
-def _json_text(obj, level: int = 0) -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte. With an indent the
-    stdlib encodes in pure Python, one generator per value; here a scalar
-    or a container that holds no other container is one call of the C
-    encoder, with the newlines after the opening and before the closing
-    bracket spliced in, and only containers of containers are walked in
-    Python. A container is flat when the exact type of every value is one
-    of ``_SCALARS``, one C-level pass; a container that holds any other
-    type (an ``IntEnum``, a ``NamedTuple``, an ``OrderedDict``) is walked.
-    A walk writes each child whose exact type is in ``_SCALARS`` in place
-    and recurses into the others, so a subclass scalar is one encoder call
-    at the next level."""
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, as one ``"".join`` over
+    the flat list of pieces that ``_pieces`` gives. With an indent the
+    stdlib encodes in pure Python, one generator per value; here the work
+    is done by C-level calls and passes."""
     if c_make_encoder is None:  # no _json accelerator
         return json.dumps(obj, indent=2)
-    encode, inner, outer = _indent(level)
+    return "".join(_pieces(obj, 0))
+
+
+def _pieces(obj, level: int) -> list:
+    """The text of ``obj`` at indent ``level``, as a list of strings.
+
+    A scalar or an empty container is one call of the C encoder. So is a
+    container whose values all have an exact type in ``_SCALARS`` (one
+    C-level test): its text is cut once, to put the item pad after the
+    opening bracket and the closing pad before the closing one. A list of
+    dicts of such scalars that share one key tuple, as the edges of a graph
+    do, is one ``%`` template per dict, filled from one column of value
+    texts per key and joined in batches. Any other container (one that
+    holds a container, or a subclass such as an ``IntEnum``, a
+    ``NamedTuple`` or an ``OrderedDict``) is walked: its brackets, pads,
+    keys and separators and the pieces of each value go into one flat list,
+    so the document's text is copied once, by the final join."""
+    encode, inner, sep, outer = _indent(level)
     if not isinstance(obj, _CONTAINERS) or not obj:
-        return "".join(encode(obj, 0))
+        return encode(obj, 0)
     is_dict = isinstance(obj, dict)
     values = obj.values() if is_dict else obj
     if _SCALARS.issuperset(map(type, values)):
         text = "".join(encode(obj, 0))
-        return text[0] + inner + text[1:-1] + outer + text[-1]
-    if (not is_dict and all(map(isinstance, obj, repeat(dict))) and all(obj)
-            and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, obj))))):
-        # non-empty dicts of scalars: one call at the items' indent, then a
-        # newline and pad around each brace. "}," and the items' pad occur
-        # together only between two items, as the pad's newline is escaped
-        # inside any string and every item starts with "{".
-        encode, inner2, _ = _indent(level + 1)
-        text = "".join(encode(obj, 0)).replace(
-            "}," + inner2 + "{", inner + "}," + inner + "{" + inner2)
-        return "[" + inner + "{" + inner2 + text[2:-2] + inner + "}" + outer + "]"
-    parts = [encode_basestring_ascii(v) if type(v) is str
-             else "".join(encode(v, 0)) if type(v) in _SCALARS
-             else _json_text(v, level + 1) for v in values]
-    if is_dict:
-        # a key that is not a string is spelled as the C encoder spells it
-        parts = [(encode_basestring_ascii(k) if isinstance(k, str)
-                  else "".join(encode({k: 0}, 0))[1:-4]) + ": " + part
-                 for k, part in zip(obj, parts)]
-        return "{" + inner + ("," + inner).join(parts) + outer + "}"
-    return "[" + inner + ("," + inner).join(parts) + outer + "]"
+        return [text[0], inner, text[1:-1], outer, text[-1]]
+    if not is_dict and all(map(isinstance, obj, repeat(dict))):
+        keys = tuple(obj[0])
+        if (keys and all(map(keys.__eq__, map(tuple, obj)))
+                and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, obj))))):
+            _, pad, item_sep, close_pad = _indent(level + 1)
+            template = "{" + pad + item_sep.join(
+                key.replace("%", "%%") + ": %s" for key in _key_texts(keys, encode)
+            ) + close_pad + "}"
+            columns = [_scalar_texts(list(map(itemgetter(key), obj)), encode) for key in keys]
+            items = map(template.__mod__, zip(*columns))
+            parts = ["[", inner]
+            # joined a batch at a time, so only one batch of item texts is held
+            while batch := sep.join(islice(items, 4096)):
+                parts += batch, sep
+            parts[-1] = outer
+            parts.append("]")
+            return parts
+    parts = ["{" if is_dict else "[", inner]
+    for key, value in zip(_key_texts(obj, encode) if is_dict else repeat(None), values):
+        if key is not None:
+            parts += key, ": "
+        # a scalar of an exact type is written in place, anything else at
+        # the next level
+        if type(value) is str:
+            parts.append(encode_basestring_ascii(value))
+        elif type(value) in _SCALARS:
+            parts += encode(value, 0)
+        else:
+            parts += _pieces(value, level + 1)
+        parts.append(sep)
+    parts[-1] = outer  # in place of the last separator
+    parts.append("}" if is_dict else "]")
+    return parts
+
+
+def _key_texts(keys, encode):
+    """The JSON text of each of ``keys``; a key that is not a string is
+    spelled as the C encoder spells it."""
+    if _STR.issuperset(map(type, keys)):
+        return map(encode_basestring_ascii, keys)
+    return ["".join(encode({key: 0}, 0))[1:-4] for key in keys]
+
+
+def _scalar_texts(values: list, encode):
+    """The JSON text of each of ``values``, all of exact types in
+    ``_SCALARS``, in one C-level pass: of the function the C encoder calls
+    when they are all ``str`` or all ``int``, else of the encoder."""
+    types = set(map(type, values))
+    if types == _STR:
+        return map(encode_basestring_ascii, values)
+    if types == _INT:
+        return map(int.__repr__, values)
+    return map("".join, map(encode, values, repeat(0)))
 
 
 def main(argv=None) -> int:

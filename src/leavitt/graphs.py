@@ -2,28 +2,37 @@
 
 Everything downstream (path algebra elements, the matrix picture, the
 decision procedures) works over these graphs. Graphs are immutable values
-and all functions here are pure. Every derived table of a graph lives in one
-``GraphIndex``, reached as ``g.index`` and memoized on that graph object.
+and all functions here are pure. A graph stores its vertex tuple and its
+edges as three string columns, ``ids``, ``srcs`` and ``dsts``, in edge
+order; ``g.edges``, the same edges as ``Edge`` tuples, is a view built on
+first read (or the tuple the caller passed to ``Graph``). Every derived
+table of a graph lives in one ``GraphIndex``, reached as ``g.index`` and
+memoized on that graph object.
 
 What is eager: building the index validates the graph and makes only the
-vertex order, each vertex's position in it, the edge lookup by id, and each
-edge's source and range position. A duplicate identifier or a dangling
-endpoint raises ``GraphError`` with the messages of ``validate``, so every
-table-reading function refuses an invalid graph the same way.
+vertex order, each vertex's position in it, each edge id's position in the
+columns, and each edge's source and range position, all from the columns.
+A duplicate identifier or a dangling endpoint raises ``GraphError`` with
+the messages of ``validate``, so every table-reading function refuses an
+invalid graph the same way.
 
 What is built on first read, and by whom: the path counts ``mu`` and
 ``acyclic`` by the verdicts (``decide``, ``analyze``) and by the acyclicity
 check of ``phi`` and the witnesses, in one forward Kahn pass over
 positions; ``sinks``, from the source positions, by ``analyze`` and the
-sink basis; the vertex ``frozenset`` by the expression parser; the out-edge lists by
-normalization's CK2 rewrites, the sink expansion of ``phi`` and vertex
-classification; the in-edge lists when all paths into a vertex are
-enumerated or a vertex is classified; the special edges when an element is
-normalized that has a monomial whose paths end in the same edge; and the
-paths into a sink when a block of that sink is first read or built. So
-``decide`` and ``analyze --json`` build no incidence list and no vertex
-set. Sharing a graph across threads is safe: a race may build a table, or
-one sink's paths, twice, and both copies are equal.
+sink basis; the vertex ``frozenset`` by the expression parser; the
+id-to-``Edge`` table ``edge_by_id`` by the expression parser, element
+constructors and the CK2 rewrites; the out-edge lists by normalization's
+CK2 rewrites, the sink expansion of ``phi`` and ``classify_vertex``; the
+in-edge lists when all paths into a vertex are enumerated or a vertex is
+classified; the special edges when an element is normalized that has a
+monomial whose paths end in the same edge; and the paths into a sink when a
+block of that sink is first read or built. ``is_path``, ``path_range`` and
+the bounded ``enumerate_paths_to`` read the columns through the id
+positions. So ``decide`` and ``analyze --json`` build no ``Edge``, no
+incidence list and no vertex set. Sharing a graph across threads is safe: a
+race may build a table, or one sink's paths, twice, and both copies are
+equal.
 
 Ownership: derived tables never point back to the graph, so a graph and
 everything computed from it are freed by reference counting as soon as the
@@ -35,9 +44,9 @@ built on it) and a ``DecisionReport``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from heapq import nsmallest
-from itertools import compress, count
+from itertools import compress, count, repeat
 from operator import itemgetter, not_
 from typing import Iterable, NamedTuple
 
@@ -79,17 +88,63 @@ class Path(NamedTuple):
         return len(self.edges)
 
 
-@dataclass(frozen=True)
 class Graph:
-    vertices: tuple[str, ...]
-    edges: tuple[Edge, ...]
+    """An immutable graph: ``vertices`` and the edge columns ``ids``,
+    ``srcs`` and ``dsts`` (tuples of strings, in edge order). Two graphs are
+    equal, and hash alike, when those four tuples are equal, whichever
+    constructor or reader made them.
+
+    ``Graph(vertices, edges)`` takes ``Edge``-like (id, src, dst) tuples and
+    keeps their tuple as ``edges``; ``Graph.from_columns`` takes the columns
+    and builds ``edges`` only when it is first read.
+    """
+
+    def __init__(self, vertices: Iterable[str], edges: Iterable[Edge]):
+        edges = tuple(edges)
+        self._set(tuple(vertices), tuple(map(_ID, edges)), tuple(map(_SRC, edges)),
+                  tuple(map(_DST, edges)))
+        self.__dict__["edges"] = edges
+
+    @classmethod
+    def from_columns(cls, vertices: Iterable[str], ids: Iterable[str],
+                     srcs: Iterable[str], dsts: Iterable[str]) -> "Graph":
+        g = cls.__new__(cls)
+        g._set(tuple(vertices), tuple(ids), tuple(srcs), tuple(dsts))
+        if not len(g.ids) == len(g.srcs) == len(g.dsts):
+            raise GraphError("edge columns of different lengths")
+        return g
+
+    def _set(self, vertices, ids, srcs, dsts):
+        self.__dict__.update(vertices=vertices, ids=ids, srcs=srcs, dsts=dsts)
 
     @staticmethod
     def build(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]) -> "Graph":
-        return Graph(tuple(vertices), tuple(Edge(*e) for e in edges))
+        return Graph(vertices, tuple(Edge(*e) for e in edges))
+
+    @functools.cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as ``Edge`` tuples, in column order."""
+        return tuple(map(tuple.__new__, repeat(Edge), zip(self.ids, self.srcs, self.dsts)))
+
+    def _key(self) -> tuple:
+        return self.vertices, self.ids, self.srcs, self.dsts
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self):
-        return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
+        return f"Graph({len(self.vertices)} vertices, {len(self.ids)} edges)"
 
     @functools.cached_property
     def index(self) -> "GraphIndex":
@@ -103,38 +158,53 @@ class Graph:
 class GraphIndex:
     """The derived tables of one graph. Build it through ``g.index``.
 
-    Eager, and all the validation needs: ``order`` (the vertex-order tuple),
-    ``pos`` (each vertex's position in it), ``edge_by_id``, and ``src`` and
-    ``dst`` (each edge's source and range position, in the graph's edge
-    order). Membership tests read ``pos``. A duplicate identifier is seen as
-    a ``pos`` or ``edge_by_id`` shorter than its input, a dangling endpoint
-    as a ``KeyError`` from ``pos``; either raises ``GraphError`` (the
-    ``validate`` messages joined by "; ").
+    Eager, and all the validation needs, all read from the graph's columns:
+    ``order`` (the vertex-order tuple), ``pos`` (each vertex's position in
+    it), ``edge_pos`` (each edge id's position in the columns), and ``src``
+    and ``dst`` (each edge's source and range position, in the graph's edge
+    order). Membership tests read ``pos`` and ``edge_pos``. A duplicate
+    identifier is seen as a ``pos`` or ``edge_pos`` shorter than its input,
+    a dangling endpoint as a ``KeyError`` from ``pos``; either raises
+    ``GraphError`` (the ``validate`` messages joined by "; ").
 
-    Built on first read: ``mu``, ``acyclic`` and ``sigma`` (one Kahn pass
-    over positions), ``sinks``, ``vertices``, ``out_edges``, ``in_edges``,
-    ``special``, ``special_ids``, and each sink's ``sink_table``; the module
-    docstring says who reads each. A bounded enumeration
-    (``enumerate_paths_to`` with a ``limit``) scans the in-edges it needs
-    without building ``in_edges``. Incidence lists are sorted by edge id;
-    the special edge of a non-sink vertex is its greatest outgoing edge id.
-    The index keeps the graph's vertex-order tuple, never the graph itself,
-    so it forms no reference cycle with the graph that memoizes it.
+    Built on first read: ``edge_by_id`` (each id's ``Edge``), ``mu``,
+    ``acyclic`` and ``sigma`` (one Kahn pass over positions), ``sinks``,
+    ``vertices``, ``out_edges``, ``in_edges``, ``special``, ``special_ids``,
+    and each sink's ``sink_table``; the module docstring says who reads
+    each. A bounded enumeration (``enumerate_paths_to`` with a ``limit``)
+    scans the range positions for the in-edges it needs without building
+    ``in_edges``. Incidence lists are sorted by edge id; the special edge of
+    a non-sink vertex is its greatest outgoing edge id. The index keeps the
+    graph's vertex-order tuple and its columns, never the graph itself, so
+    it forms no reference cycle with the graph that memoizes it.
     """
 
     def __init__(self, g: Graph):
-        order, edges = g.vertices, g.edges
+        order, ids = g.vertices, g.ids
         self.order = order
         pos = self.pos = dict(zip(order, count()))
-        self.edge_by_id = dict(zip(map(_ID, edges), edges))
-        if len(pos) < len(order) or len(self.edge_by_id) < len(edges):
+        self.edge_pos = dict(zip(ids, count()))
+        if len(pos) < len(order) or len(self.edge_pos) < len(ids):
             raise _invalid(g)
         try:
-            self.src = list(map(pos.__getitem__, map(_SRC, edges)))
-            self.dst = list(map(pos.__getitem__, map(_DST, edges)))
+            self.src = list(map(pos.__getitem__, g.srcs))
+            self.dst = list(map(pos.__getitem__, g.dsts))
         except KeyError:
             raise _invalid(g) from None
+        self._columns = ids, g.srcs, g.dsts
+        # the graph's Edge tuple if it holds one, so edge_by_id shares it
+        self._edges = vars(g).get("edges")
         self._sink_tables = {}
+
+    @functools.cached_property
+    def edge_by_id(self) -> dict:
+        """Each edge id's ``Edge``, in edge order. Built on first use: the
+        expression parser, the element constructors, the CK2 rewrites and
+        the incidence lists read it, the verdicts never do."""
+        edges = self._edges
+        if edges is None:
+            edges = map(tuple.__new__, repeat(Edge), zip(*self._columns))
+        return dict(zip(self._columns[0], edges))
 
     @functools.cached_property
     def vertices(self) -> frozenset:
@@ -146,14 +216,14 @@ class GraphIndex:
     def out_edges(self) -> dict:
         """The out-edges of each vertex, sorted by edge id. Built on first
         use: normalization's CK2 rewrites, the sink expansion of ``phi`` and
-        vertex classification read it, the verdicts never do."""
+        ``classify_vertex`` read it, the verdicts never do."""
         return self._incidence(_SRC)
 
     @functools.cached_property
     def in_edges(self) -> dict:
         """The in-edges of each vertex, sorted by edge id. Built on first
-        use: only the enumeration of all paths into a vertex and vertex
-        classification read it."""
+        use: only the enumeration of all paths into a vertex and
+        ``classify_vertex`` read it."""
         return self._incidence(_DST)
 
     def _incidence(self, end) -> dict:
@@ -286,12 +356,12 @@ def validate(g: Graph) -> list:
         seen.add(v)
     seen_edges = set()
     vs = set(g.vertices)
-    for e in g.edges:
-        if e.id in seen_edges:
-            errors.append(f"duplicate identifier {e.id}")
-        seen_edges.add(e.id)
-        if e.src not in vs or e.dst not in vs:
-            errors.append(f"dangling endpoint {e.id}")
+    for eid, src, dst in zip(g.ids, g.srcs, g.dsts):
+        if eid in seen_edges:
+            errors.append(f"duplicate identifier {eid}")
+        seen_edges.add(eid)
+        if src not in vs or dst not in vs:
+            errors.append(f"dangling endpoint {eid}")
     return errors
 
 
@@ -342,19 +412,20 @@ def sigma(g: Graph):
 def path_range(g: Graph, p: Path) -> str:
     if not p.edges:
         return p.base
-    return g.index.edge_by_id[p.edges[-1]].dst
+    return g.dsts[g.index.edge_pos[p.edges[-1]]]
 
 
 def is_path(g: Graph, p: Path) -> bool:
     index = g.index
     if p.base not in index.pos:
         return False
+    edge_pos, srcs, dsts = index.edge_pos, g.srcs, g.dsts
     at = p.base
     for eid in p.edges:
-        e = index.edge_by_id.get(eid)
-        if e is None or e.src != at:
+        j = edge_pos.get(eid)
+        if j is None or srcs[j] != at:
             return False
-        at = e.dst
+        at = dsts[j]
     return True
 
 
@@ -365,40 +436,46 @@ def enumerate_paths_to(g: Graph, v: str, limit: int | None = None) -> list:
     entries; when that count is infinite the enumeration is refused. With
     ``limit``, only the first ``limit`` paths of that order are built and
     returned, and the in-edges of each path length's start vertices come
-    from one scan of the edges, so the graph's in-edge table is not built.
+    from one scan of the range positions, so the graph's in-edge table is
+    not built.
     """
     if not is_finite(mu(g, v)):
         raise InfinitePathSetError(f"infinitely many paths end at {v}")
     if limit is None:
         ins = g.index.in_edges
         return _paths_to(lambda level: ins, v)
-    edges = g.edges
-    return _paths_to(lambda level: _in_edges_among(edges, {b for _, b in level}), v, limit)
+    return _paths_to(lambda level: _in_edges_among(g, {b for _, b in level}), v, limit)
 
 
 def _paths_to(in_edges_of, v: str, limit: int | None = None) -> list:
     """``enumerate_paths_to`` in a graph in which finitely many paths end at
     v. A level holds the (edges, base) pairs of one path length in order,
-    and ``in_edges_of(level)`` maps each base to its in-edges, in any order
-    (a vertex without any may be left out). Each level is sorted, except the
-    last one a ``limit`` reaches: only its smallest keys become ``Path``s."""
+    and ``in_edges_of(level)`` maps each base to its in-edges as (id, src,
+    dst) tuples, in any order (a vertex without any may be left out). Each
+    level is sorted, except the last one a ``limit`` reaches: only its
+    smallest keys become ``Path``s."""
     found = [Path(v, ())]
     level = [((), v)]
     while level and (limit is None or len(found) < limit):
         ins = in_edges_of(level)
-        level = [((e.id,) + edges, e.src) for edges, base in level for e in ins.get(base, ())]
+        level = [((eid,) + edges, src) for edges, base in level
+                 for eid, src, _ in ins.get(base, ())]
         over = limit is not None and len(found) + len(level) > limit
         level = nsmallest(limit - len(found), level) if over else sorted(level)
         found += [Path(base, edges) for edges, base in level]
     return found[:limit]
 
 
-def _in_edges_among(edges: tuple, bases: set) -> dict:
-    """The in-edges of the vertices in ``bases``, by vertex: one C-level
-    pass over ``edges`` picks them out."""
+def _in_edges_among(g: Graph, bases: set) -> dict:
+    """The in-edges of the vertices in ``bases``, by vertex, as (id, src,
+    dst) tuples: one C-level pass over the range positions picks them out,
+    and only the picked edges are read from the columns."""
+    index = g.index
+    wanted = set(map(index.pos.__getitem__, bases))
+    ids, srcs, dsts = g.ids, g.srcs, g.dsts
     ins = {}
-    for e in compress(edges, map(bases.__contains__, map(_DST, edges))):
-        ins.setdefault(e.dst, []).append(e)
+    for j in compress(count(), map(wanted.__contains__, index.dst)):
+        ins.setdefault(dsts[j], []).append((ids[j], srcs[j], dsts[j]))
     return ins
 
 
@@ -462,21 +539,20 @@ def clock_graph(n: int, m: int) -> Graph:
 
 def graph_union(a: Graph, b: Graph) -> Graph:
     """Disjoint union; identifier clashes are refused, relabel first."""
-    if set(a.vertices) & set(b.vertices) or {e.id for e in a.edges} & {e.id for e in b.edges}:
+    if set(a.vertices) & set(b.vertices) or set(a.ids) & set(b.ids):
         raise GraphError("graphs share identifiers; relabel before taking a union")
-    return Graph(a.vertices + b.vertices, a.edges + b.edges)
+    return Graph.from_columns(a.vertices + b.vertices, a.ids + b.ids, a.srcs + b.srcs,
+                              a.dsts + b.dsts)
 
 
 def relabel_graph(g: Graph, prefix: str) -> Graph:
-    return Graph.build(
-        [prefix + v for v in g.vertices],
-        [(prefix + e.id, prefix + e.src, prefix + e.dst) for e in g.edges],
-    )
+    add = prefix.__add__
+    return Graph.from_columns(*(map(add, column) for column in g._key()))
 
 
 def _fresh_separator(g: Graph) -> str:
     sep = "@"
-    ids = list(g.vertices) + [e.id for e in g.edges]
+    ids = g.vertices + g.ids
     while any(sep in name for name in ids):
         sep += "@"
     return sep
@@ -491,10 +567,10 @@ def m_n_graph(g: Graph, n: int) -> Graph:
     if n < 1:
         raise GraphError(f"n must be positive, got {n}")
     if n == 1:
-        return Graph(g.vertices, g.edges)
+        return Graph.from_columns(*g._key())
     sep = _fresh_separator(g)
     vertices = list(g.vertices)
-    edges = [tuple(e) for e in g.edges]
+    edges = list(zip(g.ids, g.srcs, g.dsts))
     for v in g.vertices:
         tail = [f"{v}{sep}{i}" for i in range(1, n)]
         vertices.extend(tail)

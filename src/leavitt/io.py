@@ -12,10 +12,13 @@ prove the layout, and one ``split`` reads it. Any other text is read line
 by line, with the same graph or the same error.
 
 The structured (JSON) graph format is an object with "vertices" and "edges"
-keys only; edges are {"id","src","dst"} objects. Both parsers build the
-graph's index, which rejects duplicate identifiers and dangling endpoints
-with the messages of ``graphs.validate``, and then refuse an id that the
-expression grammar below cannot spell.
+keys only; edges are {"id","src","dst"} objects. Every reader produces the
+graph's columns (the vertex tuple and the edge ids, sources and ranges, see
+``graphs.Graph.from_columns``) and builds no ``Edge``; ``format_graph`` and
+``graph_to_json`` read the columns too. Both parsers build the graph's
+index, which rejects duplicate identifiers and dangling endpoints with the
+messages of ``graphs.validate``, and then refuse an id that the expression
+grammar below cannot spell.
 
 Element expressions follow
 
@@ -44,11 +47,11 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import islice, repeat
+from itertools import repeat
 
 from .algebra import Element, _normalize_terms, _product, format_element
 from .fields import Field
-from .graphs import Edge, Graph, GraphError, Path, edge_by_id, vertex_set
+from .graphs import Graph, GraphError, Path, edge_by_id, vertex_set
 from .omega import extnat_to_json
 from .semisimple import MatrixImage
 from .decide import DecisionReport
@@ -107,9 +110,8 @@ def parse_graph(text: str) -> Graph:
             or text.encode().translate(None, _LAYOUT_CHARS)):
         del body  # not held through the line-by-line read
         return _parse_lines(text)
-    # A tuple, not a list: the collector untracks a tuple of strings once,
-    # so the collections that building the edges triggers do not walk the
-    # tokens.
+    # A tuple, not a list: its stride slices are the graph's columns as
+    # they are, with no further copy.
     tokens = body.split()
     del body
     tokens = tuple(tokens)
@@ -117,30 +119,30 @@ def parse_graph(text: str) -> Graph:
     if (len(tokens) != cut + 4 * ne or tokens[0:cut:2].count("<") != nv
             or tokens[cut::4].count(">") != ne):
         return _parse_lines(text)
-    vertices = tokens[1:cut:2]
-    edges = tuple(map(tuple.__new__, repeat(Edge), zip(
-        *(islice(tokens, start, None, 4) for start in range(cut + 1, cut + 4)))))
+    g = Graph.from_columns(tokens[1:cut:2], tokens[cut + 1::4], tokens[cut + 2::4],
+                           tokens[cut + 3::4])
     del tokens  # freed before the index is built
-    return _indexed(Graph(vertices, edges), spelled=True)
+    return _indexed(g, spelled=True)
 
 
 def _parse_lines(text: str) -> Graph:
     """``parse_graph`` one line at a time, for text in any layout."""
-    vertices = []
-    edges = []
+    vertices, ids, srcs, dsts = [], [], [], []
     for lineno, line in enumerate(text.splitlines(), 1):
         if "#" in line:
             line = line.split("#", 1)[0]
         tokens = line.split()
         n = len(tokens)
         if n == 4 and tokens[0] == "edge":
-            edges.append(Edge._make(tokens[1:]))
+            ids.append(tokens[1])
+            srcs.append(tokens[2])
+            dsts.append(tokens[3])
         elif n == 2 and tokens[0] == "vertex":
             vertices.append(tokens[1])
         elif n:
             raise ParseError(f"line {lineno}: expected 'vertex <id>' or "
                              f"'edge <id> <src> <dst>', got {line.strip()!r}")
-    return _indexed(Graph(tuple(vertices), tuple(edges)))
+    return _indexed(Graph.from_columns(vertices, ids, srcs, dsts))
 
 
 def _indexed(g: Graph, spelled: bool = False) -> Graph:
@@ -155,7 +157,7 @@ def _indexed(g: Graph, spelled: bool = False) -> Graph:
         index = g.index
     except GraphError as exc:
         raise ParseError(str(exc)) from None
-    vertices, edges = index.pos.keys(), index.edge_by_id
+    vertices, edges = index.pos.keys(), index.edge_pos
     if not spelled:
         ids = "".join(g.vertices) + "".join(edges)
         if ("" in vertices or "" in edges or not ids.isascii()
@@ -187,7 +189,7 @@ def parse_graph_json(obj) -> Graph:
         raise ParseError("vertices must be a list of strings")
     if not isinstance(edges_in, list):
         raise ParseError("edges must be a list of objects")
-    edges = []
+    ids, srcs, dsts = [], [], []
     for e in edges_in:
         if not isinstance(e, dict):
             raise ParseError("edges must be objects")
@@ -195,13 +197,15 @@ def parse_graph_json(obj) -> Graph:
         if bad:
             raise ParseError(f"unknown edge keys: {sorted(bad)}")
         try:
-            fields = (e["id"], e["src"], e["dst"])
+            eid, src, dst = e["id"], e["src"], e["dst"]
         except KeyError as missing:
             raise ParseError(f"edge missing key {missing}") from None
-        if not all(isinstance(x, str) for x in fields):
+        if not (isinstance(eid, str) and isinstance(src, str) and isinstance(dst, str)):
             raise ParseError("edge id, src and dst must be strings")
-        edges.append(fields)
-    return _indexed(Graph.build(vertices, edges))
+        ids.append(eid)
+        srcs.append(src)
+        dsts.append(dst)
+    return _indexed(Graph.from_columns(vertices, ids, srcs, dsts))
 
 
 def parse_graph_any(text: str) -> Graph:
@@ -215,15 +219,15 @@ def parse_graph_any(text: str) -> Graph:
 
 
 def format_graph(g: Graph) -> str:
-    lines = [f"vertex {v}" for v in g.vertices]
-    lines += [f"edge {e.id} {e.src} {e.dst}" for e in g.edges]
+    lines = list(map("vertex ".__add__, g.vertices))
+    lines += map(" ".join, zip(repeat("edge"), g.ids, g.srcs, g.dsts))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def graph_to_json(g: Graph) -> dict:
     return {
         "vertices": list(g.vertices),
-        "edges": [{"id": e.id, "src": e.src, "dst": e.dst} for e in g.edges],
+        "edges": [{"id": i, "src": s, "dst": d} for i, s, d in zip(g.ids, g.srcs, g.dsts)],
     }
 
 

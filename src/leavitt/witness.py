@@ -33,6 +33,7 @@ it in the same order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .algebra import Element, _check_operands
 from .fields import Field
@@ -189,7 +190,8 @@ def improper_element(g: Graph, k: Field) -> Element | None:
     table = mu_table(g)
     if not table or sigma(g) <= level:
         return None
-    v = min(v for v in g.vertices if table[v] > level)
+    # mu is in vertex order, and level is a finite int here
+    v = min(compress(g.vertices, map(level.__lt__, table.values())))
     n = level + 1
     paths = enumerate_paths_to(g, v, limit=n)
     tup = k.improper_tuple(n)

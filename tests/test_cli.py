@@ -19,8 +19,10 @@ from leavitt import (
     standard_graph,
 )
 from leavitt.cli import main
-from leavitt.graphs import clock_graph
-from leavitt.io import format_graph, verify_claims
+from leavitt.decide import IMPROPER, full_report
+from leavitt.fields import parse_field_spec
+from leavitt.graphs import clock_graph, edge_by_id
+from leavitt.io import format_graph, parse_graph, report_to_json, verify_claims
 
 from conftest import FIVE_FIELDS, acyclic_corpus, ladder, random_element
 
@@ -197,13 +199,14 @@ class TestJsonOutput:
 
 class TestVerdictGraphTables:
     """``decide --json`` and ``analyze --json`` build only the graph tables
-    their verdict reads: positions, the edge lookup and the path counts. No
-    out- or in-edge table, no vertex set and no special edges, also when
-    ``decide`` builds an improper certificate, whose few paths are found by
-    scanning the edges and whose terms end in no common edge, so nothing is
-    left to rewrite."""
+    their verdict reads: positions, the id positions and the path counts. No
+    ``Edge`` (neither ``g.edges`` nor ``edge_by_id``), no out- or in-edge
+    table, no vertex set and no special edges, also when ``decide`` builds
+    an improper certificate, whose few paths are found by scanning the range
+    positions and whose terms end in no common edge, so nothing is left to
+    rewrite."""
 
-    UNBUILT = {"out_edges", "in_edges", "vertices", "special", "special_ids"}
+    UNBUILT = {"edge_by_id", "out_edges", "in_edges", "vertices", "special", "special_ids"}
 
     GRAPHS = {"line3": standard_graph("line", 3), "rose1": standard_graph("rose", 1),
               "toeplitz": standard_graph("toeplitz"), "clock": clock_graph(2, 2)}
@@ -241,6 +244,22 @@ class TestVerdictGraphTables:
                                         "--field", "Q[i]/id", "--json")
         assert (code, json.loads(out)["improper_certificate"]) == (0, "v2 + i*e1")
         assert not tables & self.UNBUILT
+
+    def test_reader_to_output_builds_no_edge(self):
+        # the text reader hands the index its columns, and the verdict, the
+        # improper certificate's path search and check, and both analyze
+        # writers read columns and positions
+        g = parse_graph(format_graph(self.GRAPHS["line3"]))
+        report = full_report(g, parse_field_spec("GF(3)"))
+        assert report.proper_algebra == IMPROPER
+        assert report_to_json(report)["improper_certificate"] == "v3 + e2 + e1.e2"
+        cli._json_text(cli._analyze_json(g))
+        cli._analyze_text(g)
+        assert "edges" not in vars(g) and "edge_by_id" not in vars(g.index)
+        # the control: reading either view builds it
+        assert g.edges == (("e1", "v1", "v2"), ("e2", "v2", "v3"))
+        assert edge_by_id(g)["e2"] == g.edges[1]
+        assert "edges" in vars(g) and "edge_by_id" in vars(g.index)
 
     def test_control_witness_regular_builds_in_edges(self, capsys, monkeypatch, tmp_path):
         # the sink basis enumerates every path along the in-edge table, phi
@@ -289,7 +308,7 @@ class TestRendersOnlyRequestedForm:
     """Each command runs the renderer of the form asked for and no other."""
 
     def test_json_skips_text_renderers(self, capsys, monkeypatch, line2_file):
-        for name in ("format_report", "format_matrix_image", "classify_vertex"):
+        for name in ("format_report", "format_matrix_image", "_analyze_text"):
             monkeypatch.setattr(cli, name, _raise)
         for argv, golden in (
             (["decide", line2_file, "--field", "Q"], "decide_line2_Q.json"),

@@ -141,10 +141,14 @@ SUBCLASS_VALUES = st.recursive(
 @example(value=[[], {}, ()])
 @example(value={"a": {"b": [1, (True, None)]}, 2: [], True: "\u00e9"})
 @example(value=[{"id": "e1", "src": "v1", "dst": "v2"}, [10 ** 30]])
-# lists of non-empty dicts of scalars are one encoder call and a replace
+# lists of non-empty dicts of scalars
 @example(value=[{"a": "},\n    {", "b": "[x]"}, {"c": "},{\n", "d": "}, {"}])
 @example(value=({"id": "}", "n": 1}, {"id": "{", "n": None}))
 @example(value=[{1: "a", None: "b"}, {True: 2.5, 0: None, 1.5: False}])
+# dicts that share a key tuple fill one template: keys that hold "%", and
+# more dicts than one batch of the join
+@example(value=[{"a%s": 1, "%%": "%d"}, {"a%s": 2, "%%": "%"}])
+@example(value=[{"id": f"e{i}", "n": i, "w": i % 2 == 0} for i in range(4097)])
 @example(value=[{}, {"a": 1}, {}])
 @example(value=[{"a": 1}, {}])
 @example(value={"edges": [{"id": "e1", "src": "v1", "dst": "v2"}], "x": [[{"a": [1]}]]})

@@ -1,8 +1,10 @@
 """Property tests of the path counts and the incidence tables on small random
 multigraphs, checked through the forward-walk and reachability oracles of
 conftest and a brute-force scan of the edges; invalid draws must be refused
-with validate's messages."""
+with validate's messages. Every reader and constructor gives one graph, or
+one error, for the same data."""
 
+import json
 from collections import Counter
 
 import pytest
@@ -11,7 +13,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from leavitt import OMEGA, Graph, GraphError, is_acyclic, mu_table, sigma  # noqa: E402
-from leavitt.graphs import in_edges, out_edges, path_range, sinks, validate  # noqa: E402
+from leavitt.graphs import (  # noqa: E402
+    Edge,
+    edge_by_id,
+    in_edges,
+    out_edges,
+    path_range,
+    sinks,
+    validate,
+)
+from leavitt.io import _parse_lines, format_graph, graph_to_json, parse_graph  # noqa: E402
+from leavitt.io import parse_graph_json  # noqa: E402
 
 from conftest import brute_paths, cycle_reached  # noqa: E402
 from test_linalg_properties import PROPERTY_SETTINGS  # noqa: E402
@@ -79,3 +91,47 @@ def test_tables_match_a_scan_or_refuse(g):
     for v in g.vertices:
         assert out_edges(g, v) == tuple(e for e in by_id if e.src == v), v
         assert in_edges(g, v) == tuple(e for e in by_id if e.dst == v), v
+
+
+def readings(g) -> dict:
+    """The graph that each reader and constructor makes of g's data, with
+    its index built, or the text of the error that refuses it, by name."""
+    text = format_graph(g)
+    edges = [tuple(e) for e in g.edges]
+    makers = {
+        "layout": lambda: parse_graph(text),
+        "lines": lambda: _parse_lines("# the same graph\n" + text),
+        "json": lambda: parse_graph_json(json.dumps(graph_to_json(g))),
+        "build": lambda: Graph.build(list(g.vertices), edges),
+        "init": lambda: Graph(g.vertices, tuple(map(Edge._make, edges))),
+    }
+    out = {}
+    for name, make in makers.items():
+        try:
+            h = make()
+            h.index
+        except ValueError as exc:  # ParseError or GraphError
+            out[name] = str(exc)
+        else:
+            out[name] = h
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(multigraphs(invalid=True))
+def test_every_reader_gives_one_graph_or_one_error(g):
+    errors = validate(g)
+    got = readings(g)
+    if errors:
+        message = "; ".join(errors)
+        assert "\n" not in message
+        assert got == dict.fromkeys(got, message)
+        return
+    first = got["build"]
+    for name, h in got.items():
+        assert h == first and hash(h) == hash(first), name
+        assert h.edges == first.edges and {type(e) for e in h.edges} <= {Edge}, name
+        assert edge_by_id(h) == edge_by_id(first), name
+        index = h.index
+        assert (index.pos, index.src, index.dst) == (first.index.pos, first.index.src,
+                                                     first.index.dst), name

@@ -11,7 +11,8 @@ Memory is ``tracemalloc``'s peak while the command runs, measured after one
 warm-up run of the family's smallest member, so every size starts from the
 same process state. Peaks wander with the power-of-two growth of dicts and
 lists, so a memory gate bounds bytes per unit of input at every size, not
-the per-doubling ratio.
+the per-doubling ratio. The JSON writer's gate bounds its peak per byte it
+writes.
 """
 
 import os
@@ -23,9 +24,10 @@ from io import StringIO
 import pytest
 
 import leavitt
+from leavitt import cli
 from leavitt.cli import main
 from leavitt.graphs import Graph
-from leavitt.io import format_graph
+from leavitt.io import format_graph, parse_graph
 
 PACKAGE = os.path.dirname(leavitt.__file__) + os.sep
 
@@ -107,11 +109,11 @@ def test_work_grows_linearly_with_the_graph(capsys, dag_files, command):
 
 
 # Peak bytes per edge on the layered DAGs above (800 to 3,200 edges). The
-# peaks read 517-531 (decide) and 1,106-1,115 (analyze) on Python 3.11,
-# 550-565 and 1,181-1,189 on 3.10, and less on 3.12 and 3.13. Bounds 6%
-# and 9% over the 3.10 peaks fail when a run keeps a second copy of the
-# token strings (about 200 bytes per edge) or a term that outgrows the edges.
-BYTES_PER_EDGE = {"decide": 600, "analyze": 1300}
+# peaks read 462-486 (decide) and 764-787 (analyze) on Python 3.11, 497-520
+# and 836-861 on 3.10, and less on 3.12 and 3.13. Bounds 6% and 9% over the
+# 3.10 peaks fail when a run keeps a second copy of the token strings (about
+# 200 bytes per edge) or a term that outgrows the edges.
+BYTES_PER_EDGE = {"decide": 555, "analyze": 940}
 
 
 @pytest.mark.parametrize("command", [["decide", "--field", "GF(3)", "--json"],
@@ -124,3 +126,25 @@ def test_memory_grows_linearly_with_the_graph(dag_files, command):
     per_edge = [peak_bytes([command[0], f, *command[1:]]) / (8 * width)
                 for f, width in zip(sized, (100, 200, 400))]
     assert max(per_edge) <= BYTES_PER_EDGE[command[0]], per_edge
+
+
+# ``_json_text``'s tracemalloc peak over the length of its output, on the
+# ``analyze --json`` object of the 16,000-edge layered DAG (1.69 MB of
+# text). A writer that holds its pieces while it joins them cannot go below
+# 2. One join over a flat list of pieces reads 2.11 on Python 3.10 and 3.11
+# and 2.00 on 3.12 and 3.13; chained ``+`` around each container's joined
+# values read 3.07 (3.00 on 3.12).
+JSON_PEAK_PER_BYTE = 2.25
+
+
+def test_json_writer_holds_little_beside_its_output():
+    obj = cli._analyze_json(parse_graph(format_graph(layered_dag(2000))))
+    cli._json_text({"warm": [obj["edges"][0]]})
+    tracemalloc.start()
+    try:
+        text = cli._json_text(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 1_600_000
+    assert peak / len(text) <= JSON_PEAK_PER_BYTE, (peak, len(text))
