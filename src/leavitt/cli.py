@@ -38,9 +38,8 @@ import os
 import re
 import sys
 from collections import Counter
-from itertools import chain, compress, count, islice, repeat
+from itertools import compress, count, islice, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from operator import itemgetter
 
 from .algebra import AlgebraError, format_element
 from .decide import UNKNOWN, full_report
@@ -278,11 +277,28 @@ def _expressions(args) -> list:
     return args.expr
 
 
+class _EdgeColumns:
+    """The edge list of ``graph`` as ``io.graph_to_json`` gives it, one
+    {"id", "src", "dst"} object per edge in edge order; ``_pieces`` writes
+    it from the graph's columns, with no dict per edge."""
+
+    __slots__ = ("graph",)
+
+    def __init__(self, graph):
+        self.graph = graph
+
+
+def _graph_json(g) -> dict:
+    """``io.graph_to_json(g)`` as ``_json_text`` writes it: the vertex
+    tuple and the edge list as an ``_EdgeColumns``."""
+    return {"vertices": g.vertices, "edges": _EdgeColumns(g)}
+
+
 def _analyze_json(g) -> dict:
     table = mu_table(g)
     acyclic = is_acyclic(g)
     return {
-        **graph_to_json(g),
+        **_graph_json(g),
         "acyclic": acyclic,
         "sinks": list(sinks(g)),
         # in vertex order already, and all ints when acyclic
@@ -333,7 +349,7 @@ def _run(args, g, k, xs):
                 lambda head: {**head, "claims": claims_to_json(claims), "verified": True},
                 lambda head: text)
     if command == "construct":
-        return (_construct(args.kind, args.params), graph_to_json,
+        return (_construct(args.kind, args.params), _graph_json,
                 lambda g: format_graph(g).rstrip("\n"))
     x = xs[0] * xs[1] if command == "mul" else xs[0].star() if command == "star" else xs[0]
     return format_element(x), lambda text: {"element": text}, str
@@ -446,7 +462,10 @@ _CONTAINERS = (dict, list, tuple)
 # holds a value of any other type, a subclass of one of these included, is
 # walked
 _SCALARS = frozenset({str, int, float, bool, type(None)})
-_STR, _INT = frozenset({str}), frozenset({int})
+_STR = frozenset({str})
+# most items (or edges) written by one encoder call or one join, so neither
+# holds a list of pieces for more than one batch
+_BATCH = 4096
 
 
 @functools.cache
@@ -463,68 +482,94 @@ def _indent(level: int) -> tuple:
 
 def _json_text(obj) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, as one ``"".join`` over
-    the flat list of pieces that ``_pieces`` gives. With an indent the
-    stdlib encodes in pure Python, one generator per value; here the work
-    is done by C-level calls and passes."""
+    the flat list of pieces that ``_pieces`` gives, where an
+    ``_EdgeColumns`` is written as its list of edge dicts. With an indent
+    the stdlib encodes in pure Python, one generator per value; here the
+    work is done by C-level calls and passes."""
     if c_make_encoder is None:  # no _json accelerator
-        return json.dumps(obj, indent=2)
+        return json.dumps(obj, indent=2,
+                          default=lambda edges: graph_to_json(edges.graph)["edges"])
     return "".join(_pieces(obj, 0))
 
 
 def _pieces(obj, level: int) -> list:
     """The text of ``obj`` at indent ``level``, as a list of strings.
 
-    A scalar or an empty container is one call of the C encoder. So is a
-    container whose values all have an exact type in ``_SCALARS`` (one
-    C-level test): its text is cut once, to put the item pad after the
-    opening bracket and the closing pad before the closing one. A list of
-    dicts of such scalars that share one key tuple, as the edges of a graph
-    do, is one ``%`` template per dict, filled from one column of value
-    texts per key and joined in batches. Any other container (one that
-    holds a container, or a subclass such as an ``IntEnum``, a
-    ``NamedTuple`` or an ``OrderedDict``) is walked: its brackets, pads,
-    keys and separators and the pieces of each value go into one flat list,
-    so the document's text is copied once, by the final join."""
+    An ``_EdgeColumns`` is written from its columns by ``_edge_pieces``. A
+    scalar or an empty container is one call of the C encoder. A container
+    whose values all have an exact type in ``_SCALARS`` (one C-level test)
+    is one encoder call per batch of ``_BATCH`` items, each text cut once
+    to drop its brackets; the batches are joined by the item separator
+    between the item pad after the opening bracket and the closing pad
+    before the closing one. Any other container (one that holds a
+    container, or a subclass such as an ``IntEnum``, a ``NamedTuple`` or an
+    ``OrderedDict``) is walked: its brackets, pads, keys and separators and
+    the pieces of each value go into one flat list, so the document's text
+    is copied once, by the final join."""
+    if type(obj) is _EdgeColumns:
+        return _edge_pieces(obj, level)
     encode, inner, sep, outer = _indent(level)
     if not isinstance(obj, _CONTAINERS) or not obj:
         return encode(obj, 0)
     is_dict = isinstance(obj, dict)
     values = obj.values() if is_dict else obj
-    if _SCALARS.issuperset(map(type, values)):
-        text = "".join(encode(obj, 0))
-        return [text[0], inner, text[1:-1], outer, text[-1]]
-    if not is_dict and all(map(isinstance, obj, repeat(dict))):
-        keys = tuple(obj[0])
-        if (keys and all(map(keys.__eq__, map(tuple, obj)))
-                and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, obj))))):
-            _, pad, item_sep, close_pad = _indent(level + 1)
-            template = "{" + pad + item_sep.join(
-                key.replace("%", "%%") + ": %s" for key in _key_texts(keys, encode)
-            ) + close_pad + "}"
-            columns = [_scalar_texts(list(map(itemgetter(key), obj)), encode) for key in keys]
-            items = map(template.__mod__, zip(*columns))
-            parts = ["[", inner]
-            # joined a batch at a time, so only one batch of item texts is held
-            while batch := sep.join(islice(items, 4096)):
-                parts += batch, sep
-            parts[-1] = outer
-            parts.append("]")
-            return parts
     parts = ["{" if is_dict else "[", inner]
-    for key, value in zip(_key_texts(obj, encode) if is_dict else repeat(None), values):
-        if key is not None:
-            parts += key, ": "
-        # a scalar of an exact type is written in place, anything else at
-        # the next level
-        if type(value) is str:
-            parts.append(encode_basestring_ascii(value))
-        elif type(value) in _SCALARS:
-            parts += encode(value, 0)
+    if _SCALARS.issuperset(map(type, values)):
+        if len(obj) <= _BATCH:
+            batches = (obj,)
         else:
-            parts += _pieces(value, level + 1)
-        parts.append(sep)
+            make, items = (dict, iter(obj.items())) if is_dict else (list, iter(obj))
+            batches = iter(lambda: make(islice(items, _BATCH)), make())
+        for batch in batches:
+            parts += "".join(encode(batch, 0))[1:-1], sep
+    else:
+        for key, value in zip(_key_texts(obj, encode) if is_dict else repeat(None), values):
+            if key is not None:
+                parts += key, ": "
+            # a scalar of an exact type is written in place, anything else
+            # at the next level
+            if type(value) is str:
+                parts.append(encode_basestring_ascii(value))
+            elif type(value) in _SCALARS:
+                parts += encode(value, 0)
+            else:
+                parts += _pieces(value, level + 1)
+            parts.append(sep)
     parts[-1] = outer  # in place of the last separator
     parts.append("}" if is_dict else "]")
+    return parts
+
+
+def _edge_pieces(edges: _EdgeColumns, level: int) -> list:
+    """The text of ``edges`` at indent ``level``: per batch of ``_BATCH``
+    edges, one join over a list that holds, per edge, the text that opens
+    its object, its id, the text before its source, its source, the text
+    before its range and its range. The list starts as the opening text
+    repeated and five slice assignments fill in the rest, the three columns
+    through the C string encoder."""
+    g = edges.graph
+    ids, srcs, dsts = g.ids, g.srcs, g.dsts
+    n = len(ids)
+    if not n:
+        return ["[]"]
+    _, inner, sep, outer = _indent(level)
+    _, pad, item_sep, close = _indent(level + 1)
+    head = "{" + pad + '"id": '
+    src, dst, between = item_sep + '"src": ', item_sep + '"dst": ', close + "}" + sep + head
+    parts = []
+    for lo in range(0, n, _BATCH):
+        hi = min(lo + _BATCH, n)
+        k = hi - lo
+        batch = [between] * (6 * k)
+        batch[1::6] = map(encode_basestring_ascii, ids[lo:hi])
+        batch[2::6] = [src] * k
+        batch[3::6] = map(encode_basestring_ascii, srcs[lo:hi])
+        batch[4::6] = [dst] * k
+        batch[5::6] = map(encode_basestring_ascii, dsts[lo:hi])
+        if not lo:
+            batch[0] = "[" + inner + head
+        parts.append("".join(batch))
+    parts.append(close + "}" + outer + "]")
     return parts
 
 
@@ -534,18 +579,6 @@ def _key_texts(keys, encode):
     if _STR.issuperset(map(type, keys)):
         return map(encode_basestring_ascii, keys)
     return ["".join(encode({key: 0}, 0))[1:-4] for key in keys]
-
-
-def _scalar_texts(values: list, encode):
-    """The JSON text of each of ``values``, all of exact types in
-    ``_SCALARS``, in one C-level pass: of the function the C encoder calls
-    when they are all ``str`` or all ``int``, else of the encoder."""
-    types = set(map(type, values))
-    if types == _STR:
-        return map(encode_basestring_ascii, values)
-    if types == _INT:
-        return map(int.__repr__, values)
-    return map("".join, map(encode, values, repeat(0)))
 
 
 def main(argv=None) -> int:

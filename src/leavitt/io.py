@@ -15,7 +15,9 @@ The structured (JSON) graph format is an object with "vertices" and "edges"
 keys only; edges are {"id","src","dst"} objects. Every reader produces the
 graph's columns (the vertex tuple and the edge ids, sources and ranges, see
 ``graphs.Graph.from_columns``) and builds no ``Edge``; ``format_graph`` and
-``graph_to_json`` read the columns too. Both parsers build the graph's
+``graph_to_json`` read the columns too, and the CLI's ``--json`` writer
+writes the same edge objects straight from the columns, with no dict per
+edge (``cli._graph_json``). Both parsers build the graph's
 index, which rejects duplicate identifiers and dangling endpoints with the
 messages of ``graphs.validate``, and then refuse an id that the expression
 grammar below cannot spell.

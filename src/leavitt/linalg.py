@@ -223,9 +223,11 @@ def _factor(field: Field, M, m: int, n: int):
 
     P, Qinv = _transpose(Pc, m), _transpose([Qinvc[j] for j in at], n)
     Q, D = [Q[j] for j in at], _identity(field, rank) + [{} for _ in range(m - rank)]
+    # P.D is P restricted to its first ``rank`` columns
+    PD = [{c: x for c, x in row.items() if c < rank} for row in P]
     if not (_mul(field, P, Pinv) == _identity(field, m)
             and _mul(field, Q, Qinv) == _identity(field, n)
-            and _mul(field, _mul(field, P, D), Q) == A):
+            and _mul(field, PD, Q) == A):
         raise AssertionError("rank factorization failed self-check")
     return P, Pinv, D, Q, Qinv, rank
 

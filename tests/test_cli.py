@@ -320,7 +320,7 @@ class TestRendersOnlyRequestedForm:
 
     def test_text_skips_json_renderers(self, capsys, monkeypatch, line2_file):
         for name in ("report_to_json", "matrix_image_to_json", "graph_to_json",
-                     "claims_to_json"):
+                     "_graph_json", "claims_to_json"):
             monkeypatch.setattr(cli, name, _raise)
         for argv, golden in (
             (["decide", line2_file, "--field", "Q"], "decide_line2_Q.txt"),

@@ -11,6 +11,9 @@ types are subclasses of the JSON types (an ``IntEnum``, a ``str``
 subclass, a ``NamedTuple``, an ``OrderedDict``), which the writer's exact
 type test does not take as plain scalars.
 
+The column writer: the view ``_graph_json(g)`` is written as
+``json.dumps(graph_to_json(g), indent=2)`` writes the dicts, at any depth.
+
 The argv reader: on any argv drawn from the commands' own tokens, ``main``
 reads what the argparse parser it replaced (``conftest.oracle_read_args``)
 read, or both refuse it with exit 1 and one ``error:`` line."""
@@ -26,9 +29,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
-from leavitt import Edge, Path, standard_graph  # noqa: E402
-from leavitt.cli import _json_text, _read_args, main  # noqa: E402
-from leavitt.io import ParseError, format_graph  # noqa: E402
+from leavitt import Edge, Graph, Path, standard_graph  # noqa: E402
+from leavitt import cli  # noqa: E402
+from leavitt.cli import _graph_json, _json_text, _read_args, main  # noqa: E402
+from leavitt.io import ParseError, format_graph, graph_to_json  # noqa: E402
 
 from conftest import oracle_read_args  # noqa: E402
 
@@ -145,11 +149,18 @@ SUBCLASS_VALUES = st.recursive(
 @example(value=[{"a": "},\n    {", "b": "[x]"}, {"c": "},{\n", "d": "}, {"}])
 @example(value=({"id": "}", "n": 1}, {"id": "{", "n": None}))
 @example(value=[{1: "a", None: "b"}, {True: 2.5, 0: None, 1.5: False}])
-# dicts that share a key tuple fill one template: keys that hold "%", and
-# more dicts than one batch of the join
+# lists of dicts that share a key tuple: keys that hold "%", and more dicts
+# than one batch
 @example(value=[{"a%s": 1, "%%": "%d"}, {"a%s": 2, "%%": "%"}])
 @example(value=[{"id": f"e{i}", "n": i, "w": i % 2 == 0} for i in range(4097)])
 @example(value=[{}, {"a": 1}, {}])
+# flat containers of one batch and past one, written one encoder call per
+# batch: a dict, a list with a subclass container inside (so walked), a
+# tuple, and an OrderedDict
+@example(value={f"v{i}": i for i in range(4096)})
+@example(value={"mu": {f"v{i}": i for i in range(4097)}, "n": [None] * 8193})
+@example(value=[tuple(f"\u00e9{i}" for i in range(9000)), Items([1])])
+@example(value=OrderedDict((i, i % 2 == 0) for i in range(4097)))
 @example(value=[{"a": 1}, {}])
 @example(value={"edges": [{"id": "e1", "src": "v1", "dst": "v2"}], "x": [[{"a": [1]}]]})
 # subclasses of the scalar and container types
@@ -167,6 +178,43 @@ SUBCLASS_VALUES = st.recursive(
 @example(value=[{"id": "e1", "at": Edge("e1", "v1", "v2")}, {"id": "e2"}])
 def test_json_text_is_stdlib_indent_2(value):
     assert _json_text(value) == json.dumps(value, indent=2)
+
+
+# identifiers that JSON escapes: quotes, backslashes, control and non-ASCII
+# characters
+GRAPH_IDS = st.text(alphabet='ab"\\/\n\x00\u00e9\u2028\U0001f600', min_size=1, max_size=4)
+
+
+@st.composite
+def id_graphs(draw):
+    """A ``Graph.build`` graph over drawn identifiers: distinct vertices and
+    edge ids, each edge between two of the vertices."""
+    names = draw(st.lists(GRAPH_IDS, unique=True, min_size=1, max_size=12))
+    cut = draw(st.integers(1, len(names)))
+    vertices, ids = names[:cut], names[cut:]
+    ends = st.sampled_from(vertices)
+    return Graph.build(vertices, [(i, draw(ends), draw(ends)) for i in ids])
+
+
+@PROPERTY_SETTINGS
+@given(g=st.one_of(id_graphs(), st.builds(standard_graph, st.sampled_from(("line", "rose")),
+                                          st.integers(1, 9))),
+       depth=st.integers(0, 2), accelerated=st.booleans())
+@example(g=Graph.build([], []), depth=0, accelerated=True)
+@example(g=Graph.build(["v"], []), depth=1, accelerated=True)
+@example(g=Graph.build(['"\\', "\u00e9"], [("\u2028", '"\\', "\u00e9")]), depth=0,
+         accelerated=False)
+# past the first batch of edges, and exactly two batches
+@example(g=standard_graph("rose", 4097), depth=0, accelerated=True)
+@example(g=standard_graph("line", 8193), depth=2, accelerated=True)
+def test_column_writer_is_stdlib_indent_2(g, depth, accelerated):
+    view, dicts = _graph_json(g), graph_to_json(g)
+    for _ in range(depth):
+        view, dicts = {"g": [view, 1]}, {"g": [dicts, 1]}
+    with pytest.MonkeyPatch.context() as patch:
+        if not accelerated:
+            patch.setattr(cli, "c_make_encoder", None)
+        assert _json_text(view) == json.dumps(dicts, indent=2)
 
 
 # Every command and witness kind name, and each form of every option, with
