@@ -52,8 +52,9 @@ class AlgebraError(ValueError):
 
 
 def special_edges(g: Graph) -> dict:
-    """The designated outgoing edge at each non-sink vertex."""
-    return g.index.special
+    """The designated (greatest-id outgoing) edge at each non-sink vertex."""
+    index = g.index
+    return {v: index.ids[js[-1]] for v, js in zip(index.order, index.outs) if js}
 
 
 def _term_key(term):
@@ -215,17 +216,19 @@ def _ck2_rewrites(index, field: Field, work: deque, schedule: str):
     no table when there is nothing to rewrite."""
     if not work:
         return
-    emap, outs, neg = index.edge_by_id, index.out_edges, field._neg
+    ids, edge_pos, src, outs = index.ids, index.edge_pos, index.src, index.outs
+    neg = field._neg
     pop = work.pop if schedule == "lifo" else work.popleft
     while work:
         c, p, q = pop()
         f = p.edges[-1]
         p0, q0 = _path((p.base, p.edges[:-1])), _path((q.base, q.edges[:-1]))
         minus = neg(c)
-        for e in outs[emap[f].src]:
-            if e.id != f:
-                yield (minus, _path((p0.base, p0.edges + (e.id,))),
-                       _path((q0.base, q0.edges + (e.id,))))
+        for j in outs[src[edge_pos[f]]]:
+            e = ids[j]
+            if e != f:
+                yield (minus, _path((p0.base, p0.edges + (e,))),
+                       _path((q0.base, q0.edges + (e,))))
         yield (c, p0, q0)
 
 
@@ -244,6 +247,14 @@ def _check_operands(graph: Graph, field: Field, other_graph: Graph, other_field:
         raise AlgebraError(f"{what} live over different graphs")
     if field is not other_field and field != other_field:
         raise FieldMismatchError(f"{what} live over different fields")
+
+
+def _edge_monomial(g: Graph, eid: str) -> tuple[Path, Path]:
+    """(e, r(e)), the monomial of edge e, read off the columns."""
+    j = g.index.edge_pos.get(eid)
+    if j is None:
+        raise GraphError(f"unknown edge {eid}")
+    return Path(g.srcs[j], (eid,)), Path(g.dsts[j], ())
 
 
 class Element:
@@ -297,21 +308,13 @@ class Element:
 
     @staticmethod
     def edge(graph, field, eid: str) -> "Element":
-        e = graph.index.edge_by_id.get(eid)
-        if e is None:
-            raise GraphError(f"unknown edge {eid}")
-        p = Path(e.src, (eid,))
-        return Element(graph, field, {(p, Path(e.dst, ())): field._from_int(1)},
-                       _trusted=True)
+        p, q = _edge_monomial(graph, eid)
+        return Element(graph, field, {(p, q): field._from_int(1)}, _trusted=True)
 
     @staticmethod
     def ghost(graph, field, eid: str) -> "Element":
-        e = graph.index.edge_by_id.get(eid)
-        if e is None:
-            raise GraphError(f"unknown edge {eid}")
-        q = Path(e.src, (eid,))
-        return Element(graph, field, {(Path(e.dst, ()), q): field._from_int(1)},
-                       _trusted=True)
+        p, q = _edge_monomial(graph, eid)
+        return Element(graph, field, {(q, p): field._from_int(1)}, _trusted=True)
 
     @staticmethod
     def one(graph, field) -> "Element":

@@ -14,25 +14,27 @@ vertex order, each vertex's position in it, each edge id's position in the
 columns, and each edge's source and range position, all from the columns.
 A duplicate identifier or a dangling endpoint raises ``GraphError`` with
 the messages of ``validate``, so every table-reading function refuses an
-invalid graph the same way.
+invalid graph the same way. No table of the index holds an ``Edge``: edges
+are positions into the columns.
 
 What is built on first read, and by whom: the path counts ``mu`` and
 ``acyclic`` by the verdicts (``decide``, ``analyze``) and by the acyclicity
 check of ``phi`` and the witnesses, in one forward Kahn pass over
 positions; ``sinks``, from the source positions, by ``analyze`` and the
-sink basis; the vertex ``frozenset`` by the expression parser; the
-id-to-``Edge`` table ``edge_by_id`` by the expression parser, element
-constructors and the CK2 rewrites; the out-edge lists by normalization's
-CK2 rewrites, the sink expansion of ``phi`` and ``classify_vertex``; the
-in-edge lists when all paths into a vertex are enumerated or a vertex is
-classified; the special edges when an element is normalized that has a
-monomial whose paths end in the same edge; and the paths into a sink when a
-block of that sink is first read or built. ``is_path``, ``path_range`` and
-the bounded ``enumerate_paths_to`` read the columns through the id
-positions. So ``decide`` and ``analyze --json`` build no ``Edge``, no
-incidence list and no vertex set. Sharing a graph across threads is safe: a
-race may build a table, or one sink's paths, twice, and both copies are
-equal.
+sink basis; the out-edge positions ``outs`` of each vertex by
+normalization's CK2 rewrites (through ``special_ids`` too, when an element
+has a monomial whose paths end in the same edge) and the sink expansion of
+``phi``; the in-edge positions ``ins`` when all paths into a vertex are
+enumerated; and the paths into a sink when a block of that sink is first
+read or built. The expression parser, the element constructors,
+``is_path``, ``path_range``, ``classify_vertex``, ``e_f_graph`` and the
+bounded ``enumerate_paths_to`` read the columns through ``pos``,
+``edge_pos`` and the source and range positions. So no command builds an
+``Edge``, and ``decide`` and ``analyze --json`` build no incidence list.
+``edge_by_id``, ``vertex_set``, ``out_edges`` and ``in_edges`` build their
+results from these tables when called, and nothing in the package calls
+them. Sharing a graph across threads is safe: a race may build a table, or
+one sink's paths, twice, and both copies are equal.
 
 Ownership: derived tables never point back to the graph, so a graph and
 everything computed from it are freed by reference counting as soon as the
@@ -167,21 +169,22 @@ class GraphIndex:
     a dangling endpoint as a ``KeyError`` from ``pos``; either raises
     ``GraphError`` (the ``validate`` messages joined by "; ").
 
-    Built on first read: ``edge_by_id`` (each id's ``Edge``), ``mu``,
-    ``acyclic`` and ``sigma`` (one Kahn pass over positions), ``sinks``,
-    ``vertices``, ``out_edges``, ``in_edges``, ``special``, ``special_ids``,
-    and each sink's ``sink_table``; the module docstring says who reads
-    each. A bounded enumeration (``enumerate_paths_to`` with a ``limit``)
-    scans the range positions for the in-edges it needs without building
-    ``in_edges``. Incidence lists are sorted by edge id; the special edge of
-    a non-sink vertex is its greatest outgoing edge id. The index keeps the
-    graph's vertex-order tuple and its columns, never the graph itself, so
-    it forms no reference cycle with the graph that memoizes it.
+    Built on first read: ``mu``, ``acyclic`` and ``sigma`` (one Kahn pass
+    over positions), ``sinks``, ``outs`` and ``ins`` (the out- and in-edge
+    positions of each vertex position, each list in edge-id order),
+    ``special_ids`` (the greatest outgoing edge id of each non-sink vertex,
+    read off ``outs``), and each sink's ``sink_table``; the module docstring
+    says who reads each. A bounded enumeration (``enumerate_paths_to`` with
+    a ``limit``) scans the range positions for the in-edges it needs
+    without building ``ins``, and Kahn's pass builds its own out-lists and
+    drops them, so the verdicts build neither. The index keeps the graph's
+    vertex-order tuple and its id column, never the graph itself, so it
+    forms no reference cycle with the graph that memoizes it.
     """
 
     def __init__(self, g: Graph):
         order, ids = g.vertices, g.ids
-        self.order = order
+        self.order, self.ids = order, ids
         pos = self.pos = dict(zip(order, count()))
         self.edge_pos = dict(zip(ids, count()))
         if len(pos) < len(order) or len(self.edge_pos) < len(ids):
@@ -191,61 +194,33 @@ class GraphIndex:
             self.dst = list(map(pos.__getitem__, g.dsts))
         except KeyError:
             raise _invalid(g) from None
-        self._columns = ids, g.srcs, g.dsts
-        # the graph's Edge tuple if it holds one, so edge_by_id shares it
-        self._edges = vars(g).get("edges")
         self._sink_tables = {}
 
     @functools.cached_property
-    def edge_by_id(self) -> dict:
-        """Each edge id's ``Edge``, in edge order. Built on first use: the
-        expression parser, the element constructors, the CK2 rewrites and
-        the incidence lists read it, the verdicts never do."""
-        edges = self._edges
-        if edges is None:
-            edges = map(tuple.__new__, repeat(Edge), zip(*self._columns))
-        return dict(zip(self._columns[0], edges))
+    def outs(self) -> list:
+        """The out-edge positions of each vertex position, in edge-id order."""
+        return self._incidence(self.src)
 
     @functools.cached_property
-    def vertices(self) -> frozenset:
-        """The vertex set. Built on first use: only the expression parser
-        and ``vertex_set`` read it; membership tests read ``pos``."""
-        return frozenset(self.order)
+    def ins(self) -> list:
+        """The in-edge positions of each vertex position, in edge-id order."""
+        return self._incidence(self.dst)
 
-    @functools.cached_property
-    def out_edges(self) -> dict:
-        """The out-edges of each vertex, sorted by edge id. Built on first
-        use: normalization's CK2 rewrites, the sink expansion of ``phi`` and
-        ``classify_vertex`` read it, the verdicts never do."""
-        return self._incidence(_SRC)
-
-    @functools.cached_property
-    def in_edges(self) -> dict:
-        """The in-edges of each vertex, sorted by edge id. Built on first
-        use: only the enumeration of all paths into a vertex and
-        ``classify_vertex`` read it."""
-        return self._incidence(_DST)
-
-    def _incidence(self, end) -> dict:
-        """The edges at each vertex, by ``end`` (an Edge's src or dst)."""
-        lists = {v: [] for v in self.order}
-        # with unique ids, tuple order is edge-id order
-        for e in sorted(self.edge_by_id.values()):
-            lists[end(e)].append(e)
-        return {v: tuple(es) for v, es in lists.items()}
-
-    @functools.cached_property
-    def special(self) -> dict:
-        """The special (greatest-id outgoing) edge id of each non-sink
-        vertex. Built on first use: only element normalization reads it,
-        and only for a monomial whose two paths end in the same edge."""
-        return {v: es[-1].id for v, es in self.out_edges.items() if es}
+    def _incidence(self, end: list) -> list:
+        """The edge positions at each vertex position, by ``end`` (``src``
+        or ``dst``), in edge-id order."""
+        lists = [[] for _ in self.order]
+        ids = self.ids
+        for j in sorted(range(len(ids)), key=ids.__getitem__):
+            lists[end[j]].append(j)
+        return lists
 
     @functools.cached_property
     def special_ids(self) -> frozenset:
-        """The special edge ids: f is in it exactly when special[src(f)] == f.
-        Built on first use, since most graph commands never normalize."""
-        return frozenset(self.special.values())
+        """The special edge ids: the greatest outgoing edge id of each
+        non-sink vertex."""
+        ids = self.ids
+        return frozenset(ids[js[-1]] for js in self.outs if js)
 
     @functools.cached_property
     def _path_counts(self) -> tuple[dict, bool]:
@@ -308,7 +283,7 @@ class GraphIndex:
         if table is None:
             if not self.acyclic:
                 raise CyclicGraphError("graph has a cycle")
-            paths = tuple(_paths_to(lambda level: self.in_edges, v))
+            paths = tuple(_paths_to(self, lambda level: self.ins, v))
             if len(paths) != self.mu[v]:
                 raise AssertionError(f"path count at sink {v} disagrees with mu")
             table = self._sink_tables[v] = (paths, {a: i for i, a in enumerate(paths)})
@@ -316,26 +291,35 @@ class GraphIndex:
 
 
 def vertex_set(g: Graph) -> frozenset:
-    return g.index.vertices
+    return frozenset(g.index.order)
 
 
-def edge_by_id(g: Graph):
-    return g.index.edge_by_id
+def edge_by_id(g: Graph) -> dict:
+    """Each edge id's ``Edge``, in edge order."""
+    return dict(zip(g.index.ids, map(Edge, g.ids, g.srcs, g.dsts)))
 
 
 def out_edges(g: Graph, v: str) -> tuple[Edge, ...]:
-    _require_vertex(g, v)
-    return g.index.out_edges[v]
+    """The edges leaving v, sorted by edge id."""
+    return _edges(g, g.index.outs[_vertex_pos(g, v)])
 
 
 def in_edges(g: Graph, v: str) -> tuple[Edge, ...]:
-    _require_vertex(g, v)
-    return g.index.in_edges[v]
+    """The edges entering v, sorted by edge id."""
+    return _edges(g, g.index.ins[_vertex_pos(g, v)])
 
 
-def _require_vertex(g: Graph, v: str):
-    if v not in g.index.pos:
+def _edges(g: Graph, positions) -> tuple[Edge, ...]:
+    """The edges at these column positions, as ``Edge`` tuples."""
+    ids, srcs, dsts = g.ids, g.srcs, g.dsts
+    return tuple(Edge(ids[j], srcs[j], dsts[j]) for j in positions)
+
+
+def _vertex_pos(g: Graph, v: str) -> int:
+    i = g.index.pos.get(v)
+    if i is None:
         raise GraphError(f"unknown vertex {v}")
+    return i
 
 
 def _invalid(g: Graph) -> GraphError:
@@ -372,8 +356,10 @@ class VertexInfo(NamedTuple):
 
 
 def classify_vertex(g: Graph, v: str) -> VertexInfo:
-    out = out_edges(g, v)
-    return VertexInfo(sink=not out, source=not in_edges(g, v), out_degree=len(out))
+    i = _vertex_pos(g, v)
+    index = g.index
+    degree = index.src.count(i)
+    return VertexInfo(sink=not degree, source=i not in index.dst, out_degree=degree)
 
 
 def sinks(g: Graph) -> tuple[str, ...]:
@@ -400,7 +386,7 @@ def mu_table(g: Graph) -> dict:
 
 
 def mu(g: Graph, v: str):
-    _require_vertex(g, v)
+    _vertex_pos(g, v)
     return g.index.mu[v]
 
 
@@ -432,50 +418,51 @@ def is_path(g: Graph, p: Path) -> bool:
 def enumerate_paths_to(g: Graph, v: str, limit: int | None = None) -> list:
     """All paths ending at v, shortest first, ties broken by edge ids.
 
-    The list always starts with the trivial path and has exactly mu(g, v)
-    entries; when that count is infinite the enumeration is refused. With
-    ``limit``, only the first ``limit`` paths of that order are built and
-    returned, and the in-edges of each path length's start vertices come
-    from one scan of the range positions, so the graph's in-edge table is
-    not built.
+    The list has exactly mu(g, v) entries, the trivial path first; when that
+    count is infinite the enumeration is refused. With ``limit``, only the
+    first ``limit`` paths of that order are built and returned (none for a
+    limit of 0; a negative limit is refused), and the in-edges of each path
+    length's start vertices come from one scan of the range positions, so
+    the graph's in-edge table ``ins`` is not built.
     """
+    if limit is not None and limit < 0:
+        raise GraphError(f"limit must be non-negative, got {limit}")
     if not is_finite(mu(g, v)):
         raise InfinitePathSetError(f"infinitely many paths end at {v}")
+    index = g.index
     if limit is None:
-        ins = g.index.in_edges
-        return _paths_to(lambda level: ins, v)
-    return _paths_to(lambda level: _in_edges_among(g, {b for _, b in level}), v, limit)
+        return _paths_to(index, lambda level: index.ins, v)
+    return _paths_to(index, lambda level: _in_edges_among(index, {b for _, b in level}), v,
+                     limit)
 
 
-def _paths_to(in_edges_of, v: str, limit: int | None = None) -> list:
+def _paths_to(index: GraphIndex, ins_of, v: str, limit: int | None = None) -> list:
     """``enumerate_paths_to`` in a graph in which finitely many paths end at
-    v. A level holds the (edges, base) pairs of one path length in order,
-    and ``in_edges_of(level)`` maps each base to its in-edges as (id, src,
-    dst) tuples, in any order (a vertex without any may be left out). Each
-    level is sorted, except the last one a ``limit`` reaches: only its
-    smallest keys become ``Path``s."""
+    v. A level holds the (edges, base position) pairs of one path length in
+    order, and ``ins_of(level)`` maps each base position of the level to its
+    in-edge positions, in any order. Each level is sorted, except the last
+    one a ``limit`` reaches: only its smallest keys become ``Path``s. Two
+    pairs of one level never have the same edges, so the base positions
+    never decide the order."""
+    ids, src, order = index.ids, index.src, index.order
     found = [Path(v, ())]
-    level = [((), v)]
+    level = [((), index.pos[v])]
     while level and (limit is None or len(found) < limit):
-        ins = in_edges_of(level)
-        level = [((eid,) + edges, src) for edges, base in level
-                 for eid, src, _ in ins.get(base, ())]
+        ins = ins_of(level)
+        level = [((ids[j],) + edges, src[j]) for edges, b in level for j in ins[b]]
         over = limit is not None and len(found) + len(level) > limit
         level = nsmallest(limit - len(found), level) if over else sorted(level)
-        found += [Path(base, edges) for edges, base in level]
+        found += [Path(order[b], edges) for edges, b in level]
     return found[:limit]
 
 
-def _in_edges_among(g: Graph, bases: set) -> dict:
-    """The in-edges of the vertices in ``bases``, by vertex, as (id, src,
-    dst) tuples: one C-level pass over the range positions picks them out,
-    and only the picked edges are read from the columns."""
-    index = g.index
-    wanted = set(map(index.pos.__getitem__, bases))
-    ids, srcs, dsts = g.ids, g.srcs, g.dsts
-    ins = {}
-    for j in compress(count(), map(wanted.__contains__, index.dst)):
-        ins.setdefault(dsts[j], []).append((ids[j], srcs[j], dsts[j]))
+def _in_edges_among(index: GraphIndex, bases: set) -> dict:
+    """The in-edge positions of the vertex positions in ``bases``, by vertex
+    position: one C-level pass over the range positions picks them out."""
+    dst = index.dst
+    ins = {b: [] for b in bases}
+    for j in compress(count(), map(ins.__contains__, dst)):
+        ins[dst[j]].append(j)
     return ins
 
 
@@ -581,24 +568,23 @@ def m_n_graph(g: Graph, n: int) -> Graph:
 
 
 def _e_f_layout(g: Graph, f_ids):
-    """The F-edges, the vertices of E_F, and those vertices grouped by their
-    source in g (the original source for edge-type, itself for vertex-type),
-    each group in vertex order."""
+    """The F-edges as (id, src, dst) in edge order, the vertices of E_F, and
+    those vertices grouped by their source in g (the original source for
+    edge-type, itself for vertex-type), each group in vertex order."""
     f_ids = set(f_ids)
     if not f_ids:
         raise GraphError("F must be non-empty")
-    emap = edge_by_id(g)
-    unknown = sorted(f_ids - set(emap))
+    unknown = sorted(f_ids - g.index.edge_pos.keys())
     if unknown:
         raise GraphError(f"unknown edge {unknown[0]}")
-    f_edges = [e for e in g.edges if e.id in f_ids]
-    r_f = {e.dst for e in f_edges}
-    s_f = {e.src for e in f_edges}
-    s_non_f = {e.src for e in g.edges if e.id not in f_ids}
+    f_edges = [e for e in zip(g.ids, g.srcs, g.dsts) if e[0] in f_ids]
+    r_f = {dst for _, _, dst in f_edges}
+    s_f = {src for _, src, _ in f_edges}
+    s_non_f = {src for eid, src in zip(g.ids, g.srcs) if eid not in f_ids}
 
     middle = [v for v in g.vertices if v in r_f and v in s_f and v in s_non_f]
     terminal = [v for v in g.vertices if v in r_f and v not in s_f]
-    vertices = [(f"edge:{e.id}", e.src) for e in f_edges]
+    vertices = [(f"edge:{eid}", src) for eid, src, _ in f_edges]
     vertices += [(f"vertex:{v}", v) for v in middle + terminal]
     by_source = {}
     for y, src in vertices:
@@ -609,7 +595,7 @@ def _e_f_layout(g: Graph, f_ids):
 def e_f_edge_count(g: Graph, f_ids) -> int:
     """Edge count of ``e_f_graph(g, f_ids)``, without building it."""
     f_edges, _, by_source = _e_f_layout(g, f_ids)
-    return sum(len(by_source.get(e.dst, ())) for e in f_edges)
+    return sum(len(by_source.get(dst, ())) for _, _, dst in f_edges)
 
 
 def e_f_graph(g: Graph, f_ids) -> Graph:
@@ -624,8 +610,8 @@ def e_f_graph(g: Graph, f_ids) -> Graph:
     """
     f_edges, vertices, by_source = _e_f_layout(g, f_ids)
     edges = []
-    for e in f_edges:
-        x = f"edge:{e.id}"
-        for y in by_source.get(e.dst, ()):
+    for eid, _, dst in f_edges:
+        x = f"edge:{eid}"
+        for y in by_source.get(dst, ()):
             edges.append((f"({x},{y})", x, y))
     return Graph.build(vertices, edges)

@@ -17,10 +17,10 @@ graph's columns (the vertex tuple and the edge ids, sources and ranges, see
 ``graphs.Graph.from_columns``) and builds no ``Edge``; ``format_graph`` and
 ``graph_to_json`` read the columns too, and the CLI's ``--json`` writer
 writes the same edge objects straight from the columns, with no dict per
-edge (``cli._graph_json``). Both parsers build the graph's
-index, which rejects duplicate identifiers and dangling endpoints with the
-messages of ``graphs.validate``, and then refuse an id that the expression
-grammar below cannot spell.
+edge (``cli._graph_json``). Both parsers build the graph's index, which
+rejects duplicate identifiers and dangling endpoints with the messages of
+``graphs.validate``, and then refuse an id that the expression grammar
+below cannot spell.
 
 Element expressions follow
 
@@ -34,14 +34,17 @@ is (1+2i)*e1, while "1 + 2i*e1" is 1 + (2i)*e1. A bare coeff term means
 coeff times the identity (the sum of all vertices). Printing emits the same
 grammar with terms in canonical monomial order.
 
-Each term's factors fold into a normal form through ``algebra._product``,
-the product kernel of ``Element.__mul__``, so a term is a few (payload, p,
-q) triples in normal form (none if it vanishes), or one per vertex for a
-bare coeff; the terms are summed once, at the end. A zero literal never
-reaches the kernel. The parser is a recursive descent; two compiled
-patterns scan the text, ``_SPACE`` for whitespace and ``_FACTOR`` for an
-identifier and its optional '*', so its Python steps do not grow with the
-length of a name or of a run of spaces.
+Each term's factors fold into a normal form through
+``algebra._product``, the product kernel of ``Element.__mul__``, so a
+term is a few (payload, p, q) triples in normal form (none if it
+vanishes), or one per vertex for a bare coeff; the terms are summed
+once, at the end. A zero literal never reaches the kernel. A name is
+resolved through the index's ``pos`` and ``edge_pos``, and an edge's
+source and range are read off the columns, so parsing builds no ``Edge``
+either. The parser is a recursive descent; two compiled patterns scan
+the text, ``_SPACE`` for whitespace and ``_FACTOR`` for an identifier
+and its optional '*', so its Python steps do not grow with the length of
+a name or of a run of spaces.
 An error names a 1-based column; the end of the text is column len + 1.
 """
 
@@ -51,9 +54,9 @@ import json
 import re
 from itertools import repeat
 
-from .algebra import Element, _normalize_terms, _product, format_element
+from .algebra import Element, _edge_monomial, _normalize_terms, _product, format_element
 from .fields import Field
-from .graphs import Graph, GraphError, Path, edge_by_id, vertex_set
+from .graphs import Graph, GraphError, Path
 from .omega import extnat_to_json
 from .semisimple import MatrixImage
 from .decide import DecisionReport
@@ -252,8 +255,7 @@ class _ExprParser:
         self.pos = 0
         self.g = g
         self.k = k
-        self.vset = vertex_set(g)
-        self.emap = edge_by_id(g)
+        self.vertex_pos, self.edge_pos = g.index.pos, g.index.edge_pos
 
     def fail(self, message):
         raise ParseError(f"column {self.pos + 1}: {message}")
@@ -334,16 +336,15 @@ class _ExprParser:
 
     def resolve(self, name: str, adjoint: bool):
         """The monomial (p, q) that a vertex, an edge or a ghost stands for."""
-        is_vertex = name in self.vset
-        is_edge = name in self.emap
+        is_vertex = name in self.vertex_pos
+        is_edge = name in self.edge_pos
         if is_vertex and is_edge:
             raise ParseError(f"ambiguous identifier {name!r} (both a vertex and an edge)")
         if is_vertex:
             t = Path(name, ())
             return t, t
         if is_edge:
-            e = self.emap[name]
-            mono = Path(e.src, (name,)), Path(e.dst, ())
+            mono = _edge_monomial(self.g, name)
             return mono[::-1] if adjoint else mono
         raise ParseError(f"unknown identifier {name!r}")
 

@@ -124,21 +124,24 @@ def _phi_rows(x: Element) -> dict:
     """phi(x) as payload rows: ``{sink: [{column: payload}, ...]}`` with one
     row per path into the sink, in basis order; no zero entry or block. One
     CK2 expansion, p q* = sum over e leaving r(p) of (pe)(qe)*, ends as the
-    graph is acyclic; at a sink v, a term c p q* adds c in place to v's block at (p, q)."""
+    graph is acyclic; at a sink v, a term c p q* adds c in place to v's block at (p, q).
+    The expansion carries the range's vertex position."""
     index = check_acyclic(x.graph).index
-    outs, add, is_zero = index.out_edges, x.field._add, x.field._is_zero
+    ids, dst, outs, order = index.ids, index.dst, index.outs, index.order
+    add, is_zero = x.field._add, x.field._is_zero
     blocks = {}
-    work = [(c, p, q, path_range(x.graph, p)) for (p, q), c in x._terms.items()]
+    work = [(c, p, q, index.pos[path_range(x.graph, p)]) for (p, q), c in x._terms.items()]
     while work:
         c, p, q, v = work.pop()
         branches = outs[v]
         if branches:
-            for e in branches:
-                work.append((c, Path(p.base, p.edges + (e.id,)),
-                             Path(q.base, q.edges + (e.id,)), e.dst))
+            for f in branches:
+                e = ids[f]
+                work.append((c, Path(p.base, p.edges + (e,)), Path(q.base, q.edges + (e,)),
+                             dst[f]))
             continue
         if v not in blocks:
-            blocks[v] = index.sink_table(v)[1], [{} for _ in range(index.mu[v])]
+            blocks[v] = index.sink_table(order[v])[1], [{} for _ in range(index.mu[order[v]])]
         at, rows = blocks[v]
         if q not in at:
             raise AssertionError("phi paired paths into different sinks")
@@ -149,7 +152,7 @@ def _phi_rows(x: Element) -> dict:
                 del row[j]
                 continue
         row[j] = c
-    return {v: rows for v, (_, rows) in blocks.items() if any(rows)}
+    return {order[v]: rows for v, (_, rows) in blocks.items() if any(rows)}
 
 
 def _entries(g: Graph, blocks: dict) -> list:

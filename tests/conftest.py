@@ -23,9 +23,10 @@ from leavitt import (
     Rationals,
     graph_union,
     relabel_graph,
+    special_edges,
     standard_graph,
 )
-from leavitt.graphs import in_edges, out_edges, path_range
+from leavitt.graphs import edge_by_id, in_edges, out_edges, path_range
 from leavitt.linalg import _identity, _mul
 
 
@@ -353,8 +354,7 @@ def oracle_normalize_terms(g, field, raw, schedule="lifo") -> dict:
     """Rewrite a raw (payload, p, q) stream into normal-form monomial ->
     payload the plain way: every term goes through one deque worklist, is
     tested for zero when popped, and the sums are filtered at the end."""
-    index = g.index
-    spec, emap, outs = index.special, index.edge_by_id, index.out_edges
+    spec, emap = special_edges(g), edge_by_id(g)
     add, neg, is_zero = field._add, field._neg, field._is_zero
     acc: dict = {}
     work = deque(raw)
@@ -371,7 +371,7 @@ def oracle_normalize_terms(g, field, raw, schedule="lifo") -> dict:
                 q0 = Path(q.base, q.edges[:-1])
                 work.append((c, p0, q0))
                 minus = neg(c)
-                for e in outs[w]:
+                for e in out_edges(g, w):
                     if e.id != f:
                         work.append((minus, Path(p0.base, p0.edges + (e.id,)),
                                      Path(q0.base, q0.edges + (e.id,))))
@@ -515,7 +515,7 @@ def oracle_projection_generator(g, k, a):
 
 class OracleExprParser:
     def __init__(self, text, g, k):
-        from leavitt.graphs import edge_by_id, vertex_set
+        from leavitt.graphs import vertex_set
 
         self.text = text
         self.pos = 0

@@ -101,7 +101,7 @@ def _unnormal_map(draw, g, field, gen) -> dict:
     """A monomial -> payload map, not normalized, of up to eight monomials;
     some have p and q ending in the same special edge f, as backward walks
     into s(f) followed by f. Every payload is nonzero."""
-    special = sorted(g.index.special.items())
+    special = sorted(algebra.special_edges(g).items())
     terms = {}
     for _ in range(draw(st.integers(0, 8))):
         c = _coeff(draw, field, gen)

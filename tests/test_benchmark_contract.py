@@ -2,6 +2,7 @@
 library as it stands, so a change that makes a workload's outputs wrong
 fails here first. The files under ``benchmarks/`` are only imported."""
 
+import itertools
 import pathlib
 import sys
 
@@ -48,3 +49,20 @@ def test_tracer_uninstall_restores(tmp_path):
     finally:
         restored = tracer.uninstall()
     assert restored
+
+
+def test_output_digest_smoke(capsys):
+    # tests/output_digest.py, run on two ops: the certify cycle's first op
+    # with and without --json; its full run prints the 400-run digest
+    import output_digest
+
+    two = list(itertools.islice(output_digest.runs((SEED,)), 2))
+    assert [argv[-1] == "--json" for argv, _ in two] == [True, False]
+    n, hexdigest = output_digest.digest(two)
+    assert n == 2 and len(hexdigest) == 64
+    assert output_digest.digest(two) == (n, hexdigest)
+    assert output_digest.digest(two[:1])[1] != hexdigest
+    assert output_digest.main(["--seeds", str(SEED)]) == 0
+    count, printed = capsys.readouterr().out.split()
+    assert int(count) == 2 * (workloads.Certify.cycle + workloads.Decide.cycle)
+    assert len(printed) == 64

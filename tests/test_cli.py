@@ -21,7 +21,7 @@ from leavitt import (
 from leavitt.cli import main
 from leavitt.decide import IMPROPER, full_report
 from leavitt.fields import parse_field_spec
-from leavitt.graphs import clock_graph, edge_by_id
+from leavitt.graphs import Edge, clock_graph, edge_by_id
 from leavitt.io import format_graph, parse_graph, report_to_json, verify_claims
 
 from conftest import FIVE_FIELDS, acyclic_corpus, ladder, random_element
@@ -197,23 +197,34 @@ class TestJsonOutput:
         assert cli._json_text(value) == expected
 
 
+def _holds_edge(value) -> bool:
+    """Whether value is an ``Edge`` or a container that holds one, at any
+    depth."""
+    if isinstance(value, Edge):
+        return True
+    if isinstance(value, dict):
+        return any(map(_holds_edge, value.items()))
+    return isinstance(value, (list, tuple, set, frozenset)) and any(map(_holds_edge, value))
+
+
 class TestVerdictGraphTables:
     """``decide --json`` and ``analyze --json`` build only the graph tables
     their verdict reads: positions, the id positions and the path counts. No
-    ``Edge`` (neither ``g.edges`` nor ``edge_by_id``), no out- or in-edge
-    table, no vertex set and no special edges, also when ``decide`` builds
-    an improper certificate, whose few paths are found by scanning the range
-    positions and whose terms end in no common edge, so nothing is left to
-    rewrite."""
+    ``Edge`` (``g.edges`` is not read), no out- or in-edge table and no
+    special edges, also when ``decide`` builds an improper certificate,
+    whose few paths are found by scanning the range positions and whose
+    terms end in no common edge, so nothing is left to rewrite. No command
+    builds an ``Edge``: the index holds positions only."""
 
-    UNBUILT = {"edge_by_id", "out_edges", "in_edges", "vertices", "special", "special_ids"}
+    UNBUILT = {"outs", "ins", "special_ids", "edge_by_id", "out_edges", "in_edges", "vertices",
+               "special"}
 
     GRAPHS = {"line3": standard_graph("line", 3), "rose1": standard_graph("rose", 1),
               "toeplitz": standard_graph("toeplitz"), "clock": clock_graph(2, 2)}
 
-    def tables(self, capsys, monkeypatch, *argv):
-        """The tables built on the graph that ``main`` loaded, with the
-        exit code and the output."""
+    def loaded(self, capsys, monkeypatch, *argv):
+        """The graph that ``main`` loaded, with the exit code and the
+        output."""
         loaded = []
         real_load = cli._load_graph
         monkeypatch.setattr(cli, "_load_graph",
@@ -221,6 +232,12 @@ class TestVerdictGraphTables:
         code, out, err = run(capsys, *argv)
         assert err == "", argv
         (g,) = loaded
+        return g, code, out
+
+    def tables(self, capsys, monkeypatch, *argv):
+        """The tables built on the graph that ``main`` loaded, with the
+        exit code and the output."""
+        g, code, out = self.loaded(capsys, monkeypatch, *argv)
         return set(vars(g.index)), code, out
 
     @pytest.mark.parametrize("name", sorted(GRAPHS))
@@ -245,6 +262,26 @@ class TestVerdictGraphTables:
         assert (code, json.loads(out)["improper_certificate"]) == (0, "v2 + i*e1")
         assert not tables & self.UNBUILT
 
+    @pytest.mark.parametrize("argv", [
+        ["nf", "--field", "Q", "-e", "e1.e1* + e2*.e2"],
+        ["mul", "--field", "Q", "-e", "e1*", "-e", "e1"],
+        ["star", "--field", "Q", "-e", "v2 + 2*e1"],
+        ["phi", "--field", "Q", "-e", "e1.e1*"],
+        ["witness", "regular", "--field", "Q", "-e", "e1"],
+        ["witness", "projection", "--field", "GF(5)", "-e", "v2 + 2*e1"],
+        ["witness", "unit", "--field", "Q", "-e", "v2 + 2*e1"],
+        ["witness", "improper", "--field", "GF(5)"]], ids=" ".join)
+    def test_element_commands_build_no_edge(self, capsys, monkeypatch, tmp_path, argv):
+        # parsing, normalizing (with a CK2 rewrite for nf and phi), phi's
+        # expansion and the sink bases read positions and columns only
+        path = tmp_path / "line3.txt"
+        path.write_text(format_graph(self.GRAPHS["line3"]))
+        cut = 2 if argv[0] == "witness" else 1
+        g, code, _ = self.loaded(capsys, monkeypatch, *argv[:cut], str(path), *argv[cut:])
+        assert code == 0, argv
+        assert "edges" not in vars(g), argv
+        assert not any(map(_holds_edge, vars(g.index).values())), argv
+
     def test_reader_to_output_builds_no_edge(self):
         # the text reader hands the index its columns, and the verdict, the
         # improper certificate's path search and check, and both analyze
@@ -255,21 +292,22 @@ class TestVerdictGraphTables:
         assert report_to_json(report)["improper_certificate"] == "v3 + e2 + e1.e2"
         cli._json_text(cli._analyze_json(g))
         cli._analyze_text(g)
-        assert "edges" not in vars(g) and "edge_by_id" not in vars(g.index)
-        # the control: reading either view builds it
+        assert "edges" not in vars(g) and not any(map(_holds_edge, vars(g.index).values()))
+        # the control: reading the view builds it
         assert g.edges == (("e1", "v1", "v2"), ("e2", "v2", "v3"))
         assert edge_by_id(g)["e2"] == g.edges[1]
-        assert "edges" in vars(g) and "edge_by_id" in vars(g.index)
+        assert "edges" in vars(g)
 
-    def test_control_witness_regular_builds_in_edges(self, capsys, monkeypatch, tmp_path):
-        # the sink basis enumerates every path along the in-edge table, phi
-        # expands along the out-edge table and the expression parser reads
-        # the vertex set, so the checks above can see a table that is built
+    def test_control_witness_regular_builds_outs_and_ins(self, capsys, monkeypatch,
+                                                         tmp_path):
+        # the sink basis enumerates every path along the in-edge table and
+        # phi expands along the out-edge table, so the checks above can see
+        # a table that is built
         path = tmp_path / "line3.txt"
         path.write_text(format_graph(self.GRAPHS["line3"]))
         tables, code, _ = self.tables(capsys, monkeypatch, "witness", "regular", str(path),
                                       "--field", "Q", "-e", "e1", "--json")
-        assert code == 0 and {"in_edges", "out_edges", "vertices"} <= tables
+        assert code == 0 and {"ins", "outs"} <= tables
 
 
 class TestMuDigitLimit:

@@ -2,6 +2,7 @@ import contextlib
 import gc
 import itertools
 import weakref
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -35,6 +36,20 @@ from conftest import acyclic_corpus, binary_in_tree, brute_paths_to, corpus, pat
 LINE2 = standard_graph("line", 2)
 LINE3 = standard_graph("line", 3)
 LOOP = standard_graph("rose", 1)
+
+
+class TestGraphValue:
+    def test_columns_of_different_lengths_refused(self):
+        with pytest.raises(GraphError, match=r"^edge columns of different lengths$"):
+            Graph.from_columns(["v1", "v2"], ["e1", "e2"], ["v1"], ["v2", "v2"])
+
+    def test_attributes_cannot_be_assigned_or_deleted(self):
+        g = standard_graph("line", 2)
+        with pytest.raises(FrozenInstanceError, match="cannot assign to field 'ids'"):
+            g.ids = ()
+        with pytest.raises(FrozenInstanceError, match="cannot delete field 'vertices'"):
+            del g.vertices
+        assert g == standard_graph("line", 2)
 
 
 class TestValidate:
@@ -203,6 +218,15 @@ class TestEnumeratePaths:
     def test_infinite_refused(self):
         with pytest.raises(InfinitePathSetError):
             enumerate_paths_to(LOOP, "v")
+
+    def test_limit_zero_gives_no_path(self):
+        assert enumerate_paths_to(standard_graph("line", 4), "v4", limit=0) == []
+
+    def test_negative_limit_refused_before_any_table(self):
+        g = standard_graph("line", 4)
+        with pytest.raises(GraphError, match=r"^limit must be non-negative, got -1$"):
+            enumerate_paths_to(g, "v4", limit=-1)
+        assert "index" not in vars(g)
 
     def test_deterministic_and_ordered(self):
         for g in acyclic_corpus().values():
