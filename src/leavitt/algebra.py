@@ -12,7 +12,9 @@ relation solved for f,
 The rewrite only ever fires at the last edge pair, the replacement monomials
 either shrink by two or end in a non-special edge, so normalization
 terminates; the surviving monomials form the standard linear basis, which is
-what makes structural equality sound.
+what makes structural equality sound. At a vertex with one out-edge f the
+sum is empty and f f* -> s(f), so a run of such single-exit edges common to
+the ends of both paths is stripped in one step.
 
 Coefficients are stored as raw field payloads (``Field._add`` and friends
 act on them), never as an exact zero, so the arithmetic below builds no
@@ -213,7 +215,11 @@ def _ck2_rewrites(index, field: Field, work: deque, schedule: str):
     same special edge f, by f f* -> s(f) - (the other e e* leaving s(f)),
     and yield the results for filing; the filer pushes back any that still
     end in a special edge. Starts once the raw stream is filed, and reads
-    no table when there is nothing to rewrite."""
+    no table when there is nothing to rewrite.
+
+    A single-exit f (the only edge leaving s(f)) has no other e, so f f*
+    is s(f): such a term loses f and every further common last edge that
+    is single-exit too, one slice per path, and yields one term."""
     if not work:
         return
     ids, edge_pos, src, outs = index.ids, index.edge_pos, index.src, index.outs
@@ -221,10 +227,18 @@ def _ck2_rewrites(index, field: Field, work: deque, schedule: str):
     pop = work.pop if schedule == "lifo" else work.popleft
     while work:
         c, p, q = pop()
-        f = p.edges[-1]
-        p0, q0 = _path((p.base, p.edges[:-1])), _path((q.base, q.edges[:-1]))
+        pe, qe = p.edges, q.edges
+        exits = outs[src[edge_pos[pe[-1]]]]
+        if len(exits) == 1:
+            k, n = 2, min(len(pe), len(qe))
+            while k <= n and pe[-k] == qe[-k] and len(outs[src[edge_pos[pe[-k]]]]) == 1:
+                k += 1
+            yield (c, _path((p.base, pe[:1 - k])), _path((q.base, qe[:1 - k])))
+            continue
+        f = pe[-1]
+        p0, q0 = _path((p.base, pe[:-1])), _path((q.base, qe[:-1]))
         minus = neg(c)
-        for j in outs[src[edge_pos[f]]]:
+        for j in exits:
             e = ids[j]
             if e != f:
                 yield (minus, _path((p0.base, p0.edges + (e,))),

@@ -24,9 +24,10 @@ positions; ``sinks``, from the source positions, by ``analyze`` and the
 sink basis; the out-edge positions ``outs`` of each vertex by
 normalization's CK2 rewrites (through ``special_ids`` too, when an element
 has a monomial whose paths end in the same edge) and the sink expansion of
-``phi``; the in-edge positions ``ins`` when all paths into a vertex are
-enumerated; and the paths into a sink when a block of that sink is first
-read or built. The expression parser, the element constructors,
+``phi``, both of which cross a run of single-exit edges (a vertex's only
+out-edge) in one step; the in-edge positions ``ins`` when all paths into a
+vertex are enumerated; and the paths into a sink when a block of that sink
+is first read or built. The expression parser, the element constructors,
 ``is_path``, ``path_range``, ``classify_vertex``, ``e_f_graph`` and the
 bounded ``enumerate_paths_to`` read the columns through ``pos``,
 ``edge_pos`` and the source and range positions. So no command builds an

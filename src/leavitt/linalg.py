@@ -15,7 +15,10 @@ dropped, so two payload matrices are equal exactly when their row lists
 compare equal with ``==``. Every scalar operation goes through the field's
 payload methods (``_add``, ``_mul``, ``_neg``, ``_inv``, ``_is_zero``,
 ``_conj``), read once per kernel call. Products are row by row (Gustavson,
-ACM TOMS 1978) and form a scalar product only for two nonzero factors.
+ACM TOMS 1978) and form a scalar product only for two nonzero factors; a
+left row with one entry (t, x) is x times row t of the right factor, a copy
+when x is 1, with no sum or zero test, since nonzero payloads multiply to
+nonzero ones in a field.
 ``_factor`` reduces each row once, when the pivot search reaches it, keeps
 column swaps as a relabelling and P and Q^-1 by columns: past O(m + n)
 set-up it costs its scalar operations, a heap step per entry they touch in
@@ -102,10 +105,19 @@ def _add(field: Field, a_rows, b_rows):
 
 def _mul(field: Field, a_rows, b_rows):
     """Row-by-row sparse product (Gustavson): one scalar product per pair of
-    nonzero factors, one zero test per accumulated entry."""
+    nonzero factors, one zero test per accumulated entry. A left row with
+    one entry (t, x) gives x times row t of b: a copy when x is 1, and no
+    sum or zero test, as nonzero payloads multiply to nonzero ones. No
+    returned row is a row of an operand."""
     add, mul, is_zero = field._add, field._mul, field._is_zero
+    one = field._from_int(1)
     out = []
     for row_a in a_rows:
+        if len(row_a) == 1:
+            (t, x), = row_a.items()
+            row_b = b_rows[t]
+            out.append(row_b.copy() if x == one else {j: mul(x, y) for j, y in row_b.items()})
+            continue
         acc = {}
         for t, x in row_a.items():
             for j, y in b_rows[t].items():

@@ -3,10 +3,11 @@
 For a finite acyclic graph the algebra splits into one matrix block per
 sink, of size the number of paths into that sink. The block-matrix
 isomorphism works on payload rows (see ``linalg``): ``_phi_rows`` expands
-every monomial toward the sinks in one pass, adding each coefficient in
-place to its sink's block (one ``{column: payload}`` dict per row, a block
-only where the image is nonzero); ``_from_rows`` reads the entries back onto
-path monomials and normalizes them once. Path tables are built only for the
+every monomial toward the sinks in one pass, crossing each run of
+single-exit vertices in one step, and adds each coefficient in place to its
+sink's block (one ``{column: payload}`` dict per row, a block only where the
+image is nonzero); ``_from_rows`` reads the entries back onto path
+monomials and normalizes them once. Path tables are built only for the
 sinks touched. ``phi`` and ``phi_inv`` wrap these rows in a ``MatrixImage``
 (``phi`` fills in the other sinks), whose ``blocks`` is a dense read-only view.
 """
@@ -16,9 +17,9 @@ from __future__ import annotations
 import functools
 from types import MappingProxyType
 
-from .algebra import Element, _check_operands, _normalize_terms
+from .algebra import Element, _check_operands, _normalize_terms, _path
 from .fields import Field
-from .graphs import Graph, Path, SinkBasis, check_acyclic, mu, path_range, sinks
+from .graphs import Graph, SinkBasis, check_acyclic, mu, path_range, sinks
 from .linalg import ShapeError, _add, _conj_transpose, _dense, _identity, _mul, _sparse
 
 
@@ -125,7 +126,10 @@ def _phi_rows(x: Element) -> dict:
     row per path into the sink, in basis order; no zero entry or block. One
     CK2 expansion, p q* = sum over e leaving r(p) of (pe)(qe)*, ends as the
     graph is acyclic; at a sink v, a term c p q* adds c in place to v's block at (p, q).
-    The expansion carries the range's vertex position."""
+    Where r(p) has one out-edge the sum has one term, so p and q are extended
+    along the whole run of single out-edges, to the next vertex that
+    branches or is a sink, by one concatenation each. The expansion carries
+    the range's vertex position."""
     index = check_acyclic(x.graph).index
     ids, dst, outs, order = index.ids, index.dst, index.outs, index.order
     add, is_zero = x.field._add, x.field._is_zero
@@ -134,11 +138,20 @@ def _phi_rows(x: Element) -> dict:
     while work:
         c, p, q, v = work.pop()
         branches = outs[v]
+        if len(branches) == 1:  # p q* = (p f)(q f)* for a single exit f
+            run = []
+            while len(branches) == 1:
+                f = branches[0]
+                run.append(ids[f])
+                v = dst[f]
+                branches = outs[v]
+            run = tuple(run)
+            p, q = _path((p.base, p.edges + run)), _path((q.base, q.edges + run))
         if branches:
             for f in branches:
                 e = ids[f]
-                work.append((c, Path(p.base, p.edges + (e,)), Path(q.base, q.edges + (e,)),
-                             dst[f]))
+                work.append((c, _path((p.base, p.edges + (e,))),
+                             _path((q.base, q.edges + (e,))), dst[f]))
             continue
         if v not in blocks:
             blocks[v] = index.sink_table(order[v])[1], [{} for _ in range(index.mu[order[v]])]

@@ -16,12 +16,15 @@ from leavitt import (
     local_unit,
     normalize,
     parse_field_spec,
+    phi,
     special_edges,
     standard_graph,
 )
+from leavitt import algebra
 from leavitt.fields import Field
 from leavitt.graphs import clock_graph, out_edges
 from leavitt.io import parse_element
+from leavitt.omega import OMEGA
 
 from conftest import corpus, oracle_product_terms, random_element, random_raw_terms
 
@@ -510,3 +513,50 @@ class TestWorkGate:
                     calls.clear()
                     x * y
                     assert len(calls) <= kept
+
+    def test_a_single_exit_run_is_one_rewrite(self, monkeypatch):
+        # alpha alpha* for the 49-edge path of the 50-line: every edge is the
+        # only one leaving its source, so one rewrite strips the whole run
+        # (a rewrite per edge makes 49); ``_file`` reads the module global
+        g = standard_graph("line", 50)
+        alpha = Path("v1", tuple(f"e{i}" for i in range(1, 50)))
+        yielded = []
+        rewrites = algebra._ck2_rewrites
+
+        def counted(*args):
+            for term in rewrites(*args):
+                yielded.append(term)
+                yield term
+
+        monkeypatch.setattr(algebra, "_ck2_rewrites", counted)
+        assert Element.from_terms(g, Q, [(2, alpha, alpha)]) == vertex(g, Q, "v1").scale(2)
+        assert len(yielded) == 1
+
+
+OTHER = object()
+
+
+@pytest.mark.parametrize("op, refused", [
+    (lambda: vertex(LINE2, Q, "v1") + OTHER, True),
+    (lambda: vertex(LINE2, Q, "v1") - OTHER, True),
+    (lambda: vertex(LINE2, Q, "v1") * OTHER, True),
+    (lambda: OTHER * vertex(LINE2, Q, "v1"), True),
+    (lambda: vertex(LINE2, Q, "v1") == OTHER, False),
+    (lambda: Q.one - OTHER, True),
+    (lambda: Q.one / OTHER, True),
+    (lambda: LINE2 == OTHER, False),
+    (lambda: OMEGA < OTHER, True),
+    (lambda: phi(vertex(LINE2, Q, "v1")) == OTHER, False),
+    (lambda: phi(vertex(LINE2, Q, "v1")) * OTHER, True),
+    (lambda: phi(vertex(LINE2, Q, "v1")) + OTHER, True),
+], ids=["Element.__add__", "Element.__sub__", "Element.__mul__", "Element.__rmul__",
+        "Element.__eq__", "FieldValue.__sub__", "FieldValue.__truediv__", "Graph.__eq__",
+        "Omega.__lt__", "MatrixImage.__eq__", "MatrixImage.__mul__", "MatrixImage.__add__"])
+def test_foreign_operand(op, refused):
+    # each operator answers NotImplemented for a foreign operand, so Python
+    # refuses the operation or, for ==, compares the two as unequal
+    if refused:
+        with pytest.raises(TypeError):
+            op()
+    else:
+        assert op() is False

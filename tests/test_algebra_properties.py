@@ -1,6 +1,8 @@
 """Property tests of normalization and element products on small corpus
-graphs, acyclic and cyclic, over six fields, checked against the all-pairs
-product and the plain worklist normalizer of conftest."""
+graphs, acyclic and cyclic, and on drawn acyclic graphs that mix runs of
+single-exit edges with branching vertices, over six fields, checked
+against the all-pairs product and the plain worklist normalizer of
+conftest."""
 
 from contextlib import contextmanager
 from itertools import chain
@@ -33,6 +35,7 @@ from conftest import (  # noqa: E402
     oracle_product_payloads,
 )
 from test_linalg_properties import COEFFS, FIELDS, PROPERTY_SETTINGS  # noqa: E402
+from test_witness_properties import branching_graphs, tailed_monomial  # noqa: E402
 
 GRAPHS = corpus()
 LINE2 = standard_graph("line", 2)
@@ -56,14 +59,23 @@ def _path_to(draw, g, v):
 def raw_streams(draw):
     """(g, field, raw): up to six (coeff, p, q) triples as in ``operands``,
     some with a zero coefficient, some followed by a copy that cancels it or
-    by a second copy of the same monomial."""
-    g = GRAPHS[draw(st.sampled_from(sorted(GRAPHS)))]
+    by a second copy of the same monomial. Half the time g is a branching
+    acyclic graph and p and q share a tail of up to six edges, so that runs
+    of single-exit last edges meet branching vertices in the rewrite."""
+    branching = draw(st.booleans())
+    if branching:
+        g = draw(branching_graphs())
+    else:
+        g = GRAPHS[draw(st.sampled_from(sorted(GRAPHS)))]
     field, gen = draw(st.sampled_from(FIELDS))
 
     raw = []
     for _ in range(draw(st.integers(0, 6))):
-        v = draw(st.sampled_from(g.vertices))
-        p, q = _path_to(draw, g, v), _path_to(draw, g, v)
+        if branching:
+            p, q = tailed_monomial(draw, g, 6)
+        else:
+            v = draw(st.sampled_from(g.vertices))
+            p, q = _path_to(draw, g, v), _path_to(draw, g, v)
         c = field.from_int(draw(COEFFS)) + field.from_int(draw(COEFFS)) * gen
         raw.append((c, p, q))
         follow = draw(st.integers(0, 3))

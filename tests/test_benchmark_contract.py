@@ -3,7 +3,9 @@ library as it stands, so a change that makes a workload's outputs wrong
 fails here first. The files under ``benchmarks/`` are only imported."""
 
 import itertools
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -64,5 +66,21 @@ def test_output_digest_smoke(capsys):
     assert output_digest.digest(two[:1])[1] != hexdigest
     assert output_digest.main(["--seeds", str(SEED)]) == 0
     count, printed = capsys.readouterr().out.split()
-    assert int(count) == 2 * (workloads.Certify.cycle + workloads.Decide.cycle)
+    assert int(count) == (2 * (workloads.Certify.cycle + workloads.Decide.cycle)
+                          + len(list(output_digest.branching_runs())))
     assert len(printed) == 64
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_output_digest_pinned(hash_seed):
+    # the whole line at the default seeds, in a fresh process per hash seed:
+    # pinned as ``PINNED`` where the branching runs were added, and equal at
+    # that change's parent, so every output byte of its runs is unchanged
+    import leavitt
+    import output_digest
+
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=str(pathlib.Path(leavitt.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, output_digest.__file__], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == output_digest.PINNED + "\n"

@@ -12,6 +12,7 @@ from leavitt.linalg import (
     ShapeError,
     SolveSideError,
     _factor,
+    _mul,
     mat_mul,
     rank_factorization,
     solve_linear,
@@ -263,14 +264,19 @@ def counting_rationals():
 
 def count_zero_tests(field):
     """Count the zero tests of a field from ``counting_rationals``."""
+    return count_calls(field, "_is_zero")
+
+
+def count_calls(field, name):
+    """Count the calls of one payload method of a fresh field."""
     calls = [0]
-    is_zero = field._is_zero
+    method = getattr(field, name)
 
-    def counted(x):
+    def counted(*args):
         calls[0] += 1
-        return is_zero(x)
+        return method(*args)
 
-    field._is_zero = counted
+    setattr(field, name, counted)
     return calls
 
 
@@ -352,6 +358,32 @@ class TestWorkGate:
         fact = rank_factorization(field, a)
         assert fact.rank == 40
         assert zero_tests[0] <= 1600 + calls[0] <= 1877
+
+    def test_one_nonzero_factorization_forms_no_sum(self):
+        # one nonzero in a 12x12 block: no elimination step, and P, P^-1,
+        # Q and Q^-1 have one entry per row, so each self-check product row
+        # is a scaled row of the right factor, with no sum and no zero test;
+        # what remains are the 144 zero tests of reading the input
+        field = Rationals()
+        adds, zero_tests = count_calls(field, "_add"), count_zero_tests(field)
+        a = [[field.from_int(3) if (i, j) == (4, 7) else field.zero for j in range(12)]
+             for i in range(12)]
+        assert rank_factorization(field, a).rank == 1
+        assert adds[0] + zero_tests[0] <= 144
+
+    def test_product_rows_are_fresh(self):
+        # ``_factor`` consumes the rows it is given, so no row of a product
+        # may be a row of an operand, also where a left row has one entry
+        one, two = Q._from_int(1), Q._from_int(2)
+        a = [{1: one}, {0: two}, {0: one, 2: one}, {}]
+        b = [{0: one}, {2: two, 1: one}, {}]
+        eye = [{i: one} for i in range(3)]
+        for left, right in ((a, b), (eye, b), (b, eye), (eye, eye)):
+            saved = [dict(row) for row in right]
+            out = _mul(Q, left, right)
+            assert not {id(row) for row in out} & {id(row) for row in left + right}
+            _factor(Q, out, len(out), 3)
+            assert right == saved
 
     def test_row_swaps_move_no_entries(self):
         # 128 empty rows over [I | 0]: every pivot is a row swap and none is

@@ -3,7 +3,9 @@ conftest: block by block, the images of products, stars and sums are the
 ones the dense entry-by-entry loops of conftest give, and so are scalar
 multiples; phi_inv reads a dense image back to its element; and the sink
 normal form phi reads its entries from ends at the sinks and normalizes back
-to its element."""
+to its element. On graphs that mix runs of single-exit edges with
+branching vertices, phi's rows also equal a one-step expansion written
+here, which extends p and q by one edge per step."""
 
 import random
 
@@ -14,6 +16,7 @@ from hypothesis import example, given, strategies as st  # noqa: E402
 
 from leavitt import (  # noqa: E402
     Element,
+    Path,
     Rationals,
     parse_element,
     phi,
@@ -22,8 +25,8 @@ from leavitt import (  # noqa: E402
     sink_normal_form,
     sinks,
 )
-from leavitt.graphs import path_range  # noqa: E402
-from leavitt.semisimple import MatrixImage  # noqa: E402
+from leavitt.graphs import out_edges, path_range  # noqa: E402
+from leavitt.semisimple import MatrixImage, _phi_rows  # noqa: E402
 
 from conftest import ALL_FIELDS, naive_conj_transpose, naive_mat_mul, random_element  # noqa: E402
 from test_linalg_properties import PROPERTY_SETTINGS  # noqa: E402
@@ -60,3 +63,34 @@ def test_sink_normal_form_ends_at_sinks_and_normalizes_back(case):
         assert path_range(g, p) == path_range(g, q) in sinks(g)
         assert c != k.zero
     assert Element.from_terms(g, k, [(c, p, q) for (p, q), c in nf.items()]) == x
+
+
+def one_step_phi_rows(x):
+    """phi(x) as payload rows, expanding p q* by one edge e leaving r(p)
+    per step until p ends at a sink."""
+    g, add, is_zero = x.graph, x.field._add, x.field._is_zero
+    blocks = {}
+    work = [(c, p, q) for (p, q), c in x._terms.items()]
+    while work:
+        c, p, q = work.pop()
+        v = path_range(g, p)
+        exits = out_edges(g, v)
+        if exits:
+            work += [(c, Path(p.base, p.edges + (e.id,)), Path(q.base, q.edges + (e.id,)))
+                     for e in exits]
+            continue
+        paths, at = g.index.sink_table(v)
+        row, j = blocks.setdefault(v, [{} for _ in paths])[at[p]], at[q]
+        total = add(row[j], c) if j in row else c
+        if is_zero(total):
+            del row[j]
+        else:
+            row[j] = total
+    return {v: rows for v, rows in blocks.items() if any(rows)}
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_phi_rows_agree_with_one_step(case):
+    _, _, x = case
+    assert _phi_rows(x) == one_step_phi_rows(x)

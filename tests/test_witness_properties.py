@@ -1,5 +1,6 @@
-"""Property tests of the witness builders on small random acyclic graphs
-over every field of conftest: each certificate verifies and equals, by its
+"""Property tests of the witness builders on small random acyclic graphs,
+some mixing runs of single-exit edges with branching vertices, over every
+field of conftest: each certificate verifies and equals, by its
 printed form, the one the dense sink route of conftest builds, which works
 on every sink's block while the builders work on a's blocks alone."""
 
@@ -14,19 +15,24 @@ from leavitt import (  # noqa: E402
     Element,
     Graph,
     NotStarRegularError,
+    Path,
     Rationals,
+    e_f_graph,
     format_element,
     improper_element,
+    m_n_graph,
     parse_element,
     phi,
     projection_generator,
     regular_witness,
+    sinks,
     unit_regular_witness,
     verify_improper,
     verify_inner_inverse,
     verify_projection,
     verify_unit_regular,
 )
+from leavitt.graphs import in_edges  # noqa: E402
 from leavitt.semisimple import _phi_rows  # noqa: E402
 
 from conftest import (  # noqa: E402
@@ -53,17 +59,77 @@ def acyclic_graphs(draw):
 
 
 @st.composite
+def mixed_dags(draw):
+    """3 to 8 vertices in topological order, each but the last with 0 to 3
+    out-edges, mostly one: the first to the next vertex, the others to one
+    of the next three. So runs of single-exit edges (a vertex's only
+    out-edge) are joined at branching vertices, and long paths are common."""
+    n = draw(st.integers(3, 8))
+    edges = []
+    for i in range(n - 1):
+        for j in range(draw(st.sampled_from((1, 2, 1, 3, 0)))):
+            d = i + 1 if j == 0 else min(i + draw(st.integers(1, 3)), n - 1)
+            edges.append((f"e{len(edges)}", f"v{i}", f"v{d}"))
+    return Graph.build([f"v{i}" for i in range(n)], edges)
+
+
+@st.composite
+def branching_graphs(draw):
+    """A mixed DAG, its M_2 or M_3 (a single-exit tail into every vertex),
+    or its E_F graph for a non-empty F."""
+    g = draw(mixed_dags())
+    kind = draw(st.sampled_from(("dag", "m_n", "e_f")))
+    if kind == "m_n":
+        return m_n_graph(g, draw(st.integers(2, 3)))
+    if kind == "e_f" and g.ids:
+        return e_f_graph(g, draw(st.lists(st.sampled_from(g.ids), min_size=1, unique=True)))
+    return g
+
+
+def walk_into(draw, g, v, most, exact=False) -> Path:
+    """A backward walk of at most ``most`` edges into v; with ``exact``, of
+    ``most`` edges unless it reaches a source first."""
+    edges = []
+    for _ in range(most if exact else draw(st.integers(0, most))):
+        ins = in_edges(g, v)
+        if not ins:
+            break
+        e = draw(st.sampled_from(ins))
+        edges.append(e.id)
+        v = e.src
+    return Path(v, tuple(reversed(edges)))
+
+
+def tailed_monomial(draw, g, tail_len) -> tuple:
+    """(p, q): walks of at most two edges into the start of a shared tail,
+    a backward walk of ``tail_len`` edges (fewer where it meets a source)
+    into a drawn vertex, sinks first, so that a run of common last edges
+    reaches the CK2 rewrite."""
+    ends = sinks(g)
+    end = draw(st.sampled_from(sorted(g.vertices, key=lambda v: v not in ends)))
+    tail = walk_into(draw, g, end, tail_len, exact=True)
+    p, q = walk_into(draw, g, tail.base, 2), walk_into(draw, g, tail.base, 2)
+    return Path(p.base, p.edges + tail.edges), Path(q.base, q.edges + tail.edges)
+
+
+@st.composite
 def cases(draw):
-    """(g, k, a): g from ``acyclic_graphs``; a has up to four monomials with
-    paths of at most three edges, or is an improper element of (g, k) when
-    there is one, so that the projection construction meets its
-    inconsistent solves too."""
-    g = draw(acyclic_graphs())
+    """(g, k, a): g from ``acyclic_graphs`` or ``branching_graphs``; a has up
+    to four monomials with paths of at most three edges, or (on a branching
+    graph) whose paths share a tail of up to six edges, or is an improper
+    element of (g, k) when there is one, so that the projection
+    construction meets its inconsistent solves too."""
+    branching = draw(st.booleans())
+    g = draw(branching_graphs() if branching else acyclic_graphs())
     k = draw(st.sampled_from(ALL_FIELDS))
     if draw(st.integers(0, 3)) == 0:
         a = improper_element(g, k)
         if a is not None:
             return g, k, a
+    if branching and draw(st.booleans()):
+        raw = [(k.from_int(draw(st.sampled_from((1, -1, 2, 3)))), *tailed_monomial(draw, g, 6))
+               for _ in range(draw(st.integers(1, 4)))]
+        return g, k, Element.from_terms(g, k, raw)
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     return g, k, random_element(g, k, rng, max_terms=4, max_len=3)
 
