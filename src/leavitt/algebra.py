@@ -32,7 +32,10 @@ through two doors, ``from_terms`` and the expression parser of
 (nonzero payloads multiply to nonzero ones in a field) and payload rows
 never hold a zero. The product rule is stated once, in the kernel
 ``_product``, which files each term as it forms it; its two callers are
-``Element.__mul__`` and the expression parser.
+``Element.__mul__`` and the expression parser; a zero operand returns at
+once. Every element is built through one door, ``_make``. Operands that
+share their graph and field objects are not compared; others go through
+``_check_operands``, which compares by equality.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .graphs import Graph, GraphError, Path, is_path, path_range
 
 # Path(base, edges) without the Python-level NamedTuple.__new__ frame
 _path = functools.partial(tuple.__new__, Path)
+_new = object.__new__
 
 
 class AlgebraError(ValueError):
@@ -139,8 +143,12 @@ def _product(g: Graph, field: Field, left: dict, right: dict) -> dict:
     to ``_file``. The flags hold for any map, normal or not: a normal
     operand has no flagged monomial, but ``semisimple.sink_normal_form``
     returns one that may.
+
+    Nothing is set up before a term can pair: an empty operand returns at
+    once, and the index and the worklist are read only when a term needs them.
     """
-    index = g.index
+    if not left or not right:
+        return {}
     special = None  # read only if some p and q end in the same edge
     by_base: dict = {}
     for (p2, q2), c2 in right.items():
@@ -149,7 +157,7 @@ def _product(g: Graph, field: Field, left: dict, right: dict) -> dict:
         flag2 = False
         if pe and pe[-1] == last2:
             if special is None:
-                special = index.special_ids
+                special = g.index.special_ids
             flag2 = last2 in special
         entry = (pe, len(pe), q2, c2, flag2, last2)
         group = by_base.get(p2.base)
@@ -160,7 +168,7 @@ def _product(g: Graph, field: Field, left: dict, right: dict) -> dict:
     mul, add = field._mul, field._add
     acc: dict = {}
     get = acc.get
-    work = deque()
+    work = None
     summed = False
     for (p1, q1), c1 in left.items():
         group = by_base.get(q1.base)
@@ -172,7 +180,7 @@ def _product(g: Graph, field: Field, left: dict, right: dict) -> dict:
         flag1 = False
         if qe and qe[-1] == last1:
             if special is None:
-                special = index.special_ids
+                special = g.index.special_ids
             flag1 = last1 in special
         for pe, m, q2, c2, flag2, last2 in group:
             if m > n:
@@ -187,7 +195,7 @@ def _product(g: Graph, field: Field, left: dict, right: dict) -> dict:
                 p, q, ck2 = p1, q2, False
                 if last1 is not None and last1 == last2:
                     if special is None:
-                        special = index.special_ids
+                        special = g.index.special_ids
                     ck2 = last1 in special
             else:
                 if qe[:m] != pe:
@@ -196,6 +204,8 @@ def _product(g: Graph, field: Field, left: dict, right: dict) -> dict:
                 p, q, ck2 = p1, _path((q2.base, q2.edges + qe[m:])), flag1
             c = mul(c1, c2)
             if ck2:
+                if work is None:
+                    work = deque()
                 work.append((c, p, q))
                 continue
             key = (p, q)
@@ -205,8 +215,8 @@ def _product(g: Graph, field: Field, left: dict, right: dict) -> dict:
             else:
                 acc[key] = add(prev, c)
                 summed = True
-    if work:
-        return _file(index, field, (), acc, summed, work)
+    if work is not None:
+        return _file(g.index, field, (), acc, summed, work)
     return _nonzero(field, acc) if summed else acc
 
 
@@ -277,17 +287,14 @@ class Element:
     Supports +, -, * (both by elements and by coefficients), ``star`` for
     the involution, and structural equality of normal forms. ``_text``, the
     printed form, is set by the first ``format_element`` call and is not
-    part of equality or the hash.
+    part of equality or the hash. Calling ``Element`` raises: build one with
+    the static constructors, or inside the package with ``_make``.
     """
 
     __slots__ = ("graph", "field", "_terms", "_text")
 
-    def __init__(self, graph: Graph, field: Field, terms: dict, *, _trusted=False):
-        if not _trusted:
-            raise TypeError("use the Element constructors (zero, vertex, from_terms, ...)")
-        self.graph = graph
-        self.field = field
-        self._terms = terms
+    def __init__(self, *args, **kwargs):
+        raise TypeError("use the Element constructors (zero, vertex, from_terms, ...)")
 
     # --- constructors ---------------------------------------------------
 
@@ -306,36 +313,35 @@ class Element:
             _check_monomial(graph, p, q)
             if not is_zero(x):
                 cooked.append((x, p, q))
-        return Element(graph, field, _normalize_terms(graph, field, cooked, schedule),
-                       _trusted=True)
+        return _make(graph, field, _normalize_terms(graph, field, cooked, schedule))
 
     @staticmethod
     def zero(graph, field) -> "Element":
-        return Element(graph, field, {}, _trusted=True)
+        return _make(graph, field, {})
 
     @staticmethod
     def vertex(graph, field, v: str) -> "Element":
         if v not in graph.index.pos:
             raise GraphError(f"unknown vertex {v}")
         t = Path(v, ())
-        return Element(graph, field, {(t, t): field._from_int(1)}, _trusted=True)
+        return _make(graph, field, {(t, t): field._from_int(1)})
 
     @staticmethod
     def edge(graph, field, eid: str) -> "Element":
         p, q = _edge_monomial(graph, eid)
-        return Element(graph, field, {(p, q): field._from_int(1)}, _trusted=True)
+        return _make(graph, field, {(p, q): field._from_int(1)})
 
     @staticmethod
     def ghost(graph, field, eid: str) -> "Element":
         p, q = _edge_monomial(graph, eid)
-        return Element(graph, field, {(q, p): field._from_int(1)}, _trusted=True)
+        return _make(graph, field, {(q, p): field._from_int(1)})
 
     @staticmethod
     def one(graph, field) -> "Element":
         """The identity of a finite graph algebra: the sum of all vertices."""
         one = field._from_int(1)
         terms = {(Path(v, ()), Path(v, ())): one for v in graph.index.order}
-        return Element(graph, field, terms, _trusted=True)
+        return _make(graph, field, terms)
 
     # --- views -----------------------------------------------------------
 
@@ -364,14 +370,13 @@ class Element:
 
     # --- arithmetic --------------------------------------------------------
 
-    def _check_compatible(self, other: "Element"):
-        _check_operands(self.graph, self.field, other.graph, other.field, "elements")
-
     def __add__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        self._check_compatible(other)
-        add, is_zero = self.field._add, self.field._is_zero
+        g, field = self.graph, self.field
+        if other.graph is not g or other.field is not field:
+            _check_operands(g, field, other.graph, other.field, "elements")
+        add, is_zero = field._add, field._is_zero
         terms = dict(self._terms)
         for m, c in other._terms.items():
             prev = terms.get(m)
@@ -383,12 +388,11 @@ class Element:
                 del terms[m]
             else:
                 terms[m] = total
-        return Element(self.graph, self.field, terms, _trusted=True)
+        return _make(g, field, terms)
 
     def __neg__(self):
         neg = self.field._neg
-        return Element(self.graph, self.field, {m: neg(c) for m, c in self._terms.items()},
-                       _trusted=True)
+        return _make(self.graph, self.field, {m: neg(c) for m, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Element):
@@ -401,17 +405,18 @@ class Element:
         if field._is_zero(c):
             return Element.zero(self.graph, field)
         mul = field._mul
-        return Element(self.graph, field, {m: mul(c, v) for m, v in self._terms.items()},
-                       _trusted=True)
+        return _make(self.graph, field, {m: mul(c, v) for m, v in self._terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (FieldValue, int)):
-            return self.scale(other)
-        if not isinstance(other, Element):
-            return NotImplemented
-        self._check_compatible(other)
+        if type(other) is not Element:
+            if isinstance(other, (FieldValue, int)):
+                return self.scale(other)
+            if not isinstance(other, Element):
+                return NotImplemented
         g, field = self.graph, self.field
-        return Element(g, field, _product(g, field, self._terms, other._terms), _trusted=True)
+        if other.graph is not g or other.field is not field:
+            _check_operands(g, field, other.graph, other.field, "elements")
+        return _make(g, field, _product(g, field, self._terms, other._terms))
 
     def __rmul__(self, other):
         if isinstance(other, (FieldValue, int)):
@@ -422,7 +427,7 @@ class Element:
         """The induced involution: sum of k p q* goes to conj(k) q p*."""
         conj = self.field._conj
         terms = {(q, p): conj(c) for (p, q), c in self._terms.items()}
-        return Element(self.graph, self.field, terms, _trusted=True)
+        return _make(self.graph, self.field, terms)
 
     # --- comparison -----------------------------------------------------
 
@@ -442,6 +447,13 @@ class Element:
     __str__ = __repr__
 
 
+def _make(graph: Graph, field: Field, terms: dict) -> Element:
+    """The one door: an element holding ``terms``, a normal form, as given."""
+    x = _new(Element)
+    x.graph, x.field, x._terms = graph, field, terms
+    return x
+
+
 def normalize(graph, field, raw, schedule: str = "lifo") -> Element:
     """Public face of the rewriting pass; see Element.from_terms."""
     return Element.from_terms(graph, field, raw, schedule)
@@ -456,7 +468,7 @@ def star(x: Element) -> Element:
 
 
 def eq(x: Element, y: Element) -> bool:
-    x._check_compatible(y)
+    _check_operands(x.graph, x.field, y.graph, y.field, "elements")
     return x == y
 
 
@@ -481,7 +493,7 @@ def local_unit(x: Element) -> Element:
         if v in support:
             t = Path(v, ())
             terms[(t, t)] = one
-    return Element(x.graph, x.field, terms, _trusted=True)
+    return _make(x.graph, x.field, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +527,7 @@ def format_element(x: Element) -> str:
 
     The text is formatted once per element and kept on it, so printing the
     same object again (a certificate in its payload and in its claims) costs
-    an attribute read. It cannot go stale: only ``__init__`` assigns
+    an attribute read. It cannot go stale: only ``_make`` assigns
     ``_terms``. Two threads that race both store the same string.
     """
     try:

@@ -54,7 +54,7 @@ import json
 import re
 from itertools import repeat
 
-from .algebra import Element, _edge_monomial, _normalize_terms, _product, format_element
+from .algebra import Element, _edge_monomial, _make, _normalize_terms, _product, format_element
 from .fields import Field
 from .graphs import Graph, GraphError, Path
 from .omega import extnat_to_json
@@ -272,8 +272,7 @@ class _ExprParser:
         while True:
             ch = self.next_char()
             if not ch:
-                return Element(self.g, self.k, _normalize_terms(self.g, self.k, raw),
-                               _trusted=True)
+                return _make(self.g, self.k, _normalize_terms(self.g, self.k, raw))
             if ch not in "+-":
                 self.fail(f"unexpected character {ch!r}")
             self.pos += 1

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 from types import MappingProxyType
 
-from .algebra import Element, _check_operands, _normalize_terms, _path
+from .algebra import Element, _check_operands, _make, _normalize_terms, _path
 from .fields import Field
 from .graphs import Graph, SinkBasis, check_acyclic, mu, path_range, sinks
 from .linalg import ShapeError, _add, _conj_transpose, _dense, _identity, _mul, _sparse
@@ -32,7 +32,7 @@ def sink_normal_form(x: Element) -> Element:
     rewriting normal form (re-normalizing gives back x), but the
     representation phi reads its entries from."""
     terms = {(p, q): c for c, p, q in _entries(x.graph, _phi_rows(x))}
-    return Element(x.graph, x.field, terms, _trusted=True)
+    return _make(x.graph, x.field, terms)
 
 
 class MatrixImage:
@@ -181,7 +181,7 @@ def _entries(g: Graph, blocks: dict) -> list:
 def _from_rows(g: Graph, field: Field, blocks: dict) -> Element:
     """The element whose image has these payload rows (any subset of the
     sinks); a row holds no zero, so its entries go to the normalizer as they are."""
-    return Element(g, field, _normalize_terms(g, field, _entries(g, blocks)), _trusted=True)
+    return _make(g, field, _normalize_terms(g, field, _entries(g, blocks)))
 
 
 def phi(x: Element) -> MatrixImage:

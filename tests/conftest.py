@@ -26,6 +26,7 @@ from leavitt import (
     special_edges,
     standard_graph,
 )
+from leavitt.algebra import _make
 from leavitt.graphs import edge_by_id, in_edges, out_edges, path_range
 from leavitt.linalg import _identity, _mul
 
@@ -386,8 +387,7 @@ def oracle_mul(x, y) -> Element:
     """x * y through the all-pairs rule, normalized by
     ``oracle_normalize_terms``, not by the library's normalizer."""
     raw = oracle_product_payloads(x.field, x._terms, y._terms)
-    return Element(x.graph, x.field, oracle_normalize_terms(x.graph, x.field, raw),
-                   _trusted=True)
+    return _make(x.graph, x.field, oracle_normalize_terms(x.graph, x.field, raw))
 
 
 def trial_division_is_prime(n: int) -> bool:

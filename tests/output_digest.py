@@ -1,5 +1,5 @@
-"""One sha256 over the outputs of the benchmark's ``certify`` and ``decide`` ops
-and of element commands on branching graphs.
+"""One sha256 over the outputs of the benchmark's ``certify``, ``decide`` and
+``arith`` ops and of element commands on branching graphs.
 
 Runs every op of one ``Certify`` cycle and one ``Decide`` cycle of
 ``benchmarks/workloads.py`` at each seed, as generated (with ``--json``) and
@@ -7,8 +7,10 @@ once more without ``--json``, then ``nf``, ``phi`` and ``witness
 regular|projection|unit|improper`` on the branching acyclic graphs of
 ``branching_graphs`` (each has vertices of out-degree 2, which no
 workload graph has), each with and without ``--json``, all through
-``leavitt.cli.main`` in process. It prints the number of runs and one
-sha256 over each run's exit code and stdout, in order. Two versions of the
+``leavitt.cli.main`` in process. Then it runs every op of one ``Arith``
+cycle at each seed through the library and takes ``format_element`` of
+each result. It prints the number of runs and one sha256 over each run's
+exit code and stdout, then each result's text, in order. Two versions of the
 library that write the same bytes for every op print the same line, so a
 change meant to keep every output can be checked against its parent:
 
@@ -34,10 +36,11 @@ import tempfile
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "benchmarks"))
 
 import workloads  # noqa: E402
+from leavitt.algebra import format_element  # noqa: E402
 from leavitt.graphs import Graph, m_n_graph  # noqa: E402
 
 SEEDS = (1, 2, 3, 7)
-PINNED = "472 bef9b7731082eb1ad27733f4e0bb111f64d76574e14255f469adb5f76b85acb7"
+PINNED = "4312 e133f2da828adc44e47982f00f36f484492b63b2cb1db6ed5d33853c2ad24dba"
 COMMANDS = (("nf",), ("phi",), ("witness", "regular"), ("witness", "projection"),
             ("witness", "unit"), ("witness", "improper"))
 FIELDS = ("Q", "GF(3)")
@@ -84,10 +87,20 @@ def branching_runs():
                 yield argv, data
 
 
-def digest(runs) -> tuple[int, str]:
-    """(number of runs, sha256 over each run's exit code and stdout). An
-    exception that escapes ``main`` is digested by its type name in place
-    of the exit code."""
+def arith_results(seeds=SEEDS):
+    """``format_element`` of the result of each op of one ``Arith`` cycle
+    at each seed, in order."""
+    for seed in seeds:
+        workload = workloads.Arith(seed)
+        for i in range(workload.cycle):
+            yield format_element(workload.op(i).prepare(None)())
+
+
+def digest(runs, results=()) -> tuple[int, str]:
+    """(number of runs and results, sha256 over each run's exit code and
+    stdout, then over each result text and a newline). An exception that
+    escapes ``main`` is digested by its type name in place of the exit
+    code."""
     h = hashlib.sha256()
     n = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -101,6 +114,9 @@ def digest(runs) -> tuple[int, str]:
             h.update(f"{code}\n{len(out)}\n".encode())
             h.update(out.encode())
             n += 1
+    for text in results:
+        h.update(f"{text}\n".encode())
+        n += 1
     return n, h.hexdigest()
 
 
@@ -108,7 +124,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
     args = parser.parse_args(argv)
-    n, hexdigest = digest(runs(args.seeds))
+    n, hexdigest = digest(runs(args.seeds), arith_results(args.seeds))
     print(n, hexdigest)
     return 0
 

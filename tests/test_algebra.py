@@ -1,3 +1,6 @@
+import inspect
+import operator
+
 import pytest
 
 from leavitt import (
@@ -169,6 +172,54 @@ class TestRefusals:
         with pytest.raises(error) as caught:
             build()
         assert (type(caught.value), str(caught.value)) == (error, message)
+
+
+def rose_build():
+    return Graph.build(["v"], [("e1", "v", "v"), ("e2", "v", "v")])
+
+
+OPS = {"*": operator.mul, "+": operator.add, "-": operator.sub}
+
+
+@pytest.mark.parametrize("op", OPS.values(), ids=OPS)
+class TestOperandRule:
+    """Operands over equal graph and field objects combine; unequal ones
+    are refused with one message, also when an operand is zero."""
+
+    X, Y = "v + 2*e1 + e2.e1*", "e1* + 3*e2.e2* - e1.e2"
+
+    def test_equal_distinct_graphs(self, op):
+        g, h = rose_build(), rose_build()
+        assert g is not h and g == h
+        x, y = parse_element(self.X, g, Q), parse_element(self.Y, g, Q)
+        for left, right in ((x, parse_element(self.Y, h, Q)), (parse_element(self.X, h, Q), y)):
+            got = op(left, right)
+            assert (got, str(got), got.graph) == (op(x, y), str(op(x, y)), left.graph)
+
+    def test_equal_distinct_fields(self, op):
+        k, m = Rationals(), Rationals()
+        assert k is not m and k == m
+        x, y = parse_element(self.X, ROSE2, k), parse_element(self.Y, ROSE2, k)
+        for left, right in ((x, parse_element(self.Y, ROSE2, m)),
+                            (parse_element(self.X, ROSE2, m), y)):
+            got = op(left, right)
+            assert (got, str(got), got.field) == (op(x, y), str(op(x, y)), left.field)
+
+    @pytest.mark.parametrize("zero", ["none", "left", "right", "both"])
+    def test_refusals(self, op, zero):
+        g, k = rose_build(), Rationals()
+        cases = [(LINE2, k, AlgebraError, "elements live over different graphs"),
+                 (g, PrimeField(5), FieldMismatchError, "elements live over different fields")]
+        for other_g, other_k, error, message in cases:
+            x, y = parse_element(self.X, g, k), Element.edge(other_g, other_k, "e1")
+            if zero in ("left", "both"):
+                x = Element.zero(g, k)
+            if zero in ("right", "both"):
+                y = Element.zero(other_g, other_k)
+            for left, right in ((x, y), (y, x)):
+                with pytest.raises(error) as caught:
+                    op(left, right)
+                assert (type(caught.value), str(caught.value)) == (error, message)
 
 
 class TestLinearCombine:
@@ -470,12 +521,34 @@ class TestWorkGate:
         calls = []
         original = cls.__dict__[name]
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls.append(1)
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(cls, name, wrapper)
         return calls
+
+    def test_shared_operands_are_not_checked_or_reconstructed(self, rng, monkeypatch):
+        # operands that share their graph and field objects pass the operand
+        # rule by identity, and results are built without ``Element.__init__``
+        cases = [(self.operand(g, k, rng), self.operand(g, k, rng), k.from_int(3))
+                 for g in self.GRAPHS for k in map(parse_field_spec, self.SPECS)]
+        checked = self.counted(monkeypatch, algebra, "_check_operands")
+        built = self.counted(monkeypatch, Element, "__init__")
+        for x, y, c in cases:
+            for op in (lambda: x * y, lambda: x + y, x.star, lambda: x.scale(c)):
+                op()
+        assert (len(checked), len(built)) == (0, 0)
+
+    def test_a_zero_operand_reads_no_table_and_calls_no_field_method(self, monkeypatch):
+        g = Graph.build(["u", "w"], [("e", "u", "w"), ("f", "u", "w"), ("l", "u", "u")])
+        k = Rationals()
+        calls = [self.counted(monkeypatch, cls, name)
+                 for cls in type(k).__mro__[:-1]
+                 for name, value in vars(cls).items() if inspect.isfunction(value)]
+        assert (Element.zero(g, k) * Element.zero(g, k)).is_zero
+        assert "index" not in vars(g)
+        assert sum(map(len, calls)) == 0
 
     def test_no_field_values_and_no_field_comparisons(self, rng, monkeypatch):
         cases = [(self.operand(g, k, rng), self.operand(g, k, rng))

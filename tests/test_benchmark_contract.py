@@ -55,7 +55,7 @@ def test_tracer_uninstall_restores(tmp_path):
 
 def test_output_digest_smoke(capsys):
     # tests/output_digest.py, run on two ops: the certify cycle's first op
-    # with and without --json; its full run prints the 400-run digest
+    # with and without --json; its full run also digests the arith results
     import output_digest
 
     two = list(itertools.islice(output_digest.runs((SEED,)), 2))
@@ -67,14 +67,14 @@ def test_output_digest_smoke(capsys):
     assert output_digest.main(["--seeds", str(SEED)]) == 0
     count, printed = capsys.readouterr().out.split()
     assert int(count) == (2 * (workloads.Certify.cycle + workloads.Decide.cycle)
-                          + len(list(output_digest.branching_runs())))
+                          + len(list(output_digest.branching_runs())) + workloads.Arith.cycle)
     assert len(printed) == 64
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "1"])
 def test_output_digest_pinned(hash_seed):
     # the whole line at the default seeds, in a fresh process per hash seed:
-    # pinned as ``PINNED`` where the branching runs were added, and equal at
+    # pinned as ``PINNED`` where the arith results were added, and equal at
     # that change's parent, so every output byte of its runs is unchanged
     import leavitt
     import output_digest

@@ -20,6 +20,7 @@ from leavitt import (
     sink_normal_form,
     standard_graph,
 )
+from leavitt.algebra import _make
 from leavitt.fields import FieldMismatchError
 from leavitt.linalg import ShapeError, mat_mul
 from leavitt.semisimple import MatrixImage
@@ -97,8 +98,7 @@ class TestPhi:
         # only a forged element pairs them; an AssertionError, not a KeyError,
         # is what the CLI prints as one error line
         g = graph_union(LINE2, relabel_graph(standard_graph("line", 1), "u"))
-        forged = Element(g, Q, {(Path("v2", ()), Path("uv1", ())): Q._from_int(1)},
-                         _trusted=True)
+        forged = _make(g, Q, {(Path("v2", ()), Path("uv1", ())): Q._from_int(1)})
         with pytest.raises(AssertionError, match="phi paired paths into different sinks"):
             phi(forged)
 
